@@ -214,6 +214,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xlris",
@@ -234,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     build = cb_sub.add_parser("build", help="build and cache the near-field codebook")
     build.add_argument("--config", required=True)
     build.add_argument("--seed", type=int, default=None)
-    build.add_argument("--threads", type=int, default=1)
+    build.add_argument("--threads", type=_thread_count, default=1)
     build.add_argument("--out", default=".", help="directory for the manifest")
     build.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")
     build.set_defaults(func=cmd_codebook_build)
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sweep_sub.add_parser(kind, help=help_text)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=_thread_count, default=1)
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")
         sp.set_defaults(func=cmd_sweep)

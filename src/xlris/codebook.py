@@ -4,17 +4,24 @@ Two codebook families live here. The far-field codebook places one codeword
 per point of a fixed spatial-angle lattice. The near-field codebook pairs
 every sampled scatter point on the BS side with every sampled point on the
 user side, derives each codeword from the summed distance profile of the
-pair, and drops pairs whose beam duplicates an earlier one.
+pair, and drops pairs whose beam duplicates an earlier one. When both sides
+use the same grid, pair (j, i) with j > i has the same summed profile as the
+earlier pair (i, j), so only the upper triangle i <= j is swept.
 
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
-nine decimals (integer nanocycles). Codebooks store a 64-bit polynomial hash
-of that form rather than the full sequence, which keeps the full-scale
-codebook small; the hash is what the cache file format carries per record.
+nine decimals (integer nanocycles). Pairs are grouped by a 64-bit polynomial
+hash of that form, and the canonical forms of pairs sharing a hash are
+compared directly, so dedup is exact: a hash collision keeps both codewords.
+Codebooks store the hash rather than the full sequence, which keeps the
+full-scale codebook small; the hash is what the cache file format carries
+per record.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +42,8 @@ from .geometry import (
 
 _NANO = 1_000_000_000
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# Canonical-form elements compared per batch when checking shared keys.
+_CHECK_ELEMENTS = 1 << 21
 
 _MAGIC = b"XLRC"
 _FORMAT_VERSION = 1
@@ -314,11 +323,14 @@ def build_near_field_codebook(
     """Sweep the ordered pair product of the two grids and dedup by beam.
 
     For each pair the summed distance profile defines the codeword; a pair
-    is kept only if its canonical key has not been seen earlier in the
+    is kept only if its canonical form has not been seen earlier in the
     sweep, so swapped pairs (and any other coincident beams) collapse to
-    the first occurrence. Keys are a deterministic map over the pair
-    product, so the result is identical whether blocks run serially or on
-    `threads` workers.
+    the first occurrence. When ``grid_g == grid_r`` row i sweeps only
+    columns j >= i: float addition is commutative, so each skipped pair
+    repeats the profile of its earlier swap bitwise and could never be
+    kept. Keys are a deterministic map over the swept pairs, so the result
+    is identical whether rows run serially or on `threads` workers.
+    `pre_dedup_pairs` counts the full product either way.
     """
     pts_g = enumerate_grid(grid_g)
     pts_r = enumerate_grid(grid_r)
@@ -328,11 +340,15 @@ def build_near_field_codebook(
 
     dist_g = element_distances(pts_g, dims)
     dist_r = element_distances(pts_r, dims)
-    keys = np.empty(s_g * s_r, dtype=np.uint64)
+    # Row i of the sweep covers columns first_col[i]..s_r-1 and lands in
+    # keys[offsets[i]:offsets[i + 1]], so the flat order is the sweep order.
+    first_col = np.arange(s_g) if grid_g == grid_r else np.zeros(s_g, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(s_r - first_col)))
+    keys = np.empty(offsets[-1], dtype=np.uint64)
 
     def fill_block(i: int) -> None:
-        block = dist_g[i, np.newaxis, :] + dist_r
-        keys[i * s_r : (i + 1) * s_r] = _hash_reduced(reduced_profile(block))
+        block = dist_g[i, np.newaxis, :] + dist_r[first_col[i] :]
+        keys[offsets[i] : offsets[i + 1]] = _hash_reduced(reduced_profile(block))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -341,9 +357,16 @@ def build_near_field_codebook(
         for i in range(s_g):
             fill_block(i)
 
-    _, first_seen = np.unique(keys, return_index=True)
-    kept = np.sort(first_seen)
-    pairs = np.column_stack([kept // s_r, kept % s_r])
+    def locate(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.searchsorted(offsets, flat, side="right") - 1
+        return rows, first_col[rows] + (flat - offsets[rows])
+
+    def reduced_rows(flat: np.ndarray) -> np.ndarray:
+        rows, cols = locate(flat)
+        return reduced_profile(dist_g[rows] + dist_r[cols])
+
+    kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
+    pairs = np.column_stack(locate(kept))
     return NearFieldCodebook(
         dims,
         pts_g,
@@ -356,11 +379,44 @@ def build_near_field_codebook(
     )
 
 
+def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct profile.
+
+    `keys[k]` is the hash of the profile at sweep position k, and
+    `reduced_rows(positions)` returns those profiles' canonical forms. Keys
+    seen once need no check. The positions behind a repeated key have their
+    canonical forms compared directly, in batches of whole key groups of
+    about `batch_rows` rows, so true duplicates are dropped and hash
+    collisions keep every distinct profile.
+    """
+    order = np.argsort(keys, kind="stable")  # stable: a group lists positions ascending
+    sorted_keys = keys[order]
+    new_key = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:-1])
+    kept = order[new_key[:-1]]
+    shared = ~(new_key[:-1] & new_key[1:])  # in a group of two or more
+    if not shared.any():
+        return np.sort(kept)
+    members = order[shared]
+    group_starts = np.flatnonzero(new_key[:-1][shared])
+    # Each batch starts at the last group start at or before a multiple of batch_rows.
+    marks = np.arange(0, len(members), batch_rows)
+    cuts = np.unique(group_starts[np.searchsorted(group_starts, marks, side="right") - 1])
+    extra = []
+    for lo, hi in zip(cuts, [*cuts[1:], len(members)]):
+        batch = members[lo:hi]
+        _, first = np.unique(reduced_rows(batch), axis=0, return_index=True)
+        extra.append(batch[first])
+    return np.union1d(kept, np.concatenate(extra))
+
+
 def save_codebook(cb: NearFieldCodebook, path) -> None:
     """Write the binary cache: header, one record per codeword, trailing CRC32.
 
     Only source pairs, dims, and key hashes are persisted; vectors are
-    regenerated on load.
+    regenerated on load. The bytes go to ``<path>.tmp-<pid>`` in the same
+    directory, which is then renamed onto `path`, so a crash or a failed
+    write never leaves a partial cache file behind.
     """
     if not isinstance(cb, NearFieldCodebook):
         raise TypeError("only near-field codebooks are persisted (far-field is formulaic)")
@@ -370,10 +426,16 @@ def save_codebook(cb: NearFieldCodebook, path) -> None:
     records["key"] = cb.keys
     payload = _HEADER.pack(_FORMAT_VERSION, cb.dims.n1, cb.dims.n2, cb.dims.d, cb.size)
     payload += records.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    tmp = f"{os.fspath(path)}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)  # only still there if the write or rename failed
 
 
 def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:

@@ -171,8 +171,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"schemes: unknown scheme {s!r}; expected one of {list(ALL_SCHEMES)}")
 
     snr_raw = raw.get("snr_grid_db", [-10.0, -5.0, 0.0, 5.0, 10.0])
-    if not isinstance(snr_raw, list):
-        raise ConfigError("snr_grid_db must be a list of numbers")
+    if not isinstance(snr_raw, list) or not snr_raw:
+        raise ConfigError("snr_grid_db must be a nonempty list of numbers")
     snr_grid = tuple(_as_number(v, f"snr_grid_db[{i}]") for i, v in enumerate(snr_raw))
 
     trials = _as_int(raw.get("trials", 200), "trials", minimum=1)

@@ -118,6 +118,10 @@ class TestParseConfig:
         assert len(cfg.schemes) == 4
         assert cfg.master_seed == 0
 
+    def test_empty_snr_grid_rejected(self):
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            config_from_dict({**TINY, "snr_grid_db": []})
+
     def test_resolve_builtin_and_missing(self, tmp_path):
         assert resolve_config_path("paper").name == "paper.json"
         with pytest.raises(ConfigError):
@@ -214,6 +218,21 @@ class TestCli:
         missing = tmp_path / "missing.json"
         assert main(["sweep", "snr", "--config", str(missing), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_empty_snr_grid_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"snr_grid_db": []})
+        assert main(["sweep", "snr", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "snr_grid_db" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [["codebook", "build"], ["sweep", "snr"], ["sweep", "step"]])
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, command, threads):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", str(cfg), "--out", str(tmp_path), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # a corrupt cached codebook is a runtime failure, not a config problem

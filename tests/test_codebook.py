@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xlris import codebook
 from xlris.codebook import (
     CodebookFileError,
     SampleGrid,
@@ -14,7 +17,13 @@ from xlris.codebook import (
     reduced_profile,
     save_codebook,
 )
-from xlris.geometry import ArrayDims, Point3, cascaded_distances, far_field_steering
+from xlris.geometry import (
+    ArrayDims,
+    Point3,
+    cascaded_distances,
+    element_distances,
+    far_field_steering,
+)
 
 DIMS = ArrayDims(8, 2, 0.5)
 
@@ -40,6 +49,36 @@ def brute_force_distinct_beams(grid_g, grid_r, dims, tol=1e-6):
         if all(np.abs(vec - seen).max() > tol for seen in kept):
             kept.append(vec)
     return len(kept)
+
+
+def full_product_reference(grid_g, grid_r, dims):
+    """The build without the triangle: hash every ordered pair, keep first keys.
+
+    Returns (pairs, keys, pre_dedup_pairs) for the sweep over the whole
+    product, one pair at a time.
+    """
+    pts_g, pts_r = enumerate_grid(grid_g), enumerate_grid(grid_r)
+    dist_g, dist_r = element_distances(pts_g, dims), element_distances(pts_r, dims)
+    keys = np.array(
+        [codeword_key(dg + dr) for dg in dist_g for dr in dist_r], dtype=np.uint64
+    )
+    _, first = np.unique(keys, return_index=True)
+    kept = np.sort(first)
+    pairs = np.column_stack([kept // len(pts_r), kept % len(pts_r)])
+    return pairs, keys[kept], len(pts_g) * len(pts_r)
+
+
+@st.composite
+def small_grids(draw):
+    """Grids of at most 3 x 2 x 3 points on a coarse lattice, so beams can coincide."""
+    coord = st.integers(-6, 6).map(lambda v: v * 0.75)
+    def interval(lo_min=-4.5):
+        lo = draw(coord.filter(lambda v: v >= lo_min))
+        return lo, lo + draw(st.sampled_from([0.0, 0.75, 1.5, 2.25]))
+    x, z = interval(), interval()
+    y = interval(lo_min=0.75)
+    steps = [draw(st.sampled_from([0.75, 1.5])) for _ in range(3)]
+    return SampleGrid(x, y, z, *steps)
 
 
 class TestGridEnumeration:
@@ -205,6 +244,66 @@ class TestNearFieldBuild:
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.keys, b.keys)
 
+    @settings(max_examples=40, deadline=None)
+    @given(grid=small_grids())
+    def test_equal_grids_match_full_product(self, grid):
+        ref_pairs, ref_keys, ref_pre = full_product_reference(grid, grid, DIMS)
+        for threads in (1, 2):
+            cb = build_near_field_codebook(grid, grid, DIMS, threads=threads)
+            assert np.array_equal(cb.pairs, ref_pairs)
+            assert np.array_equal(cb.keys, ref_keys)
+            assert cb.pre_dedup_pairs == ref_pre
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid_g=small_grids(), grid_r=small_grids())
+    def test_unequal_grids_match_full_product(self, grid_g, grid_r):
+        ref_pairs, ref_keys, ref_pre = full_product_reference(grid_g, grid_r, DIMS)
+        for threads in (1, 2):
+            cb = build_near_field_codebook(grid_g, grid_r, DIMS, threads=threads)
+            assert np.array_equal(cb.pairs, ref_pairs)
+            assert np.array_equal(cb.keys, ref_keys)
+            assert cb.pre_dedup_pairs == ref_pre
+
+    @pytest.mark.parametrize("square", [True, False])
+    def test_equal_grids_hash_only_the_upper_triangle(self, monkeypatch, square):
+        grid_g = generic_line_grid(7)
+        grid_r = grid_g if square else generic_line_grid(7, step=0.731)
+        hashed = []
+        real_hash = codebook._hash_reduced
+        monkeypatch.setattr(
+            codebook, "_hash_reduced", lambda nano: hashed.append(len(nano)) or real_hash(nano)
+        )
+        cb = build_near_field_codebook(grid_g, grid_r, DIMS)
+        assert sum(hashed) == (7 * 8 // 2 if square else 7 * 7)
+        assert cb.pre_dedup_pairs == 7 * 7
+
+    @pytest.mark.parametrize("square", [True, False])
+    def test_all_keys_colliding_keeps_every_distinct_beam(self, monkeypatch, square):
+        grid_g = generic_line_grid(6)
+        grid_r = grid_g if square else generic_line_grid(4, step=0.731)
+        real = build_near_field_codebook(grid_g, grid_r, DIMS)
+        monkeypatch.setattr(
+            codebook, "_hash_reduced", lambda nano: np.zeros(nano.shape[:-1], dtype=np.uint64)
+        )
+        colliding = build_near_field_codebook(grid_g, grid_r, DIMS)
+        assert np.array_equal(colliding.pairs, real.pairs)
+        assert not colliding.keys.any()
+
+    @pytest.mark.parametrize("x_r", [(0.0, 3.0), (1.0, 4.0)])
+    def test_collision_groups_checked_in_small_batches(self, monkeypatch, x_r):
+        # 64 key buckets and batches of about 3 rows: dozens of shared-key
+        # groups, several per batch. The overlapping unequal grids also hold
+        # true duplicates (swapped pairs), which must still be dropped.
+        grid_g = SampleGrid((0.0, 3.0), (2.0, 3.5), (-1.0, 0.0), 1.0, 1.5, 1.0)
+        grid_r = SampleGrid(x_r, (2.0, 3.5), (-1.0, 0.0), 1.0, 1.5, 1.0)
+        real = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
+        real_hash = codebook._hash_reduced
+        monkeypatch.setattr(codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(64))
+        monkeypatch.setattr(codebook, "_CHECK_ELEMENTS", 3 * DIMS.n)
+        bucketed = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
+        assert np.array_equal(bucketed.pairs, real.pairs)
+        assert np.array_equal(bucketed.keys, real.keys % np.uint64(64))
+
     def test_vector_is_conjugated_distance_profile(self):
         grid = generic_line_grid(4)
         cb = build_near_field_codebook(grid, grid, DIMS)
@@ -277,6 +376,38 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(CodebookFileError):
             load_codebook(path, DIMS)
+
+    def test_failed_write_leaves_no_file(self, built, tmp_path, monkeypatch):
+        class FailingFile:
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:  # after the magic, part of the payload
+                    self.fh.write(data[: len(data) // 2])
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(codebook, "open", FailingFile, raising=False)
+        path = tmp_path / "cb.bin"
+        with pytest.raises(OSError, match="disk full"):
+            save_codebook(built, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_replaces_existing_file(self, built, tmp_path):
+        path = tmp_path / "cb.bin"
+        path.write_bytes(b"stale")
+        save_codebook(built, path)
+        assert load_codebook(path, DIMS).size == built.size
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_far_field_codebook_not_persistable(self, tmp_path):
         with pytest.raises(TypeError):
