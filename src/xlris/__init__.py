@@ -12,8 +12,6 @@ from .channel import (
     ChannelRealization,
     SceneConfig,
     complex_normal,
-    make_far_field_channel,
-    received_signal,
     sample_near_field_channel,
 )
 from .codebook import (
@@ -52,11 +50,8 @@ from .geometry import (
     cascaded_distances,
     cascaded_steering,
     element_distances,
-    element_position,
     far_field_steering,
-    near_field_steering,
     phase_vector,
-    point_to_element_distance,
     rayleigh_distance,
 )
 from .training import (

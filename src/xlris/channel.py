@@ -1,10 +1,11 @@
-"""Cascaded channel synthesis and the per-slot received training signal.
+"""Cascaded channel synthesis.
 
 The base station side is collapsed into an effective transmitted symbol, so
 a channel realization is just the length-N cascaded vector seen by the
 reflecting array, scaled by the product of the two hop gains. Near-field
 realizations carry the scatter-point pair that generated them; far-field
-ones carry the summed spatial angles.
+ones carry the summed spatial angles. The per-slot training observation
+r = theta^T h_bar s_bar + n is `training.select_codeword`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayDims, Box3, Point3, cascaded_steering, far_field_steering
+from .geometry import ArrayDims, Box3, FieldError, Point3, cascaded_steering, far_field_steering
 
 NEAR_FIELD = "near-field"
 FAR_FIELD = "far-field"
@@ -32,9 +33,10 @@ class SceneConfig:
     def __post_init__(self) -> None:
         for side, box in (("g", self.box_g), ("r", self.box_r)):
             if not box.y[0] > 0:
-                raise ValueError(f"scatter box ({side}-side) must have y_min > 0, got {box.y[0]}")
+                msg = f"scatter box ({side}-side) must have y_min > 0, got {box.y[0]}"
+                raise FieldError(f"box_{side}.y", msg)
         if self.sigma2 < 0:
-            raise ValueError(f"noise power must be nonnegative, got {self.sigma2}")
+            raise FieldError("sigma2", f"noise power must be nonnegative, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -87,39 +89,3 @@ def sample_near_field_channel(scene: SceneConfig, rng: np.random.Generator) -> C
         model_tag=NEAR_FIELD,
         pair=(p_g, p_r),
     )
-
-
-def make_far_field_channel(
-    phi_sum: float, psi_sum: float, alpha: complex, dims: ArrayDims
-) -> ChannelRealization:
-    """Planar-wave realization at the summed spatial angles of the two hops."""
-    h_bar = alpha * far_field_steering(phi_sum, psi_sum, dims)
-    return ChannelRealization(
-        h_bar=h_bar,
-        alpha=alpha,
-        dims=dims,
-        model_tag=FAR_FIELD,
-        angles=(phi_sum, psi_sum),
-    )
-
-
-def received_signal(
-    theta: np.ndarray,
-    ch: ChannelRealization,
-    s_bar: complex,
-    sigma2: float,
-    rng: np.random.Generator,
-) -> complex:
-    """One training-slot observation r = theta^T h_bar s_bar + n.
-
-    The noise term is CN(0, sigma2); no draw is consumed when sigma2 == 0.
-    """
-    theta = np.asarray(theta)
-    if theta.shape != ch.h_bar.shape:
-        raise ValueError(f"theta shape {theta.shape} != channel shape {ch.h_bar.shape}")
-    if sigma2 < 0:
-        raise ValueError(f"noise power must be nonnegative, got {sigma2}")
-    r = complex(theta @ ch.h_bar) * complex(s_bar)
-    if sigma2 > 0:
-        r += complex(complex_normal(rng)) * np.sqrt(sigma2)
-    return r

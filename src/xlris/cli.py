@@ -23,6 +23,7 @@ from . import __version__
 from .channel import sample_near_field_channel
 from .codebook import (
     CodebookFileError,
+    NearFieldCodebook,
     build_near_field_codebook,
     codeword_vector,
     far_field_codebook,
@@ -84,8 +85,30 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _cached_codebook_path(cache_dir: Path, cfg) -> Path:
+def _cache_file(cache_dir: Path | None, cfg) -> Path | None:
+    if cache_dir is None:
+        return None
+    cache_dir.mkdir(parents=True, exist_ok=True)
     return cache_dir / f"xlrc_{codebook_digest(cfg)[:16]}.bin"
+
+
+def _near_codebook(cfg, path: Path | None, threads: int = 1) -> tuple[NearFieldCodebook, bool]:
+    """The config's full near-field codebook, and whether it was read from `path`.
+
+    With a cache file `path`, a readable file is loaded; a missing one is
+    built and saved. A file that fails to load (corrupt, truncated, or made
+    for other dims or another format) is reported on stderr, rebuilt and
+    replaced. Without a `path` the codebook is just built.
+    """
+    if path is not None and path.exists():
+        try:
+            return load_codebook(path, cfg.scene.dims), True
+        except CodebookFileError as exc:
+            print(f"warning: rebuilding the cached codebook: {exc}", file=sys.stderr)
+    cb = build_near_field_codebook(*cfg.codebook_grids(), cfg.scene.dims, threads=threads)
+    if path is not None:
+        save_codebook(cb, path)
+    return cb, False
 
 
 def _manifest(cfg, command: str, outputs: list[Path]) -> RunManifest:
@@ -122,20 +145,11 @@ def cmd_codebook_build(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache_dir = _cache_dir(args) or out_dir
-    cache_dir.mkdir(parents=True, exist_ok=True)
-
+    path = _cache_file(_cache_dir(args) or out_dir, cfg)
+    cb, hit = _near_codebook(cfg, path, threads=args.threads)
+    print(f"cache hit: {path}" if hit else f"built and cached: {path}")
     grid_g, grid_r = cfg.codebook_grids()
-    pre_dedup = grid_g.size * grid_r.size
-    path = _cached_codebook_path(cache_dir, cfg)
-    if path.exists():
-        cb = load_codebook(path, cfg.scene.dims)
-        print(f"cache hit: {path}")
-    else:
-        cb = build_near_field_codebook(grid_g, grid_r, cfg.scene.dims, threads=args.threads)
-        save_codebook(cb, path)
-        print(f"built and cached: {path}")
-    print(f"pre_dedup_pairs: {pre_dedup}")
+    print(f"pre_dedup_pairs: {grid_g.size * grid_r.size}")
     print(f"codebook_size_L: {cb.size}")
 
     manifest = _manifest(cfg, "codebook build", [path])
@@ -153,7 +167,7 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(noise_ss)
 
     if args.scheme == SCHEME_EXHAUSTIVE:
-        cb = build_near_field_codebook(*cfg.codebook_grids(), dims)
+        cb, _ = _near_codebook(cfg, _cache_file(_cache_dir(args), cfg))
         result = exhaustive_training(cb, ch, cfg.scene.s_bar, sigma2, rng)
     elif args.scheme == SCHEME_FAR_FIELD:
         cb = far_field_codebook(dims)
@@ -186,15 +200,8 @@ def cmd_sweep(args) -> int:
 
     if args.kind == "snr":
         near_cb = None
-        cache_dir = _cache_dir(args)
-        if cache_dir is not None and SCHEME_EXHAUSTIVE in cfg.schemes:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            path = _cached_codebook_path(cache_dir, cfg)
-            if path.exists():
-                near_cb = load_codebook(path, cfg.scene.dims)
-            else:
-                near_cb = build_near_field_codebook(*cfg.codebook_grids(), cfg.scene.dims)
-                save_codebook(near_cb, path)
+        if SCHEME_EXHAUSTIVE in cfg.schemes:
+            near_cb, _ = _near_codebook(cfg, _cache_file(_cache_dir(args), cfg), args.threads)
         table = sweep_snr(cfg, threads=args.threads, near_codebook=near_cb)
         stem = "snr_results"
     else:

@@ -51,6 +51,16 @@ _HEADER = struct.Struct("<IIIdQ")  # version, N1, N2, d, L
 _RECORD_DTYPE = np.dtype([("pg", "<f8", 3), ("pr", "<f8", 3), ("key", "<u8")])
 
 
+def key_algorithm() -> list[int]:
+    """Constants besides the scene that fix a cache file's bytes.
+
+    The format version, the key rounding resolution and the key multiplier.
+    Cache filenames hash them, so changing any one misses the cache instead
+    of reusing stale keys.
+    """
+    return [_FORMAT_VERSION, _NANO, int(_KEY_MULTIPLIER)]
+
+
 class CodebookFileError(ValueError):
     """Raised when a codebook cache file is missing, corrupt, or mismatched."""
 
@@ -168,14 +178,13 @@ def _hash_reduced(nano: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Codeword:
-    """One reflecting vector plus the geometry that generated it.
+    """The geometry that generates one reflecting vector.
 
     Exactly one of `pair` (near-field scatter points) or `angles` (far-field
     lattice angles) is set. The complex vector itself is regenerated on
-    demand by the owning codebook.
+    demand by :func:`codeword_vector`.
     """
 
-    key: int
     pair: tuple[Point3, Point3] | None = None
     angles: tuple[float, float] | None = None
 
@@ -194,8 +203,9 @@ class NearFieldCodebook:
 
     Codeword ``l`` is defined by points ``(g_points[pairs[l, 0]],
     r_points[pairs[l, 1]])``; its vector is the conjugated spherical-wave
-    phase profile of that pair and is regenerated lazily (the full-scale
-    codebook held as dense vectors would be hundreds of MB).
+    phase profile of that pair, regenerated on demand by
+    ``codeword_vector(cb.codeword(l), dims)`` (the full-scale codebook held
+    as dense vectors would be hundreds of MB).
     """
 
     def __init__(
@@ -205,8 +215,6 @@ class NearFieldCodebook:
         r_points: np.ndarray,
         pairs: np.ndarray,
         keys: np.ndarray,
-        grid_g: SampleGrid | None = None,
-        grid_r: SampleGrid | None = None,
         pre_dedup_pairs: int | None = None,
     ):
         self.dims = dims
@@ -216,36 +224,18 @@ class NearFieldCodebook:
         self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
         if len(self.keys) != len(self.pairs):
             raise ValueError("pairs and keys must have equal length")
-        self.grid_g = grid_g
-        self.grid_r = grid_r
         self.pre_dedup_pairs = pre_dedup_pairs
 
     @property
     def size(self) -> int:
         return len(self.pairs)
 
-    def __len__(self) -> int:
-        return self.size
-
     def source_pair(self, l: int) -> tuple[Point3, Point3]:
         gi, ri = self.pairs[l]
         return Point3.from_array(self.g_points[gi]), Point3.from_array(self.r_points[ri])
 
-    def key(self, l: int) -> int:
-        return int(self.keys[l])
-
     def codeword(self, l: int) -> Codeword:
-        return Codeword(key=self.key(l), pair=self.source_pair(l))
-
-    def distance_profile(self, l: int) -> np.ndarray:
-        gi, ri = self.pairs[l]
-        return element_distances(self.g_points[gi], self.dims) + element_distances(
-            self.r_points[ri], self.dims
-        )
-
-    def vector(self, l: int) -> np.ndarray:
-        """Codeword vector: conjugated phases exp(+j*2*pi*D_s) per element."""
-        return phase_vector(self.distance_profile(l), conjugate=True)
+        return Codeword(pair=self.source_pair(l))
 
     def responses(self, h_bar: np.ndarray) -> np.ndarray:
         """Noiseless inner products theta_l^T h_bar for every codeword.
@@ -279,27 +269,12 @@ class FarFieldCodebook:
     def size(self) -> int:
         return len(self.phis) * len(self.psis)
 
-    def __len__(self) -> int:
-        return self.size
-
     def angles(self, l: int) -> tuple[float, float]:
         n, m = divmod(l, len(self.psis))
         return float(self.phis[n]), float(self.psis[m])
 
-    def distance_profile(self, l: int) -> np.ndarray:
-        """Phase profile (in cycles) playing the role of a distance profile."""
-        phi, psi = self.angles(l)
-        return np.add.outer(phi * np.arange(self.dims.n1), psi * np.arange(self.dims.n2)).ravel()
-
-    def key(self, l: int) -> int:
-        return codeword_key(self.distance_profile(l))
-
     def codeword(self, l: int) -> Codeword:
-        return Codeword(key=self.key(l), angles=self.angles(l))
-
-    def vector(self, l: int) -> np.ndarray:
-        phi, psi = self.angles(l)
-        return np.conj(far_field_steering(phi, psi, self.dims))
+        return Codeword(angles=self.angles(l))
 
     def responses(self, h_bar: np.ndarray) -> np.ndarray:
         h = np.asarray(h_bar)
@@ -367,16 +342,7 @@ def build_near_field_codebook(
 
     kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
     pairs = np.column_stack(locate(kept))
-    return NearFieldCodebook(
-        dims,
-        pts_g,
-        pts_r,
-        pairs,
-        keys[kept],
-        grid_g=grid_g,
-        grid_r=grid_r,
-        pre_dedup_pairs=s_g * s_r,
-    )
+    return NearFieldCodebook(dims, pts_g, pts_r, pairs, keys[kept], pre_dedup_pairs=s_g * s_r)
 
 
 def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray:

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
 from .channel import SceneConfig
-from .experiments import ALL_SCHEMES, ExperimentConfig
-from .geometry import ArrayDims, Box3
+from .codebook import key_algorithm
+from .experiments import ExperimentConfig
+from .geometry import ArrayDims, Box3, FieldError
 
 
 class ConfigError(ValueError):
@@ -42,6 +44,22 @@ _ARRAY_KEYS = {"n1", "n2", "spacing_wavelengths"}
 _BOX_KEYS = {"x", "y", "z"}
 _HIER_KEYS = {"levels", "step_multiplier", "step_control"}
 
+# Key path of each dataclass field whose range check a key feeds. Fields
+# not listed, such as Box3 axes under their box's key, share the key's name.
+_FIELD_PATHS = {
+    "n1": "array.n1",
+    "n2": "array.n2",
+    "d": "array.spacing_wavelengths",
+    "box_g.y": "scatter_g_d.y",
+    "box_r.y": "scatter_r_d.y",
+    "sampling_step": "sampling_step_d",
+    "step_sweep": "step_sweep_d",
+    "levels": "hierarchical.levels",
+    "step_multiplier": "hierarchical.step_multiplier",
+    "step_control": "hierarchical.step_control",
+    "master_seed": "seed",
+}
+
 
 def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
     for key in mapping:
@@ -59,52 +77,60 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _object(value, path: str, allowed: set[str]) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    _reject_unknown(value, allowed, path)
+    return value
+
+
+def _checked(build, *args, path: str = "", **kwargs):
+    """Construct a dataclass; its range check becomes a ConfigError naming the key path."""
+    try:
+        return build(*args, **kwargs)
+    except FieldError as exc:
+        key = _join(path, exc.field)
+        raise ConfigError(f"{_FIELD_PATHS.get(key, key)}: {exc}") from None
+
+
+def _as_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}, got {value}")
     return value
 
 
 def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
+    # json.loads accepts NaN and Infinity, which are not JSON numbers.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _as_positive(value, path: str) -> float:
-    num = _as_number(value, path)
-    if not num > 0:
-        raise ConfigError(f"{path} must be positive, got {num}")
-    return num
+def _as_numbers(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list of numbers, got {value!r}")
+    return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _as_interval(value, path: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{path} must be a [min, max] pair, got {value!r}")
-    lo, hi = (_as_number(v, path) for v in value)
-    if lo > hi:
-        raise ConfigError(f"{path} has min > max: {value!r}")
-    return lo, hi
+    return _as_numbers(value, path)
 
 
 def _parse_box(value, path: str, d: float) -> Box3:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} must be an object with x/y/z intervals")
-    _reject_unknown(value, _BOX_KEYS, path)
-    x = _as_interval(_require(value, "x", path), _join(path, "x"))
-    y = _as_interval(_require(value, "y", path), _join(path, "y"))
-    z = _as_interval(_require(value, "z", path), _join(path, "z"))
-    if not y[0] > 0:
-        raise ConfigError(f"{_join(path, 'y')} must have min > 0 (scatters sit in front of the array)")
-    scale = lambda iv: (iv[0] * d, iv[1] * d)  # _d units -> wavelengths
-    return Box3(scale(x), scale(y), scale(z))
+    _object(value, path, _BOX_KEYS)
+    # _d units -> wavelengths
+    x, y, z = (
+        tuple(v * d for v in _as_interval(_require(value, axis, path), _join(path, axis)))
+        for axis in ("x", "y", "z")
+    )
+    return _checked(Box3, x, y, z, path=path)
 
 
 def _parse_symbol(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_as_number(value, path), 0.0)
     if isinstance(value, list) and len(value) == 2:
         return complex(_as_number(value[0], path), _as_number(value[1], path))
     raise ConfigError(f"{path} must be a number or an [re, im] pair, got {value!r}")
@@ -126,78 +152,53 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Check the JSON shape here; ranges and defaults come from the dataclasses."""
     _reject_unknown(raw, _TOP_KEYS, "")
 
-    array = _require(raw, "array", "")
-    if not isinstance(array, dict):
-        raise ConfigError("array must be an object")
-    _reject_unknown(array, _ARRAY_KEYS, "array")
-    n1 = _as_int(_require(array, "n1", "array"), "array.n1", minimum=1)
-    n2 = _as_int(_require(array, "n2", "array"), "array.n2", minimum=1)
-    spacing = _as_positive(_require(array, "spacing_wavelengths", "array"), "array.spacing_wavelengths")
-    dims = ArrayDims(n1=n1, n2=n2, d=spacing)
-
-    box_g = _parse_box(_require(raw, "scatter_g_d", ""), "scatter_g_d", spacing)
-    box_r = _parse_box(_require(raw, "scatter_r_d", ""), "scatter_r_d", spacing)
-
-    step_d = _as_positive(_require(raw, "sampling_step_d", ""), "sampling_step_d")
-
-    sweep_raw = raw.get("step_sweep_d", [50.0, 100.0, 150.0, 200.0])
-    if not isinstance(sweep_raw, list) or not sweep_raw:
-        raise ConfigError("step_sweep_d must be a nonempty list of numbers")
-    step_sweep = tuple(
-        _as_positive(v, f"step_sweep_d[{i}]") * spacing for i, v in enumerate(sweep_raw)
+    array = _object(_require(raw, "array", ""), "array", _ARRAY_KEYS)
+    dims = _checked(
+        ArrayDims,
+        n1=_as_int(_require(array, "n1", "array"), "array.n1"),
+        n2=_as_int(_require(array, "n2", "array"), "array.n2"),
+        d=_as_number(_require(array, "spacing_wavelengths", "array"), "array.spacing_wavelengths"),
     )
+    d = dims.d
+    scene = {
+        "dims": dims,
+        "box_g": _parse_box(_require(raw, "scatter_g_d", ""), "scatter_g_d", d),
+        "box_r": _parse_box(_require(raw, "scatter_r_d", ""), "scatter_r_d", d),
+    }
+    if "effective_symbol" in raw:
+        scene["s_bar"] = _parse_symbol(raw["effective_symbol"], "effective_symbol")
 
-    hier = raw.get("hierarchical", {})
-    if not isinstance(hier, dict):
-        raise ConfigError("hierarchical must be an object")
-    _reject_unknown(hier, _HIER_KEYS, "hierarchical")
-    levels = _as_int(hier.get("levels", 2), "hierarchical.levels", minimum=1)
-    multiplier = _as_number(hier.get("step_multiplier", 4.0), "hierarchical.step_multiplier")
-    if multiplier < 1:
-        raise ConfigError(f"hierarchical.step_multiplier must be >= 1, got {multiplier}")
-    control = _as_number(hier.get("step_control", 0.25), "hierarchical.step_control")
-    if not 0 < control < 1:
-        raise ConfigError(f"hierarchical.step_control must lie in (0, 1), got {control}")
+    step_d = _as_number(_require(raw, "sampling_step_d", ""), "sampling_step_d")
+    # The one default kept here: it is in element spacings, the dataclass's in wavelengths.
+    sweep_d = _as_numbers(raw.get("step_sweep_d", [50.0, 100.0, 150.0, 200.0]), "step_sweep_d")
+    fields = {"sampling_step": step_d * d, "step_sweep": tuple(v * d for v in sweep_d)}
 
-    s_bar = _parse_symbol(raw.get("effective_symbol", 1.0), "effective_symbol")
+    # Optional keys: a missing one takes the dataclass field's default.
+    hier = _object(raw.get("hierarchical", {}), "hierarchical", _HIER_KEYS)
+    if "levels" in hier:
+        fields["levels"] = _as_int(hier["levels"], "hierarchical.levels")
+    for key in ("step_multiplier", "step_control"):
+        if key in hier:
+            fields[key] = _as_number(hier[key], f"hierarchical.{key}")
+    int_keys = {"trials": "trials", "seed": "master_seed", "bs_antennas": "bs_antennas"}
+    for key, field in int_keys.items():
+        if key in raw:
+            fields[field] = _as_int(raw[key], key)
+    if "snr_grid_db" in raw:
+        fields["snr_grid_db"] = _as_numbers(raw["snr_grid_db"], "snr_grid_db")
+    if "schemes" in raw:
+        if not isinstance(raw["schemes"], list):
+            raise ConfigError(f"schemes must be a list, got {raw['schemes']!r}")
+        fields["schemes"] = tuple(raw["schemes"])
+    if "perfect_csi_literal_scaling" in raw:
+        if not isinstance(raw["perfect_csi_literal_scaling"], bool):
+            raise ConfigError("perfect_csi_literal_scaling must be a boolean")
+        fields["perfect_csi_literal_scaling"] = raw["perfect_csi_literal_scaling"]
 
-    schemes_raw = raw.get("schemes", list(ALL_SCHEMES))
-    if not isinstance(schemes_raw, list) or not schemes_raw:
-        raise ConfigError("schemes must be a nonempty list")
-    for s in schemes_raw:
-        if s not in ALL_SCHEMES:
-            raise ConfigError(f"schemes: unknown scheme {s!r}; expected one of {list(ALL_SCHEMES)}")
-
-    snr_raw = raw.get("snr_grid_db", [-10.0, -5.0, 0.0, 5.0, 10.0])
-    if not isinstance(snr_raw, list) or not snr_raw:
-        raise ConfigError("snr_grid_db must be a nonempty list of numbers")
-    snr_grid = tuple(_as_number(v, f"snr_grid_db[{i}]") for i, v in enumerate(snr_raw))
-
-    trials = _as_int(raw.get("trials", 200), "trials", minimum=1)
-    seed = _as_int(raw.get("seed", 0), "seed", minimum=0)
-    bs_antennas = _as_int(raw.get("bs_antennas", 64), "bs_antennas", minimum=1)
-
-    literal = raw.get("perfect_csi_literal_scaling", False)
-    if not isinstance(literal, bool):
-        raise ConfigError("perfect_csi_literal_scaling must be a boolean")
-
-    scene = SceneConfig(dims=dims, box_g=box_g, box_r=box_r, s_bar=s_bar)
-    return ExperimentConfig(
-        scene=scene,
-        schemes=tuple(schemes_raw),
-        snr_grid_db=snr_grid,
-        sampling_step=step_d * spacing,
-        step_sweep=step_sweep,
-        levels=levels,
-        step_multiplier=multiplier,
-        step_control=control,
-        trials=trials,
-        master_seed=seed,
-        bs_antennas=bs_antennas,
-        perfect_csi_literal_scaling=literal,
-    )
+    return _checked(ExperimentConfig, scene=_checked(SceneConfig, **scene), **fields)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -236,7 +237,11 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 
 def codebook_digest(cfg: ExperimentConfig, sampling_step: float | None = None) -> str:
-    """Hash of just the fields that determine the full near-field codebook."""
+    """Hash of just the inputs that determine the full near-field codebook file.
+
+    Besides the scene, that is the cache format and key algorithm, so a
+    change to either gives a new digest.
+    """
     d = cfg.scene.dims.d
     full = config_to_dict(cfg)
     step = (cfg.sampling_step if sampling_step is None else sampling_step) / d
@@ -245,6 +250,7 @@ def codebook_digest(cfg: ExperimentConfig, sampling_step: float | None = None) -
         "scatter_g_d": full["scatter_g_d"],
         "scatter_r_d": full["scatter_r_d"],
         "sampling_step_d": step,
+        "key_algorithm": key_algorithm(),
     }
     canon = json.dumps(ident, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()

@@ -23,6 +23,7 @@ from .codebook import (
     codeword_vector,
     far_field_codebook,
 )
+from .geometry import FieldError
 from .training import (
     HierarchicalConfig,
     hierarchical_training,
@@ -66,15 +67,34 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise FieldError("trials", f"trials must be >= 1, got {self.trials}")
+        if not self.schemes:
+            raise FieldError("schemes", "schemes must be nonempty")
         for scheme in self.schemes:
             if scheme not in ALL_SCHEMES:
-                raise ValueError(f"unknown scheme {scheme!r}; expected one of {ALL_SCHEMES}")
+                raise FieldError(
+                    "schemes", f"unknown scheme {scheme!r}; expected one of {list(ALL_SCHEMES)}"
+                )
+        if len(set(self.schemes)) != len(self.schemes):
+            raise FieldError("schemes", f"schemes must not repeat, got {list(self.schemes)}")
+        if not self.snr_grid_db:
+            raise FieldError("snr_grid_db", "SNR grid must be nonempty")
         if not self.sampling_step > 0:
-            raise ValueError(f"sampling step must be positive, got {self.sampling_step}")
+            raise FieldError(
+                "sampling_step", f"sampling step must be positive, got {self.sampling_step}"
+            )
+        if not self.step_sweep:
+            raise FieldError("step_sweep", "step sweep must be nonempty")
         for s in self.step_sweep:
             if not s > 0:
-                raise ValueError(f"step sweep values must be positive, got {s}")
+                raise FieldError("step_sweep", f"step sweep values must be positive, got {s}")
+        if self.master_seed < 0:
+            raise FieldError("master_seed", f"seed must be >= 0, got {self.master_seed}")
+        if self.bs_antennas < 1:
+            raise FieldError(
+                "bs_antennas", f"BS antenna count must be >= 1, got {self.bs_antennas}"
+            )
+        self.hierarchical_config()  # levels, step multiplier and step control
 
     def codebook_grids(self, sampling_step: float | None = None) -> tuple[SampleGrid, SampleGrid]:
         step = self.sampling_step if sampling_step is None else sampling_step
@@ -157,8 +177,6 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     by sigma), which pairs the curves across the sweep axis. A prebuilt
     `near_codebook` (e.g. loaded from the cache) skips the exhaustive build.
     """
-    if not cfg.snr_grid_db:
-        raise ValueError("SNR grid must be nonempty for a rate sweep")
     scene = cfg.scene
     dims = scene.dims
     sigma2s = [snr_db_to_sigma2(s) for s in cfg.snr_grid_db]
@@ -203,7 +221,8 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
                 for k, sigma2 in enumerate(sigma2s):
                     rng = np.random.default_rng(noise_seed)
                     idx, _ = select_codeword(responses, scene.s_bar, sigma2, rng)
-                    rates[scheme][k, t] = achievable_rate(cb.vector(idx), ch, scene.s_bar, sigma2)
+                    theta = codeword_vector(cb.codeword(idx), dims)
+                    rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -259,8 +278,6 @@ def sweep_overhead(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
     reported in multiples of the element spacing, matching how sampling
     steps are usually quoted.
     """
-    if not cfg.step_sweep:
-        raise ValueError("step sweep must be nonempty")
     d = cfg.scene.dims.d
     table = ResultTable()
     for step in cfg.step_sweep:

@@ -18,6 +18,14 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+class FieldError(ValueError):
+    """A dataclass field holds an out-of-range value; `field` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ArrayDims:
     """Planar array size: n1 elements along x, n2 along z, spacing d (in wavelengths)."""
@@ -27,10 +35,11 @@ class ArrayDims:
     d: float
 
     def __post_init__(self) -> None:
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"element counts must be >= 1, got n1={self.n1}, n2={self.n2}")
+        for name, count in (("n1", self.n1), ("n2", self.n2)):
+            if count < 1:
+                raise FieldError(name, f"element count must be >= 1, got {name}={count}")
         if not self.d > 0:
-            raise ValueError(f"element spacing must be positive, got d={self.d}")
+            raise FieldError("d", f"element spacing must be positive, got d={self.d}")
 
     @property
     def n(self) -> int:
@@ -76,19 +85,12 @@ class Box3:
     def __post_init__(self) -> None:
         for name, (lo, hi) in (("x", self.x), ("y", self.y), ("z", self.z)):
             if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"box {name}-interval must be finite, got {(lo, hi)}")
+                raise FieldError(name, f"box {name}-interval must be finite, got {(lo, hi)}")
             if lo > hi:
-                raise ValueError(f"box {name}-interval has min > max: {(lo, hi)}")
+                raise FieldError(name, f"box {name}-interval has min > max: {(lo, hi)}")
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         return (self.x, self.y, self.z)
-
-    def contains(self, p: Point3) -> bool:
-        return (
-            self.x[0] <= p.x <= self.x[1]
-            and self.y[0] <= p.y <= self.y[1]
-            and self.z[0] <= p.z <= self.z[1]
-        )
 
     def clip(self, other: "Box3") -> "Box3":
         """Intersection with `other`; raises if any axis ends up empty."""
@@ -99,19 +101,6 @@ class Box3:
                 raise ValueError("box clip produced an empty interval")
             axes.append((lo2, hi2))
         return Box3(*axes)
-
-
-def element_position(n1_idx: int, n2_idx: int, dims: ArrayDims) -> Point3:
-    """Position of element (n1_idx, n2_idx), 1-based indices."""
-    if not 1 <= n1_idx <= dims.n1:
-        raise ValueError(f"n1_idx out of range [1, {dims.n1}]: {n1_idx}")
-    if not 1 <= n2_idx <= dims.n2:
-        raise ValueError(f"n2_idx out of range [1, {dims.n2}]: {n2_idx}")
-    return Point3(
-        (n1_idx - (dims.n1 + 1) / 2.0) * dims.d,
-        0.0,
-        (n2_idx - (dims.n2 + 1) / 2.0) * dims.d,
-    )
 
 
 def element_distances(points, dims: ArrayDims) -> np.ndarray:
@@ -136,13 +125,6 @@ def element_distances(points, dims: ArrayDims) -> np.ndarray:
     return out[0] if single else out
 
 
-def point_to_element_distance(p: Point3, n1_idx: int, n2_idx: int, dims: ArrayDims) -> float:
-    """Euclidean distance from p to element (n1_idx, n2_idx), wavelengths."""
-    element_position(n1_idx, n2_idx, dims)  # index validation
-    flat = (n1_idx - 1) * dims.n2 + (n2_idx - 1)
-    return float(element_distances(p.as_array(), dims)[flat])
-
-
 def phase_vector(cycles, conjugate: bool = False) -> np.ndarray:
     """exp(-j*2*pi*cycles), elementwise; exp(+j*2*pi*cycles) when conjugate.
 
@@ -164,11 +146,6 @@ def far_field_steering(phi: float, psi: float, dims: ArrayDims) -> np.ndarray:
     a1 = phase_vector(phi * np.arange(dims.n1))
     a2 = phase_vector(psi * np.arange(dims.n2))
     return np.kron(a1, a2)
-
-
-def near_field_steering(p: Point3, dims: ArrayDims) -> np.ndarray:
-    """Spherical-wave steering vector for a source/scatter at p."""
-    return phase_vector(element_distances(p.as_array(), dims))
 
 
 def cascaded_distances(p_g: Point3, p_r: Point3, dims: ArrayDims) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelRealization, complex_normal
 from .codebook import Codeword, NearFieldCodebook, SampleGrid, build_near_field_codebook
-from .geometry import ArrayDims, Box3, Point3
+from .geometry import ArrayDims, Box3, FieldError, Point3
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,18 @@ class HierarchicalConfig:
 
     def __post_init__(self) -> None:
         if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
+            raise FieldError("levels", f"levels must be >= 1, got {self.levels}")
         if self.step_multiplier < 1:
-            raise ValueError(f"step multiplier must be >= 1, got {self.step_multiplier}")
+            raise FieldError(
+                "step_multiplier", f"step multiplier must be >= 1, got {self.step_multiplier}"
+            )
         if not 0 < self.step_control < 1:
-            raise ValueError(f"step control must lie in (0, 1), got {self.step_control}")
+            raise FieldError(
+                "step_control", f"step control must lie in (0, 1), got {self.step_control}"
+            )
         for s in (*self.base_steps_g, *self.base_steps_r):
             if not s > 0:
-                raise ValueError(f"base steps must be positive, got {s}")
+                raise FieldError("base_steps", f"base steps must be positive, got {s}")
 
     def initial_steps(self) -> tuple[np.ndarray, np.ndarray]:
         a = self.step_multiplier
@@ -79,14 +83,19 @@ def select_codeword(
     sigma2: float,
     rng: np.random.Generator,
 ) -> tuple[int, float]:
-    """Pick argmax |response * s_bar + noise| with fresh noise per slot.
+    """Observe every slot once and pick the loudest: argmax |r_l|.
 
-    Returns (winning index, winning noisy amplitude). np.argmax keeps the
-    first maximum, which implements the earliest-index tie break.
+    Slot l observes r_l = responses[l] * s_bar + n_l, where responses[l] is
+    the noiseless theta_l^T h_bar and n_l is fresh CN(0, sigma2) noise; no
+    draw is consumed when sigma2 == 0. Returns (winning index, winning noisy
+    amplitude). np.argmax keeps the first maximum, which implements the
+    earliest-index tie break.
     """
     responses = np.asarray(responses)
     if responses.size == 0:
         raise ValueError("cannot train on an empty codebook")
+    if sigma2 < 0:
+        raise ValueError(f"noise power must be nonnegative, got {sigma2}")
     r = responses * complex(s_bar)
     if sigma2 > 0:
         r = r + complex_normal(rng, responses.size) * np.sqrt(sigma2)
@@ -103,8 +112,6 @@ def exhaustive_training(
     rng: np.random.Generator,
 ) -> TrainingResult:
     """Measure every codeword once and return the loudest slot."""
-    if cb.size == 0:
-        raise ValueError("cannot train on an empty codebook")
     idx, amp = select_codeword(cb.responses(ch.h_bar), s_bar, sigma2, rng)
     return TrainingResult(
         best_index=idx,

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from xlris.channel import (
-    SceneConfig,
-    make_far_field_channel,
-    received_signal,
-    sample_near_field_channel,
-)
+from xlris.channel import SceneConfig, sample_near_field_channel
+from xlris.codebook import far_field_codebook
 from xlris.geometry import ArrayDims, Box3, Point3, far_field_steering
+from xlris.training import select_codeword
+
+from support import box_contains, make_far_field_channel
 
 DIMS = ArrayDims(8, 2, 0.5)
 BOX = Box3((-40, 40), (4, 40), (-16, 16))
@@ -33,7 +32,7 @@ class TestSampling:
         rng = np.random.default_rng(7)
         for _ in range(200):
             ch = sample_near_field_channel(SCENE, rng)
-            assert BOX.contains(ch.pair[0]) and BOX.contains(ch.pair[1])
+            assert box_contains(BOX, ch.pair[0]) and box_contains(BOX, ch.pair[1])
 
     def test_gain_second_moment_monte_carlo(self):
         # |alpha|^2 = |a_G|^2 |a_r|^2, product of two unit-mean exponentials
@@ -67,42 +66,48 @@ class TestFarFieldChannel:
 
 
 class TestReceivedSignal:
+    """The per-slot observation r = theta^T h_bar s_bar + n, as select_codeword runs it."""
+
     def test_coherent_sum_reaches_n(self):
         rng = np.random.default_rng(5)
         ch = sample_near_field_channel(SCENE, rng)
         theta = np.conj(ch.steering_part())
-        r = received_signal(theta, ch, 1.0, 0.0, rng)
-        assert abs(r) == pytest.approx(DIMS.n * abs(ch.alpha), rel=1e-12)
+        _, amp = select_codeword(np.array([theta @ ch.h_bar]), 1.0, 0.0, rng)
+        assert amp == pytest.approx(DIMS.n * abs(ch.alpha), rel=1e-12)
 
     def test_orthogonal_toy_cancels(self):
         dims = ArrayDims(2, 1, 0.5)
         ch = make_far_field_channel(0.5, 0.0, 1.0, dims)  # h_bar = [1, -1]
-        r = received_signal(np.array([1.0, 1.0]), ch, 1.0, 0.0, np.random.default_rng(0))
-        assert abs(r) < 1e-12
+        response = np.array([1.0, 1.0]) @ ch.h_bar
+        _, amp = select_codeword(np.array([response]), 1.0, 0.0, np.random.default_rng(0))
+        assert amp < 1e-12
 
     def test_pure_noise_variance_monte_carlo(self):
         rng = np.random.default_rng(99)
-        ch = sample_near_field_channel(SCENE, rng)
         draws = 100_000
-        samples = np.array([received_signal(ch.h_bar * 0, ch, 0.0, 1.0, rng) for _ in range(draws)])
-        assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, abs=0.05)
+        amps = np.array([select_codeword(np.zeros(1), 1.0, 1.0, rng)[1] for _ in range(draws)])
+        assert np.mean(amps**2) == pytest.approx(1.0, abs=0.05)
 
     def test_no_noise_draw_when_sigma2_zero(self):
         rng = np.random.default_rng(1)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(8))
         before = rng.bit_generator.state["state"]["state"]
-        received_signal(np.ones(DIMS.n), ch, 1.0, 0.0, rng)
+        select_codeword(np.array([np.ones(DIMS.n) @ ch.h_bar]), 1.0, 0.0, rng)
         assert rng.bit_generator.state["state"]["state"] == before
 
     def test_length_mismatch_rejected(self):
-        ch = sample_near_field_channel(SCENE, np.random.default_rng(4))
+        # the responses that select_codeword observes check the channel length
         with pytest.raises(ValueError):
-            received_signal(np.ones(DIMS.n + 1), ch, 1.0, 0.0, np.random.default_rng(0))
+            far_field_codebook(DIMS).responses(np.ones(DIMS.n + 1))
 
     def test_noiseless_amplitude_bound(self):
         rng = np.random.default_rng(55)
         for _ in range(50):
             ch = sample_near_field_channel(SCENE, rng)
-            theta = np.exp(2j * np.pi * rng.uniform(0, 1, DIMS.n))
-            r = received_signal(theta, ch, 1.0, 0.0, rng)
-            assert abs(r) <= DIMS.n * abs(ch.alpha) * (1 + 1e-12)
+            thetas = np.exp(2j * np.pi * rng.uniform(0, 1, (8, DIMS.n)))
+            _, amp = select_codeword(thetas @ ch.h_bar, 1.0, 0.0, rng)
+            assert amp <= DIMS.n * abs(ch.alpha) * (1 + 1e-12)
+
+    def test_negative_noise_power_rejected(self):
+        with pytest.raises(ValueError):
+            select_codeword(np.ones(3), 1.0, -0.1, np.random.default_rng(0))

@@ -1,7 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from xlris import codebook
+from xlris.channel import sample_near_field_channel
 from xlris.cli import main
 from xlris.config import (
     ConfigError,
@@ -13,6 +17,8 @@ from xlris.config import (
     parse_config,
     resolve_config_path,
 )
+from xlris.experiments import SCHEME_PERFECT_CSI, achievable_rate, snr_db_to_sigma2
+from xlris.training import perfect_csi_beamforming
 
 TINY = {
     "array": {"n1": 8, "n2": 2, "spacing_wavelengths": 0.5},
@@ -121,6 +127,26 @@ class TestParseConfig:
     def test_empty_snr_grid_rejected(self):
         with pytest.raises(ConfigError, match="snr_grid_db"):
             config_from_dict({**TINY, "snr_grid_db": []})
+
+    @pytest.mark.parametrize(
+        "overrides,path",
+        [
+            ({"array": {"n1": 0, "n2": 2, "spacing_wavelengths": 0.5}}, "array.n1"),
+            ({"array": {"n1": 8, "n2": 2, "spacing_wavelengths": 0}}, "array.spacing_wavelengths"),
+            ({"step_sweep_d": [8, -16]}, "step_sweep_d"),
+            ({"hierarchical": {"levels": 0}}, "hierarchical.levels"),
+            ({"hierarchical": {"step_multiplier": 0.5}}, "hierarchical.step_multiplier"),
+            ({"hierarchical": {"step_control": 1.0}}, "hierarchical.step_control"),
+            ({"schemes": []}, "schemes"),
+            ({"schemes": ["sideways"]}, "schemes"),
+            ({"trials": 0}, "trials"),
+            ({"seed": -1}, "seed"),
+            ({"bs_antennas": 0}, "bs_antennas"),
+        ],
+    )
+    def test_dataclass_range_check_names_the_key(self, overrides, path):
+        with pytest.raises(ConfigError, match=f"^{path}: "):
+            config_from_dict({**TINY, **overrides})
 
     def test_resolve_builtin_and_missing(self, tmp_path):
         assert resolve_config_path("paper").name == "paper.json"
@@ -235,18 +261,102 @@ class TestCli:
         assert "--threads" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # a corrupt cached codebook is a runtime failure, not a config problem
+        # an output directory that cannot be made is a runtime failure, not a config problem
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        code = main(["sweep", "snr", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+
+    def test_corrupt_cache_is_rebuilt(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         cache = tmp_path / "cache"
         assert main(["codebook", "build", "--config", str(cfg_path), "--out", str(tmp_path),
                      "--cache", str(cache)]) == 0
-        capsys.readouterr()
         blob_path = next(cache.glob("xlrc_*.bin"))
-        blob = bytearray(blob_path.read_bytes())
+        good = blob_path.read_bytes()
+        blob = bytearray(good)
         blob[25] ^= 0xFF
         blob_path.write_bytes(bytes(blob))
-        out = tmp_path / "run"
-        code = main(["sweep", "snr", "--config", str(cfg_path), "--out", str(out),
-                     "--cache", str(cache)])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["sweep", "snr", "--config", str(cfg_path), "--out", str(tmp_path / "warm"),
+                     "--cache", str(cache)]) == 0
+        assert "checksum mismatch" in capsys.readouterr().err
+        assert blob_path.read_bytes() == good
+        cold = tmp_path / "cold"
+        assert main(["sweep", "snr", "--config", str(cfg_path), "--out", str(cold)]) == 0
+        warm = (tmp_path / "warm" / "snr_results.csv").read_bytes()
+        assert warm == (cold / "snr_results.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name,value", [("_FORMAT_VERSION", 2), ("_NANO", 10**8), ("_KEY_MULTIPLIER", np.uint64(3))]
+    )
+    def test_key_algorithm_change_misses_the_cache(
+        self, tmp_path, capsys, monkeypatch, name, value
+    ):
+        cfg = write_config(tmp_path)
+        argv = ["codebook", "build", "--config", str(cfg), "--out", str(tmp_path),
+                "--cache", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        monkeypatch.setattr(codebook, name, value)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "built and cached" in capsys.readouterr().out
+        assert len(list((tmp_path / "cache").glob("xlrc_*.bin"))) == 2
+
+    def test_train_uses_the_cache_env_var(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        uncached = capsys.readouterr().out
+        cache = tmp_path / "envcache"
+        monkeypatch.setenv("XLRIS_CACHE", str(cache))
+        for _ in range(2):  # a miss that writes the file, then a hit that reads it
+            assert main(["train", "--config", str(cfg)]) == 0
+            assert capsys.readouterr().out == uncached
+            assert len(list(cache.glob("xlrc_*.bin"))) == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"scatter_g_d": {"x": [math.nan, 40], "y": [4, 40], "z": [-16, 16]}},
+            {"sampling_step_d": math.inf},
+            {"snr_grid_db": [-5, math.nan]},
+            {"snr_grid_db": [math.inf]},
+            {"effective_symbol": math.nan},
+            {"effective_symbol": [1.0, -math.inf]},
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["sweep", "snr", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_duplicate_schemes_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schemes": ["perfect-csi", "far-field", "perfect-csi"]})
+        assert main(["sweep", "snr", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "schemes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_literal_scaling_rates_use_theta_over_sqrt_n(self, tmp_path, capsys):
+        overrides = {"schemes": [SCHEME_PERFECT_CSI], "perfect_csi_literal_scaling": True}
+        cfg_path = write_config(tmp_path, overrides)
+        assert main(["sweep", "snr", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "snr_results.csv").read_text().strip().split("\n")[1:]
+        cfg = parse_config(cfg_path)
+        assert cfg.perfect_csi_literal_scaling
+        # independent recomputation from the per-trial construction
+        trial_seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
+        thetas, channels = [], []
+        for seeds in trial_seeds:
+            ch = sample_near_field_channel(cfg.scene, np.random.default_rng(seeds.spawn(2)[0]))
+            thetas.append(perfect_csi_beamforming(ch) / math.sqrt(cfg.scene.dims.n))
+            channels.append(ch)
+        assert len(rows) == len(cfg.snr_grid_db)
+        for row, snr in zip(rows, cfg.snr_grid_db):
+            sigma2 = snr_db_to_sigma2(snr)
+            rates = [
+                achievable_rate(t, ch, cfg.scene.s_bar, sigma2) for t, ch in zip(thetas, channels)
+            ]
+            assert float(row.split(",")[3]) == pytest.approx(np.mean(rates), rel=1e-12)

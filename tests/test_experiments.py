@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xlris.channel import SceneConfig, make_far_field_channel, sample_near_field_channel
+from xlris.channel import SceneConfig, sample_near_field_channel
 from xlris.codebook import build_near_field_codebook
 from xlris.experiments import (
     SCHEME_EXHAUSTIVE,
@@ -20,6 +20,8 @@ from xlris.experiments import (
 )
 from xlris.geometry import ArrayDims, Box3
 from xlris.training import perfect_csi_beamforming
+
+from support import make_far_field_channel
 
 DIMS = ArrayDims(16, 2, 0.5)
 BOX = Box3((-75.0, 75.0), (0.75, 12.5), (-25.0, 25.0))
@@ -99,11 +101,10 @@ class TestSweepSnr:
         assert row.stderr == pytest.approx(rates.std(ddof=1) / np.sqrt(MINI.trials), rel=1e-12)
 
     def test_empty_snr_grid_rejected(self):
-        cfg = ExperimentConfig(
-            scene=MINI.scene, snr_grid_db=(), sampling_step=6.25, trials=2, master_seed=1
-        )
         with pytest.raises(ValueError):
-            sweep_snr(cfg)
+            ExperimentConfig(
+                scene=MINI.scene, snr_grid_db=(), sampling_step=6.25, trials=2, master_seed=1
+            )
 
     def test_csv_layout(self):
         table = sweep_snr(MINI)
@@ -162,11 +163,10 @@ class TestSweepOverhead:
         assert hierarchical_overhead(MINI) == stage1 + (per_axis**3) ** 2
 
     def test_empty_sweep_rejected(self):
-        cfg = ExperimentConfig(
-            scene=MINI.scene, sampling_step=6.25, step_sweep=(), trials=1, master_seed=0
-        )
         with pytest.raises(ValueError):
-            sweep_overhead(cfg)
+            ExperimentConfig(
+                scene=MINI.scene, sampling_step=6.25, step_sweep=(), trials=1, master_seed=0
+            )
 
 
 class TestSummarizeRatio:

@@ -8,13 +8,12 @@ from xlris.geometry import (
     cascaded_distances,
     cascaded_steering,
     element_distances,
-    element_position,
     far_field_steering,
-    near_field_steering,
     phase_vector,
-    point_to_element_distance,
     rayleigh_distance,
 )
+
+from support import element_position, near_field_steering, point_to_element_distance
 
 
 def random_point(rng, y_min=0.5):
