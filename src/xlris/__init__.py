@@ -22,7 +22,6 @@ from .codebook import (
     SampleGrid,
     axis_samples,
     build_near_field_codebook,
-    codeword_key,
     codeword_vector,
     enumerate_grid,
     far_field_codebook,
@@ -39,7 +38,6 @@ from .experiments import (
     achievable_rate,
     hierarchical_overhead,
     snr_db_to_sigma2,
-    summarize_ratio,
     sweep_overhead,
     sweep_snr,
 )

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -126,7 +127,10 @@ def cmd_info(args) -> int:
     if args.aperture_m is not None or args.wavelength_m is not None:
         if args.aperture_m is None or args.wavelength_m is None:
             raise ConfigError("info needs both --aperture-m and --wavelength-m")
-        z = rayleigh_distance(args.aperture_m, args.wavelength_m)
+        try:
+            z = rayleigh_distance(args.aperture_m, args.wavelength_m)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         print(f"rayleigh_distance_m: {z!r}")
     if args.config:
         cfg = _load_config(args)
@@ -221,14 +225,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _thread_count(text: str) -> int:
+def _int_at_least(minimum: int):
+    """Argparse type: an integer >= `minimum`; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+_SEED = _int_at_least(0)
+_THREADS = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,28 +266,28 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--aperture-m", type=float, default=None, help="array aperture in meters")
     info.add_argument("--wavelength-m", type=float, default=None, help="carrier wavelength in meters")
     info.add_argument("--config", default=None, help="config file or builtin name (paper, desk)")
-    info.add_argument("--seed", type=int, default=None, help="override the config seed")
+    info.add_argument("--seed", type=_SEED, default=None, help="override the config seed")
     info.set_defaults(func=cmd_info)
 
     codebook = sub.add_parser("codebook", help="codebook maintenance")
     cb_sub = codebook.add_subparsers(dest="codebook_command", required=True)
     build = cb_sub.add_parser("build", help="build and cache the near-field codebook")
     build.add_argument("--config", required=True)
-    build.add_argument("--seed", type=int, default=None)
-    build.add_argument("--threads", type=_thread_count, default=1)
+    build.add_argument("--seed", type=_SEED, default=None)
+    build.add_argument("--threads", type=_THREADS, default=1)
     build.add_argument("--out", default=".", help="directory for the manifest")
     build.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")
     build.set_defaults(func=cmd_codebook_build)
 
     train = sub.add_parser("train", help="run one beam training pass on a sampled channel")
     train.add_argument("--config", required=True)
-    train.add_argument("--seed", type=int, default=None)
+    train.add_argument("--seed", type=_SEED, default=None)
     train.add_argument(
         "--scheme",
         default=SCHEME_EXHAUSTIVE,
         choices=[SCHEME_EXHAUSTIVE, SCHEME_HIERARCHICAL, SCHEME_FAR_FIELD],
     )
-    train.add_argument("--snr-db", type=float, default=10.0)
+    train.add_argument("--snr-db", type=_finite_float, default=10.0)
     train.set_defaults(func=cmd_train)
 
     sweep = sub.add_parser("sweep", help="Monte Carlo sweeps")
@@ -275,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sweep_sub.add_parser(kind, help=help_text)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=_thread_count, default=1)
+        sp.add_argument("--seed", type=_SEED, default=None)
+        sp.add_argument("--threads", type=_THREADS, default=1)
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")
         sp.set_defaults(func=cmd_sweep)

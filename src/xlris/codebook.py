@@ -158,16 +158,6 @@ def reduced_profile(profile) -> np.ndarray:
     return nano
 
 
-def codeword_key(profile) -> int:
-    """Global-phase-invariant 64-bit dedup key for a codeword's distance profile.
-
-    Two codewords whose beams coincide up to a global phase get equal keys;
-    profiles differing anywhere by more than the 1e-9 rounding resolution get
-    distinct keys (up to the negligible 64-bit hash collision odds).
-    """
-    return int(_hash_reduced(reduced_profile(profile)))
-
-
 def _hash_reduced(nano: np.ndarray) -> np.ndarray:
     # Rolling polynomial hash mod 2^64; wraparound is the point. Consumes
     # (overwrites) its input, which both callers pass as an owned temporary.

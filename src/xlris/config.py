@@ -236,20 +236,18 @@ def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def codebook_digest(cfg: ExperimentConfig, sampling_step: float | None = None) -> str:
+def codebook_digest(cfg: ExperimentConfig) -> str:
     """Hash of just the inputs that determine the full near-field codebook file.
 
     Besides the scene, that is the cache format and key algorithm, so a
     change to either gives a new digest.
     """
-    d = cfg.scene.dims.d
     full = config_to_dict(cfg)
-    step = (cfg.sampling_step if sampling_step is None else sampling_step) / d
     ident = {
         "array": full["array"],
         "scatter_g_d": full["scatter_g_d"],
         "scatter_r_d": full["scatter_r_d"],
-        "sampling_step_d": step,
+        "sampling_step_d": full["sampling_step_d"],
         "key_algorithm": key_algorithm(),
     }
     canon = json.dumps(ident, sort_keys=True, separators=(",", ":"))

@@ -110,8 +110,7 @@ class ExperimentConfig:
             levels=self.levels,
             box_g=self.scene.box_g,
             box_r=self.scene.box_r,
-            base_steps_g=(step, step, step),
-            base_steps_r=(step, step, step),
+            base_step=step,
             step_multiplier=self.step_multiplier,
             step_control=self.step_control,
         )
@@ -147,11 +146,8 @@ class ResultTable:
             )
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self, config_dict: dict | None = None) -> dict:
-        out = {"rows": [dataclasses.asdict(r) for r in self.rows]}
-        if config_dict is not None:
-            out["config"] = config_dict
-        return out
+    def to_json_dict(self, config_dict: dict) -> dict:
+        return {"rows": [dataclasses.asdict(r) for r in self.rows], "config": config_dict}
 
 
 def achievable_rate(
@@ -260,14 +256,12 @@ def hierarchical_overhead(cfg: ExperimentConfig, sampling_step: float | None = N
     """
     hcfg = cfg.hierarchical_config(sampling_step)
     total = build_near_field_codebook(*hcfg.stage1_grids(), cfg.scene.dims).size
-    steps_g, steps_r = hcfg.initial_steps()
+    step = hcfg.initial_step()
     for _ in range(2, hcfg.levels + 1):
-        next_g = hcfg.step_control * steps_g
-        next_r = hcfg.step_control * steps_r
-        count_g = int(np.prod([len(axis_samples(0.0, w, s)) for w, s in zip(steps_g, next_g)]))
-        count_r = int(np.prod([len(axis_samples(0.0, w, s)) for w, s in zip(steps_r, next_r)]))
-        total += count_g * count_r
-        steps_g, steps_r = next_g, next_r
+        next_step = hcfg.step_control * step
+        # three axes on each of the two sides
+        total += len(axis_samples(0.0, step, next_step)) ** 6
+        step = next_step
     return total
 
 
@@ -300,9 +294,3 @@ def sweep_overhead(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
             )
     return table
 
-
-def summarize_ratio(
-    table: ResultTable, scheme_a: str, scheme_b: str, sweep_value: float
-) -> float:
-    """mean(scheme_a) / mean(scheme_b) at one sweep point."""
-    return table.find(scheme_a, sweep_value).mean / table.find(scheme_b, sweep_value).mean

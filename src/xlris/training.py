@@ -39,17 +39,16 @@ class TrainingResult:
 class HierarchicalConfig:
     """Multi-level search schedule.
 
-    Level 1 sweeps `box_g` x `box_r` at steps `step_multiplier * base_steps`;
-    each later level re-centers the boxes on the previous winner with window
-    widths equal to the previous steps (then clipped back into the initial
-    boxes) and shrinks the steps by `step_control`.
+    Level 1 sweeps `box_g` x `box_r` at step `step_multiplier * base_step`
+    on every axis; each later level re-centers the boxes on the previous
+    winner with window widths equal to the previous step (then clipped back
+    into the initial boxes) and shrinks the step by `step_control`.
     """
 
     levels: int
     box_g: Box3
     box_r: Box3
-    base_steps_g: tuple[float, float, float]
-    base_steps_r: tuple[float, float, float]
+    base_step: float
     step_multiplier: float
     step_control: float
 
@@ -64,17 +63,15 @@ class HierarchicalConfig:
             raise FieldError(
                 "step_control", f"step control must lie in (0, 1), got {self.step_control}"
             )
-        for s in (*self.base_steps_g, *self.base_steps_r):
-            if not s > 0:
-                raise FieldError("base_steps", f"base steps must be positive, got {s}")
+        if not self.base_step > 0:
+            raise FieldError("base_step", f"base step must be positive, got {self.base_step}")
 
-    def initial_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        a = self.step_multiplier
-        return a * np.asarray(self.base_steps_g), a * np.asarray(self.base_steps_r)
+    def initial_step(self) -> float:
+        return self.step_multiplier * self.base_step
 
     def stage1_grids(self) -> tuple[SampleGrid, SampleGrid]:
-        steps_g, steps_r = self.initial_steps()
-        return SampleGrid.from_box(self.box_g, steps_g), SampleGrid.from_box(self.box_r, steps_r)
+        steps = (self.initial_step(),) * 3
+        return SampleGrid.from_box(self.box_g, steps), SampleGrid.from_box(self.box_r, steps)
 
 
 def select_codeword(
@@ -121,26 +118,17 @@ def exhaustive_training(
     )
 
 
-def refine_ranges(
-    opt_pair: tuple[Point3, Point3],
-    steps_g,
-    steps_r,
-) -> tuple[Box3, Box3]:
+def refine_ranges(opt_pair: tuple[Point3, Point3], step: float) -> tuple[Box3, Box3]:
     """Next-level boxes: each axis interval is winner coordinate +- step/2."""
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    half = step / 2.0
 
-    def window(p: Point3, steps) -> Box3:
-        sx, sy, sz = (float(s) for s in steps)
-        for s in (sx, sy, sz):
-            if not s > 0:
-                raise ValueError(f"steps must be positive, got {steps}")
-        return Box3(
-            (p.x - sx / 2.0, p.x + sx / 2.0),
-            (p.y - sy / 2.0, p.y + sy / 2.0),
-            (p.z - sz / 2.0, p.z + sz / 2.0),
-        )
+    def window(p: Point3) -> Box3:
+        return Box3((p.x - half, p.x + half), (p.y - half, p.y + half), (p.z - half, p.z + half))
 
     p_g, p_r = opt_pair
-    return window(p_g, steps_g), window(p_r, steps_r)
+    return window(p_g), window(p_r)
 
 
 def hierarchical_training(
@@ -160,7 +148,7 @@ def hierarchical_training(
     same for every channel realization and therefore worth caching.
     """
     box_g, box_r = hcfg.box_g, hcfg.box_r
-    steps_g, steps_r = hcfg.initial_steps()
+    step = hcfg.initial_step()
 
     slots = 0
     traces: list[StageResult] = []
@@ -171,23 +159,21 @@ def hierarchical_training(
         if level == 1 and stage1_codebook is not None:
             cb = stage1_codebook
         else:
+            steps = (step, step, step)
             cb = build_near_field_codebook(
-                SampleGrid.from_box(box_g, steps_g),
-                SampleGrid.from_box(box_r, steps_r),
-                dims,
+                SampleGrid.from_box(box_g, steps), SampleGrid.from_box(box_r, steps), dims
             )
         idx, amp = select_codeword(cb.responses(ch.h_bar), s_bar, sigma2, rng)
         slots += cb.size
         traces.append(StageResult(level=level, codebook_size=cb.size, best_index=idx))
         if level < hcfg.levels:
-            ref_g, ref_r = refine_ranges(cb.source_pair(idx), steps_g, steps_r)
+            ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
             try:
                 box_g = ref_g.clip(hcfg.box_g)
                 box_r = ref_r.clip(hcfg.box_r)
             except ValueError as exc:
                 raise ValueError(f"level {level + 1} sampling box is empty: {exc}") from exc
-            steps_g = hcfg.step_control * steps_g
-            steps_r = hcfg.step_control * steps_r
+            step = hcfg.step_control * step
 
     return TrainingResult(
         best_index=idx,

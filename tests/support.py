@@ -1,13 +1,16 @@
-"""Geometry and channel helpers that only the tests use."""
+"""Geometry, channel, key and table helpers that only the tests use."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from xlris.channel import FAR_FIELD, ChannelRealization
-from xlris.codebook import codeword_vector
+from xlris.channel import ChannelRealization
+from xlris.codebook import _hash_reduced, codeword_vector, reduced_profile
 from xlris.geometry import (
     ArrayDims,
     Box3,
     Point3,
+    cascaded_steering,
     element_distances,
     far_field_steering,
     phase_vector,
@@ -47,17 +50,33 @@ def box_contains(box: Box3, p: Point3) -> bool:
     )
 
 
-def make_far_field_channel(
-    phi_sum: float, psi_sum: float, alpha: complex, dims: ArrayDims
+def near_field_channel(
+    p_g: Point3, p_r: Point3, dims: ArrayDims, alpha: complex = 1.0 + 0j
 ) -> ChannelRealization:
-    """Planar-wave realization at the summed spatial angles of the two hops."""
+    """The realization a scatter pair (p_g, p_r) and hop gain alpha produce."""
     return ChannelRealization(
-        h_bar=alpha * far_field_steering(phi_sum, psi_sum, dims),
-        alpha=alpha,
-        dims=dims,
-        model_tag=FAR_FIELD,
-        angles=(phi_sum, psi_sum),
+        h_bar=alpha * cascaded_steering(p_g, p_r, dims), alpha=alpha, dims=dims, pair=(p_g, p_r)
     )
+
+
+def planar_channel(phi: float, psi: float, dims: ArrayDims) -> SimpleNamespace:
+    """Stand-in channel with the hand-computable h_bar = far_field_steering(phi, psi).
+
+    Carries what `achievable_rate` and `perfect_csi_beamforming` read: `h_bar`
+    and `steering_part()`.
+    """
+    steering = far_field_steering(phi, psi, dims)
+    return SimpleNamespace(h_bar=steering, steering_part=lambda: steering)
+
+
+def codeword_key(profile) -> int:
+    """The 64-bit dedup key a codebook stores for one distance profile."""
+    return int(_hash_reduced(reduced_profile(profile)))
+
+
+def summarize_ratio(table, scheme_a: str, scheme_b: str, sweep_value: float) -> float:
+    """mean(scheme_a) / mean(scheme_b) at one sweep point."""
+    return table.find(scheme_a, sweep_value).mean / table.find(scheme_b, sweep_value).mean
 
 
 def vector(cb, l: int) -> np.ndarray:

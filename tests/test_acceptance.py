@@ -15,8 +15,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from xlris.channel import ChannelRealization, sample_near_field_channel
-from xlris.codebook import build_near_field_codebook, codeword_key, enumerate_grid
+from xlris.channel import sample_near_field_channel
+from xlris.codebook import build_near_field_codebook, enumerate_grid
 from xlris.config import builtin_config_path, parse_config
 from xlris.experiments import (
     SCHEME_EXHAUSTIVE,
@@ -24,7 +24,6 @@ from xlris.experiments import (
     SCHEME_HIERARCHICAL,
     SCHEME_PERFECT_CSI,
     hierarchical_overhead,
-    summarize_ratio,
     sweep_overhead,
     sweep_snr,
 )
@@ -36,7 +35,7 @@ from xlris.geometry import (
     rayleigh_distance,
 )
 
-from support import near_field_steering
+from support import codeword_key, near_field_channel, near_field_steering, summarize_ratio
 
 
 @contextmanager
@@ -108,13 +107,7 @@ def test_criterion_4_noiseless_on_grid_recovery():
             pg = Point3.from_array(points[rng.integers(len(points))])
             pr = Point3.from_array(points[rng.integers(len(points))])
             alpha = complex(*rng.standard_normal(2)) / np.sqrt(2)
-            ch = ChannelRealization(
-                h_bar=alpha * cascaded_steering(pg, pr, dims),
-                alpha=alpha,
-                dims=dims,
-                model_tag="near-field",
-                pair=(pg, pr),
-            )
+            ch = near_field_channel(pg, pr, dims, alpha)
             amps = np.abs(cb.responses(ch.h_bar))
             winner = int(np.argmax(amps))
             hits += int(cb.keys[winner]) == codeword_key(cascaded_distances(pg, pr, dims))
@@ -142,13 +135,7 @@ def test_criterion_5_perfect_csi_dominance():
         points = enumerate_grid(cfg.codebook_grids()[0])
         pg = Point3.from_array(points[17])
         pr = Point3.from_array(points[230])
-        ch = ChannelRealization(
-            h_bar=cascaded_steering(pg, pr, dims),
-            alpha=1.0 + 0j,
-            dims=dims,
-            model_tag="near-field",
-            pair=(pg, pr),
-        )
+        ch = near_field_channel(pg, pr, dims)
         amps = np.abs(cb.responses(ch.h_bar))
         top = int(np.argmax(amps))
         assert amps[top] == pytest.approx(dims.n, rel=1e-9)

@@ -260,6 +260,34 @@ class TestCli:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["info"], ["codebook", "build"], ["train"], ["sweep", "snr"], ["sweep", "step"]],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", str(cfg), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf", "loud"])
+    def test_bad_snr_db_exits_2(self, tmp_path, capsys, snr_db):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg), f"--snr-db={snr_db}"])
+        assert exc.value.code == 2
+        assert "--snr-db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "numbers", [("-1", "0.01"), ("nan", "0.01"), ("1", "0"), ("1", "nan")]
+    )
+    def test_bad_rayleigh_inputs_exit_2(self, capsys, numbers):
+        aperture, wavelength = numbers
+        argv = ["info", f"--aperture-m={aperture}", f"--wavelength-m={wavelength}"]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # an output directory that cannot be made is a runtime failure, not a config problem
         cfg_path = write_config(tmp_path)

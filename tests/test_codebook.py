@@ -9,7 +9,6 @@ from xlris.codebook import (
     SampleGrid,
     axis_samples,
     build_near_field_codebook,
-    codeword_key,
     enumerate_grid,
     far_field_codebook,
     load_codebook,
@@ -24,7 +23,7 @@ from xlris.geometry import (
     far_field_steering,
 )
 
-from support import vector
+from support import codeword_key, vector
 
 DIMS = ArrayDims(8, 2, 0.5)
 

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlris.channel import SceneConfig, sample_near_field_channel
 from xlris.codebook import build_near_field_codebook
@@ -14,14 +17,13 @@ from xlris.experiments import (
     achievable_rate,
     hierarchical_overhead,
     snr_db_to_sigma2,
-    summarize_ratio,
     sweep_overhead,
     sweep_snr,
 )
-from xlris.geometry import ArrayDims, Box3
-from xlris.training import perfect_csi_beamforming
+from xlris.geometry import ArrayDims, Box3, Point3
+from xlris.training import hierarchical_training, perfect_csi_beamforming
 
-from support import make_far_field_channel
+from support import near_field_channel, planar_channel, summarize_ratio
 
 DIMS = ArrayDims(16, 2, 0.5)
 BOX = Box3((-75.0, 75.0), (0.75, 12.5), (-25.0, 25.0))
@@ -37,21 +39,21 @@ MINI = ExperimentConfig(
 
 class TestAchievableRate:
     def test_unit_gain_unit_noise_is_one_bit(self):
-        ch = make_far_field_channel(0.0, 0.0, 1.0, ArrayDims(1, 1, 0.5))
+        ch = planar_channel(0.0, 0.0, ArrayDims(1, 1, 0.5))
         assert achievable_rate(np.ones(1), ch, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_gain_is_zero(self):
-        ch = make_far_field_channel(0.5, 0.0, 1.0, ArrayDims(2, 1, 0.5))  # h = [1, -1]
+        ch = planar_channel(0.5, 0.0, ArrayDims(2, 1, 0.5))  # h = [1, -1]
         assert achievable_rate(np.array([1.0, 1.0]), ch, 1.0, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_full_scale_perfect_csi_formula(self):
         dims = ArrayDims(128, 4, 0.5)
-        ch = make_far_field_channel(0.25, -0.125, 1.0, dims)
+        ch = near_field_channel(Point3(30.0, 12.0, -5.0), Point3(-80.0, 40.0, 9.0), dims)
         rate = achievable_rate(perfect_csi_beamforming(ch), ch, 1.0, 1.0)
         assert rate == pytest.approx(math.log2(1 + 512.0**2), rel=1e-9)
 
     def test_sigma2_zero_rejected(self):
-        ch = make_far_field_channel(0.0, 0.0, 1.0, ArrayDims(1, 1, 0.5))
+        ch = planar_channel(0.0, 0.0, ArrayDims(1, 1, 0.5))
         with pytest.raises(ValueError):
             achievable_rate(np.ones(1), ch, 1.0, 0.0)
 
@@ -161,6 +163,25 @@ class TestSweepOverhead:
         ).size
         per_axis = int(1 / MINI.step_control) + 1
         assert hierarchical_overhead(MINI) == stage1 + (per_axis**3) ** 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        levels=st.integers(1, 3),
+        channel_seed=st.integers(0, 2**32 - 1),
+        noise_seed=st.integers(0, 2**32 - 1),
+        snr_db=st.sampled_from(MINI.snr_grid_db),
+    )
+    def test_training_stays_within_overhead_bound(self, levels, channel_seed, noise_seed, snr_db):
+        cfg = dataclasses.replace(MINI, levels=levels)
+        hcfg = cfg.hierarchical_config()
+        ch = sample_near_field_channel(cfg.scene, np.random.default_rng(channel_seed))
+        res = hierarchical_training(
+            hcfg, DIMS, ch, 1.0, snr_db_to_sigma2(snr_db), np.random.default_rng(noise_seed)
+        )
+        stage1 = build_near_field_codebook(*hcfg.stage1_grids(), DIMS)
+        assert res.per_stage[0].codebook_size == stage1.size
+        assert len(res.per_stage) == levels
+        assert res.slots_used <= hierarchical_overhead(cfg)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from xlris.channel import ChannelRealization, SceneConfig, sample_near_field_channel
-from xlris.codebook import (
-    NearFieldCodebook,
-    SampleGrid,
-    build_near_field_codebook,
-    codeword_key,
-    enumerate_grid,
-)
-from xlris.geometry import ArrayDims, Box3, Point3, cascaded_distances, cascaded_steering
+from xlris.channel import SceneConfig, sample_near_field_channel
+from xlris.codebook import NearFieldCodebook, SampleGrid, build_near_field_codebook, enumerate_grid
+from xlris.geometry import ArrayDims, Box3, Point3, cascaded_distances
 from xlris.training import (
     HierarchicalConfig,
     exhaustive_training,
@@ -18,7 +12,7 @@ from xlris.training import (
     refine_ranges,
 )
 
-from support import box_contains, make_far_field_channel, vector
+from support import box_contains, codeword_key, near_field_channel, planar_channel, vector
 
 DIMS = ArrayDims(8, 2, 0.5)
 BOX = Box3((-40, 40), (4, 40), (-16, 16))
@@ -29,13 +23,7 @@ GRID = SampleGrid(BOX.x, BOX.y, BOX.z, 16.0, 18.0, 16.0)
 def on_grid_channel(g_index, r_index, alpha=0.6 + 0.8j):
     pts = enumerate_grid(GRID)
     pg, pr = Point3.from_array(pts[g_index]), Point3.from_array(pts[r_index])
-    return ChannelRealization(
-        h_bar=alpha * cascaded_steering(pg, pr, DIMS),
-        alpha=alpha,
-        dims=DIMS,
-        model_tag="near-field",
-        pair=(pg, pr),
-    )
+    return near_field_channel(pg, pr, DIMS, alpha)
 
 
 class TestExhaustive:
@@ -98,24 +86,21 @@ class TestExhaustive:
 
 class TestRefineRanges:
     def test_window_centers_on_winner(self):
-        box_g, box_r = refine_ranges(
-            (Point3(50.0, 10.0, -3.0), Point3(-20.0, 5.0, 8.0)),
-            (200.0, 40.0, 10.0),
-            (8.0, 2.0, 4.0),
-        )
-        assert box_g == Box3((-50.0, 150.0), (-10.0, 30.0), (-8.0, 2.0))
-        assert box_r == Box3((-24.0, -16.0), (4.0, 6.0), (6.0, 10.0))
+        box_g, box_r = refine_ranges((Point3(50.0, 10.0, -3.0), Point3(-20.0, 5.0, 8.0)), 8.0)
+        assert box_g == Box3((46.0, 54.0), (6.0, 14.0), (-7.0, 1.0))
+        assert box_r == Box3((-24.0, -16.0), (1.0, 9.0), (4.0, 12.0))
 
     def test_window_width_equals_step(self):
-        steps = (7.0, 3.0, 11.0)
-        box_g, _ = refine_ranges((Point3(1, 2, 3), Point3(0, 1, 0)), steps, steps)
-        for (lo, hi), step in zip(box_g.intervals(), steps):
-            assert hi - lo == pytest.approx(step, rel=1e-12)
+        box_g, box_r = refine_ranges((Point3(1, 2, 3), Point3(0, 1, 0)), 7.0)
+        for lo, hi in (*box_g.intervals(), *box_r.intervals()):
+            assert hi - lo == pytest.approx(7.0, rel=1e-12)
 
     def test_vanishing_step_collapses_to_point(self):
-        box_g, _ = refine_ranges((Point3(4, 5, 6), Point3(0, 1, 0)), (1e-12,) * 3, (1.0,) * 3)
+        box_g, _ = refine_ranges((Point3(4, 5, 6), Point3(0, 1, 0)), 1e-12)
         assert box_g.x[0] == pytest.approx(4.0, abs=1e-9)
         assert box_g.x[1] == pytest.approx(4.0, abs=1e-9)
+        with pytest.raises(ValueError):
+            refine_ranges((Point3(4, 5, 6), Point3(0, 1, 0)), 0.0)
 
 
 class TestHierarchical:
@@ -123,8 +108,7 @@ class TestHierarchical:
         levels=2,
         box_g=BOX,
         box_r=BOX,
-        base_steps_g=(4.0, 4.5, 4.0),
-        base_steps_r=(4.0, 4.5, 4.0),
+        base_step=4.0,
         step_multiplier=4.0,
         step_control=0.25,
     )
@@ -134,8 +118,7 @@ class TestHierarchical:
             levels=1,
             box_g=BOX,
             box_r=BOX,
-            base_steps_g=(4.0, 4.5, 4.0),
-            base_steps_r=(4.0, 4.5, 4.0),
+            base_step=4.0,
             step_multiplier=4.0,
             step_control=0.25,
         )
@@ -179,11 +162,13 @@ class TestHierarchical:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            HierarchicalConfig(0, BOX, BOX, (1,) * 3, (1,) * 3, 4.0, 0.25)
+            HierarchicalConfig(0, BOX, BOX, 1.0, 4.0, 0.25)
         with pytest.raises(ValueError):
-            HierarchicalConfig(2, BOX, BOX, (1,) * 3, (1,) * 3, 0.5, 0.25)
+            HierarchicalConfig(2, BOX, BOX, 1.0, 0.5, 0.25)
         with pytest.raises(ValueError):
-            HierarchicalConfig(2, BOX, BOX, (1,) * 3, (1,) * 3, 4.0, 1.5)
+            HierarchicalConfig(2, BOX, BOX, 1.0, 4.0, 1.5)
+        with pytest.raises(ValueError):
+            HierarchicalConfig(2, BOX, BOX, 0.0, 4.0, 0.25)
 
     def test_full_scale_stage_sizes_match_grid_counting(self):
         # independent oracle: level-1 grid is 25/4 x 2/4 x 9/4-style coarse,
@@ -195,8 +180,7 @@ class TestHierarchical:
             levels=2,
             box_g=box,
             box_r=box,
-            base_steps_g=(50.0,) * 3,
-            base_steps_r=(50.0,) * 3,
+            base_step=50.0,
             step_multiplier=4.0,
             step_control=0.25,
         )
@@ -217,7 +201,7 @@ class TestHierarchical:
 class TestPerfectCsi:
     def test_two_element_hand_computation(self):
         # h_bar = [1, j]: steering at phi = -0.25 on a 2x1 array
-        ch = make_far_field_channel(-0.25, 0.0, 1.0, ArrayDims(2, 1, 0.5))
+        ch = planar_channel(-0.25, 0.0, ArrayDims(2, 1, 0.5))
         theta = perfect_csi_beamforming(ch)
         assert np.abs(theta - np.array([1.0, -1.0j])).max() < 1e-12
         assert abs(theta @ ch.h_bar) == pytest.approx(2.0, rel=1e-12)
