@@ -20,10 +20,8 @@ from .codebook import (
     FarFieldCodebook,
     NearFieldCodebook,
     SampleGrid,
-    axis_samples,
     build_near_field_codebook,
     codeword_vector,
-    enumerate_grid,
     far_field_codebook,
     load_codebook,
     reduced_profile,

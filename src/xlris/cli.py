@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import datetime
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -240,13 +239,13 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _finite_float(text: str) -> float:
+def _snr_db(text: str) -> float:
+    """Argparse type: an SNR in dB whose noise power is a positive finite float."""
     try:
         value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        snr_db_to_sigma2(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=SCHEME_EXHAUSTIVE,
         choices=[SCHEME_EXHAUSTIVE, SCHEME_HIERARCHICAL, SCHEME_FAR_FIELD],
     )
-    train.add_argument("--snr-db", type=_finite_float, default=10.0)
+    train.add_argument("--snr-db", type=_snr_db, default=10.0)
     train.set_defaults(func=cmd_train)
 
     sweep = sub.add_parser("sweep", help="Monte Carlo sweeps")

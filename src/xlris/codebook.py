@@ -21,6 +21,7 @@ per record.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import zlib
@@ -67,44 +68,23 @@ class CodebookFileError(ValueError):
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Inclusive axis sweeps: min, min+step, ... up to the largest value <= max."""
+    """A box swept on every axis at one step: min, min+step, ... up to <= max."""
 
-    x: tuple[float, float]
-    y: tuple[float, float]
-    z: tuple[float, float]
-    step_x: float
-    step_y: float
-    step_z: float
+    box: Box3
+    step: float
 
     def __post_init__(self) -> None:
-        for name, (lo, hi) in (("x", self.x), ("y", self.y), ("z", self.z)):
-            if lo > hi:
-                raise ValueError(f"grid {name}-range has min > max: {(lo, hi)}")
-        for name, step in (("x", self.step_x), ("y", self.step_y), ("z", self.step_z)):
-            if not step > 0:
-                raise ValueError(f"grid step_{name} must be positive, got {step}")
+        if not self.step > 0:
+            raise ValueError(f"grid step must be positive, got {self.step}")
 
-    @classmethod
-    def from_box(cls, box: Box3, steps) -> "SampleGrid":
-        sx, sy, sz = steps
-        return cls(box.x, box.y, box.z, sx, sy, sz)
-
-    def axis_samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            axis_samples(*self.x, self.step_x),
-            axis_samples(*self.y, self.step_y),
-            axis_samples(*self.z, self.step_z),
-        )
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        xs, ys, zs = self.axis_samples()
-        return len(xs), len(ys), len(zs)
+    def points(self) -> np.ndarray:
+        """All grid points as an (S, 3) array, x-major, then y, then z."""
+        axes = [axis_samples(lo, hi, self.step) for lo, hi in self.box.intervals()]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
     @property
     def size(self) -> int:
-        nx, ny, nz = self.shape
-        return nx * ny * nz
+        return math.prod(len(axis_samples(lo, hi, self.step)) for lo, hi in self.box.intervals())
 
 
 def axis_samples(lo: float, hi: float, step: float) -> np.ndarray:
@@ -113,12 +93,6 @@ def axis_samples(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError(f"step must be positive, got {step}")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
-
-
-def enumerate_grid(grid: SampleGrid) -> np.ndarray:
-    """All grid points as an (S, 3) array, x-major, then y, then z."""
-    xs, ys, zs = grid.axis_samples()
-    return np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @lru_cache(maxsize=8)
@@ -297,8 +271,8 @@ def build_near_field_codebook(
     is identical whether rows run serially or on `threads` workers.
     `pre_dedup_pairs` counts the full product either way.
     """
-    pts_g = enumerate_grid(grid_g)
-    pts_r = enumerate_grid(grid_r)
+    pts_g = grid_g.points()
+    pts_r = grid_r.points()
     s_g, s_r = len(pts_g), len(pts_r)
     if s_g == 0 or s_r == 0:
         raise ValueError("sample grids must contain at least one point")

@@ -79,6 +79,11 @@ class ExperimentConfig:
             raise FieldError("schemes", f"schemes must not repeat, got {list(self.schemes)}")
         if not self.snr_grid_db:
             raise FieldError("snr_grid_db", "SNR grid must be nonempty")
+        for snr_db in self.snr_grid_db:
+            try:
+                snr_db_to_sigma2(snr_db)
+            except ValueError as exc:
+                raise FieldError("snr_grid_db", str(exc)) from None
         if not self.sampling_step > 0:
             raise FieldError(
                 "sampling_step", f"sampling step must be positive, got {self.sampling_step}"
@@ -98,11 +103,7 @@ class ExperimentConfig:
 
     def codebook_grids(self, sampling_step: float | None = None) -> tuple[SampleGrid, SampleGrid]:
         step = self.sampling_step if sampling_step is None else sampling_step
-        steps = (step, step, step)
-        return (
-            SampleGrid.from_box(self.scene.box_g, steps),
-            SampleGrid.from_box(self.scene.box_r, steps),
-        )
+        return SampleGrid(self.scene.box_g, step), SampleGrid(self.scene.box_r, step)
 
     def hierarchical_config(self, sampling_step: float | None = None) -> HierarchicalConfig:
         step = self.sampling_step if sampling_step is None else sampling_step
@@ -131,12 +132,6 @@ class ResultRow:
 class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
 
-    def find(self, scheme: str, sweep_value: float) -> ResultRow:
-        for row in self.rows:
-            if row.scheme == scheme and row.sweep_value == sweep_value:
-                return row
-        raise ValueError(f"no row for scheme={scheme!r} at sweep value {sweep_value}")
-
     def to_csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for r in self.rows:
@@ -161,8 +156,14 @@ def achievable_rate(
 
 
 def snr_db_to_sigma2(snr_db: float) -> float:
-    """SNR is 1/sigma2, so sigma2 = 10^(-SNR_dB/10)."""
-    return float(10.0 ** (-snr_db / 10.0))
+    """SNR is 1/sigma2, so sigma2 = 10^(-SNR_dB/10), which must be a positive finite float."""
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"SNR {snr_db} dB gives noise power {sigma2}, not a positive finite float")
+    return float(sigma2)
 
 
 def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> ResultTable:
@@ -256,12 +257,10 @@ def hierarchical_overhead(cfg: ExperimentConfig, sampling_step: float | None = N
     """
     hcfg = cfg.hierarchical_config(sampling_step)
     total = build_near_field_codebook(*hcfg.stage1_grids(), cfg.scene.dims).size
-    step = hcfg.initial_step()
-    for _ in range(2, hcfg.levels + 1):
-        next_step = hcfg.step_control * step
+    steps = hcfg.steps()
+    for step, next_step in zip(steps, steps[1:]):
         # three axes on each of the two sides
         total += len(axis_samples(0.0, step, next_step)) ** 6
-        step = next_step
     return total
 
 

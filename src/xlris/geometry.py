@@ -171,8 +171,13 @@ def cascaded_steering(p_g: Point3, p_r: Point3, dims: ArrayDims) -> np.ndarray:
 
 def rayleigh_distance(aperture_m: float, wavelength_m: float) -> float:
     """Far-field boundary 2*D^2/lambda, in meters (both inputs in meters)."""
-    if not aperture_m > 0:
-        raise ValueError(f"aperture must be positive, got {aperture_m}")
-    if not wavelength_m > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength_m}")
-    return 2.0 * aperture_m * aperture_m / wavelength_m
+    if not 0 < aperture_m < np.inf:
+        raise ValueError(f"aperture must be positive and finite, got {aperture_m}")
+    if not 0 < wavelength_m < np.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength_m}")
+    z = 2.0 * aperture_m * aperture_m / wavelength_m
+    if not z < np.inf:
+        raise ValueError(
+            f"Rayleigh distance overflows: aperture {aperture_m}, wavelength {wavelength_m}"
+        )
+    return z

@@ -66,12 +66,16 @@ class HierarchicalConfig:
         if not self.base_step > 0:
             raise FieldError("base_step", f"base step must be positive, got {self.base_step}")
 
-    def initial_step(self) -> float:
-        return self.step_multiplier * self.base_step
+    def steps(self) -> list[float]:
+        """The sampling step of each level, level 1 first."""
+        steps = [self.step_multiplier * self.base_step]
+        for _ in range(1, self.levels):
+            steps.append(self.step_control * steps[-1])
+        return steps
 
     def stage1_grids(self) -> tuple[SampleGrid, SampleGrid]:
-        steps = (self.initial_step(),) * 3
-        return SampleGrid.from_box(self.box_g, steps), SampleGrid.from_box(self.box_r, steps)
+        step = self.steps()[0]
+        return SampleGrid(self.box_g, step), SampleGrid(self.box_r, step)
 
 
 def select_codeword(
@@ -148,21 +152,17 @@ def hierarchical_training(
     same for every channel realization and therefore worth caching.
     """
     box_g, box_r = hcfg.box_g, hcfg.box_r
-    step = hcfg.initial_step()
 
     slots = 0
     traces: list[StageResult] = []
     cb = None
     idx = -1
     amp = 0.0
-    for level in range(1, hcfg.levels + 1):
+    for level, step in enumerate(hcfg.steps(), start=1):
         if level == 1 and stage1_codebook is not None:
             cb = stage1_codebook
         else:
-            steps = (step, step, step)
-            cb = build_near_field_codebook(
-                SampleGrid.from_box(box_g, steps), SampleGrid.from_box(box_r, steps), dims
-            )
+            cb = build_near_field_codebook(SampleGrid(box_g, step), SampleGrid(box_r, step), dims)
         idx, amp = select_codeword(cb.responses(ch.h_bar), s_bar, sigma2, rng)
         slots += cb.size
         traces.append(StageResult(level=level, codebook_size=cb.size, best_index=idx))
@@ -173,7 +173,6 @@ def hierarchical_training(
                 box_r = ref_r.clip(hcfg.box_r)
             except ValueError as exc:
                 raise ValueError(f"level {level + 1} sampling box is empty: {exc}") from exc
-            step = hcfg.step_control * step
 
     return TrainingResult(
         best_index=idx,

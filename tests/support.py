@@ -74,9 +74,17 @@ def codeword_key(profile) -> int:
     return int(_hash_reduced(reduced_profile(profile)))
 
 
+def find_row(table, scheme: str, sweep_value: float):
+    """The row of a result table for one scheme at one sweep value."""
+    for row in table.rows:
+        if row.scheme == scheme and row.sweep_value == sweep_value:
+            return row
+    raise ValueError(f"no row for scheme={scheme!r} at sweep value {sweep_value}")
+
+
 def summarize_ratio(table, scheme_a: str, scheme_b: str, sweep_value: float) -> float:
     """mean(scheme_a) / mean(scheme_b) at one sweep point."""
-    return table.find(scheme_a, sweep_value).mean / table.find(scheme_b, sweep_value).mean
+    return find_row(table, scheme_a, sweep_value).mean / find_row(table, scheme_b, sweep_value).mean
 
 
 def vector(cb, l: int) -> np.ndarray:

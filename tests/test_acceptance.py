@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from xlris.channel import sample_near_field_channel
-from xlris.codebook import build_near_field_codebook, enumerate_grid
+from xlris.codebook import build_near_field_codebook
 from xlris.config import builtin_config_path, parse_config
 from xlris.experiments import (
     SCHEME_EXHAUSTIVE,
@@ -35,7 +35,13 @@ from xlris.geometry import (
     rayleigh_distance,
 )
 
-from support import codeword_key, near_field_channel, near_field_steering, summarize_ratio
+from support import (
+    codeword_key,
+    find_row,
+    near_field_channel,
+    near_field_steering,
+    summarize_ratio,
+)
 
 
 @contextmanager
@@ -99,7 +105,7 @@ def test_criterion_4_noiseless_on_grid_recovery():
         grid_g, grid_r = cfg.codebook_grids(25.0)  # 50 d: 65 points per collection
         assert grid_g.size <= 100
         cb = build_near_field_codebook(grid_g, grid_r, dims)
-        points = enumerate_grid(grid_g)
+        points = grid_g.points()
         rng = np.random.default_rng(20240602)
         hits = 0
         trials = 500
@@ -132,7 +138,7 @@ def test_criterion_5_perfect_csi_dominance():
             for l in near:  # equality only on key match
                 violations += int(cb.keys[l]) != channel_key
         # an on-grid channel really does reach the bound, through its matching key
-        points = enumerate_grid(cfg.codebook_grids()[0])
+        points = cfg.codebook_grids()[0].points()
         pg = Point3.from_array(points[17])
         pr = Point3.from_array(points[230])
         ch = near_field_channel(pg, pr, dims)
@@ -150,9 +156,9 @@ def test_criterion_6_rate_sweep_qualitative():
         assert cfg.snr_grid_db == (-10.0, -5.0, 0.0, 5.0, 10.0)
         table = sweep_snr(cfg)
         for snr in cfg.snr_grid_db:
-            csi = table.find(SCHEME_PERFECT_CSI, snr).mean
-            exh = table.find(SCHEME_EXHAUSTIVE, snr).mean
-            far = table.find(SCHEME_FAR_FIELD, snr).mean
+            csi = find_row(table, SCHEME_PERFECT_CSI, snr).mean
+            exh = find_row(table, SCHEME_EXHAUSTIVE, snr).mean
+            far = find_row(table, SCHEME_FAR_FIELD, snr).mean
             assert csi >= exh
             assert exh > far
         ratio = summarize_ratio(table, SCHEME_HIERARCHICAL, SCHEME_EXHAUSTIVE, 10.0)
@@ -177,7 +183,7 @@ def test_criterion_7_overhead_reproduction():
 
         table = sweep_overhead(cfg)
         d = cfg.scene.dims.d
-        hier_curve = [table.find(SCHEME_HIERARCHICAL, s / d).mean for s in cfg.step_sweep]
+        hier_curve = [find_row(table, SCHEME_HIERARCHICAL, s / d).mean for s in cfg.step_sweep]
         assert all(hi > lo for hi, lo in zip(hier_curve, hier_curve[1:]))
 
 

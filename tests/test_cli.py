@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xlris import codebook
 from xlris.channel import sample_near_field_channel
@@ -30,6 +32,27 @@ TINY = {
     "trials": 6,
     "seed": 11,
 }
+
+
+@st.composite
+def raw_configs(draw):
+    """TINY with a random element spacing, scatter boxes, sampling step and step sweep."""
+    length = st.floats(1e-3, 1e3)
+
+    def interval(lo_min):
+        return sorted(draw(st.floats(lo_min, 1e3)) for _ in range(2))
+
+    def box():
+        return {"x": interval(-1e3), "y": interval(1e-3), "z": interval(-1e3)}
+
+    return {
+        **TINY,
+        "array": {"n1": 8, "n2": 2, "spacing_wavelengths": draw(length)},
+        "scatter_g_d": box(),
+        "scatter_r_d": box(),
+        "sampling_step_d": draw(length),
+        "step_sweep_d": draw(st.lists(length, min_size=1, max_size=4)),
+    }
 
 
 def write_config(tmp_path, overrides=None, name="cfg.json"):
@@ -155,10 +178,14 @@ class TestParseConfig:
 
 
 class TestDigests:
-    def test_digest_stable_across_round_trip(self):
-        cfg = config_from_dict(TINY)
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_configs())
+    @example(raw=TINY)
+    def test_digest_stable_across_round_trip(self, raw):
+        cfg = config_from_dict(raw)
         again = config_from_dict(config_to_dict(cfg))
         assert config_digest(cfg) == config_digest(again)
+        assert codebook_digest(cfg) == codebook_digest(again)
 
     def test_digest_tracks_seed(self):
         a = config_from_dict(TINY)
@@ -271,7 +298,7 @@ class TestCli:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf", "loud"])
+    @pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf", "loud", "4000", "-4000"])
     def test_bad_snr_db_exits_2(self, tmp_path, capsys, snr_db):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -280,13 +307,25 @@ class TestCli:
         assert "--snr-db" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "numbers", [("-1", "0.01"), ("nan", "0.01"), ("1", "0"), ("1", "nan")]
+        "numbers",
+        [
+            ("-1", "0.01"), ("nan", "0.01"), ("1", "0"), ("1", "nan"),
+            ("inf", "0.01"), ("1", "1e-320"),
+        ],
     )
     def test_bad_rayleigh_inputs_exit_2(self, capsys, numbers):
         aperture, wavelength = numbers
         argv = ["info", f"--aperture-m={aperture}", f"--wavelength-m={wavelength}"]
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr_db", [4000, -4000])
+    def test_unrepresentable_snr_grid_exits_2(self, tmp_path, capsys, snr_db):
+        # 10^(-SNR/10) underflows to 0 or overflows, so no noise power fits a float
+        cfg = write_config(tmp_path, {"snr_grid_db": [0, snr_db]})
+        assert main(["sweep", "snr", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "snr_grid_db" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # an output directory that cannot be made is a runtime failure, not a config problem

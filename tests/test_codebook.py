@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlris import codebook
@@ -9,7 +9,6 @@ from xlris.codebook import (
     SampleGrid,
     axis_samples,
     build_near_field_codebook,
-    enumerate_grid,
     far_field_codebook,
     load_codebook,
     reduced_profile,
@@ -17,6 +16,7 @@ from xlris.codebook import (
 )
 from xlris.geometry import (
     ArrayDims,
+    Box3,
     Point3,
     cascaded_distances,
     element_distances,
@@ -30,14 +30,12 @@ DIMS = ArrayDims(8, 2, 0.5)
 
 def generic_line_grid(s, step=1.137):
     # s points varying in all coordinates via a slanted, irrational-ish sweep
-    return SampleGrid(
-        (0.83, 0.83 + step * (s - 1)), (3.41, 3.41), (-0.57, -0.57), step, 1.0, 1.0
-    )
+    return SampleGrid(Box3((0.83, 0.83 + step * (s - 1)), (3.41, 3.41), (-0.57, -0.57)), step)
 
 
 def brute_force_distinct_beams(grid_g, grid_r, dims, tol=1e-6):
     """Independent dedup oracle: pairwise vector comparison after phase alignment."""
-    pts_g, pts_r = enumerate_grid(grid_g), enumerate_grid(grid_r)
+    pts_g, pts_r = grid_g.points(), grid_r.points()
     vectors = []
     for pg in pts_g:
         for pr in pts_r:
@@ -57,7 +55,7 @@ def full_product_reference(grid_g, grid_r, dims):
     Returns (pairs, keys, pre_dedup_pairs) for the sweep over the whole
     product, one pair at a time.
     """
-    pts_g, pts_r = enumerate_grid(grid_g), enumerate_grid(grid_r)
+    pts_g, pts_r = grid_g.points(), grid_r.points()
     dist_g, dist_r = element_distances(pts_g, dims), element_distances(pts_r, dims)
     keys = np.array(
         [codeword_key(dg + dr) for dg in dist_g for dr in dist_r], dtype=np.uint64
@@ -77,8 +75,7 @@ def small_grids(draw):
         return lo, lo + draw(st.sampled_from([0.0, 0.75, 1.5, 2.25]))
     x, z = interval(), interval()
     y = interval(lo_min=0.75)
-    steps = [draw(st.sampled_from([0.75, 1.5])) for _ in range(3)]
-    return SampleGrid(x, y, z, *steps)
+    return SampleGrid(Box3(x, y, z), draw(st.sampled_from([0.75, 1.5])))
 
 
 class TestGridEnumeration:
@@ -90,17 +87,18 @@ class TestGridEnumeration:
 
     def test_full_scale_grid_count(self):
         # 25 x-samples, 2 y-samples, 9 z-samples
-        grid = SampleGrid((-600, 600), (5, 100), (-200, 200), 50, 50, 50)
-        assert grid.shape == (25, 2, 9)
-        assert len(enumerate_grid(grid)) == 450
+        grid = SampleGrid(Box3((-600, 600), (5, 100), (-200, 200)), 50)
+        counts = [len(axis_samples(lo, hi, 50)) for lo, hi in grid.box.intervals()]
+        assert counts == [25, 2, 9]
+        assert grid.size == len(grid.points()) == 450
 
     def test_degenerate_grid_is_one_point(self):
-        grid = SampleGrid((1, 1), (2, 2), (3, 3), 1, 1, 1)
-        assert np.array_equal(enumerate_grid(grid), [[1, 2, 3]])
+        grid = SampleGrid(Box3((1, 1), (2, 2), (3, 3)), 1)
+        assert np.array_equal(grid.points(), [[1, 2, 3]])
 
     def test_x_major_ordering(self):
-        grid = SampleGrid((0, 1), (10, 11), (20, 21), 1, 1, 1)
-        pts = enumerate_grid(grid)
+        grid = SampleGrid(Box3((0, 1), (10, 11), (20, 21)), 1)
+        pts = grid.points()
         # z varies fastest, then y, then x
         assert np.array_equal(
             pts,
@@ -112,9 +110,9 @@ class TestGridEnumeration:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SampleGrid((1, 0), (0, 1), (0, 1), 1, 1, 1)
+            SampleGrid(Box3((1, 0), (0, 1), (0, 1)), 1)
         with pytest.raises(ValueError):
-            SampleGrid((0, 1), (0, 1), (0, 1), 0.0, 1, 1)
+            SampleGrid(Box3((0, 1), (0, 1), (0, 1)), 0.0)
 
 
 class TestCanonicalKey:
@@ -194,7 +192,7 @@ class TestFarFieldCodebook:
 
 class TestNearFieldBuild:
     def test_single_point_pair(self):
-        grid = SampleGrid((2, 2), (5, 5), (0, 0), 1, 1, 1)
+        grid = SampleGrid(Box3((2, 2), (5, 5), (0, 0)), 1)
         cb = build_near_field_codebook(grid, grid, DIMS)
         assert cb.size == 1
         assert cb.pre_dedup_pairs == 1
@@ -293,8 +291,8 @@ class TestNearFieldBuild:
         # 64 key buckets and batches of about 3 rows: dozens of shared-key
         # groups, several per batch. The overlapping unequal grids also hold
         # true duplicates (swapped pairs), which must still be dropped.
-        grid_g = SampleGrid((0.0, 3.0), (2.0, 3.5), (-1.0, 0.0), 1.0, 1.5, 1.0)
-        grid_r = SampleGrid(x_r, (2.0, 3.5), (-1.0, 0.0), 1.0, 1.5, 1.0)
+        grid_g = SampleGrid(Box3((0.0, 3.0), (2.0, 3.0), (-1.0, 0.0)), 1.0)
+        grid_r = SampleGrid(Box3(x_r, (2.0, 3.0), (-1.0, 0.0)), 1.0)
         real = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
         real_hash = codebook._hash_reduced
         monkeypatch.setattr(codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(64))
@@ -327,8 +325,12 @@ class TestPersistence:
         grid = generic_line_grid(6)
         return build_near_field_codebook(grid, grid, DIMS)
 
-    def test_round_trip(self, built, tmp_path):
-        path = tmp_path / "cb.bin"
+    @settings(max_examples=40, deadline=None)
+    @given(grid_g=small_grids(), grid_r=small_grids())
+    @example(grid_g=generic_line_grid(6), grid_r=generic_line_grid(6))
+    def test_round_trip(self, tmp_path_factory, grid_g, grid_r):
+        built = build_near_field_codebook(grid_g, grid_r, DIMS)
+        path = tmp_path_factory.mktemp("round_trip") / "cb.bin"
         save_codebook(built, path)
         loaded = load_codebook(path, DIMS)
         assert loaded.size == built.size

@@ -23,7 +23,7 @@ from xlris.experiments import (
 from xlris.geometry import ArrayDims, Box3, Point3
 from xlris.training import hierarchical_training, perfect_csi_beamforming
 
-from support import near_field_channel, planar_channel, summarize_ratio
+from support import find_row, near_field_channel, planar_channel, summarize_ratio
 
 DIMS = ArrayDims(16, 2, 0.5)
 BOX = Box3((-75.0, 75.0), (0.75, 12.5), (-25.0, 25.0))
@@ -76,20 +76,20 @@ class TestSweepSnr:
     def test_perfect_csi_dominates_all_schemes(self):
         table = sweep_snr(MINI)
         for snr in MINI.snr_grid_db:
-            csi = table.find(SCHEME_PERFECT_CSI, snr).mean
+            csi = find_row(table, SCHEME_PERFECT_CSI, snr).mean
             for scheme in (SCHEME_FAR_FIELD, SCHEME_EXHAUSTIVE, SCHEME_HIERARCHICAL):
-                assert table.find(scheme, snr).mean <= csi
+                assert find_row(table, scheme, snr).mean <= csi
 
     def test_mean_rate_nondecreasing_in_snr(self):
         # paired noise across SNR points makes the frozen-seed curves monotone
         table = sweep_snr(MINI)
         for scheme in MINI.schemes:
-            means = [table.find(scheme, snr).mean for snr in MINI.snr_grid_db]
+            means = [find_row(table, scheme, snr).mean for snr in MINI.snr_grid_db]
             assert all(lo <= hi for lo, hi in zip(means, means[1:]))
 
     def test_stderr_is_sample_std_over_sqrt_trials(self):
         table = sweep_snr(MINI)
-        row = table.find(SCHEME_PERFECT_CSI, 0.0)
+        row = find_row(table, SCHEME_PERFECT_CSI, 0.0)
         # independent recomputation from the per-trial construction
         trial_seeds = np.random.SeedSequence(MINI.master_seed).spawn(MINI.trials)
         rates = []
@@ -122,15 +122,15 @@ class TestSweepOverhead:
         table = sweep_overhead(MINI)
         for step in MINI.step_sweep:
             step_d = step / DIMS.d
-            exh = table.find(SCHEME_EXHAUSTIVE, step_d).mean
-            hier = table.find(SCHEME_HIERARCHICAL, step_d).mean
+            exh = find_row(table, SCHEME_EXHAUSTIVE, step_d).mean
+            hier = find_row(table, SCHEME_HIERARCHICAL, step_d).mean
             assert hier < exh
 
     def test_exhaustive_overhead_is_codebook_size(self):
         table = sweep_overhead(MINI)
         for step in MINI.step_sweep:
             cb = build_near_field_codebook(*MINI.codebook_grids(step), DIMS)
-            assert table.find(SCHEME_EXHAUSTIVE, step / DIMS.d).mean == cb.size
+            assert find_row(table, SCHEME_EXHAUSTIVE, step / DIMS.d).mean == cb.size
 
     def test_doubling_step_strictly_decreases_overhead(self):
         cfg = ExperimentConfig(
@@ -138,8 +138,8 @@ class TestSweepOverhead:
         )
         table = sweep_overhead(cfg)
         for scheme in (SCHEME_EXHAUSTIVE, SCHEME_HIERARCHICAL):
-            fine = table.find(scheme, 12.5).mean
-            coarse = table.find(scheme, 25.0).mean
+            fine = find_row(table, scheme, 12.5).mean
+            coarse = find_row(table, scheme, 25.0).mean
             assert coarse < fine
 
     def test_seed_independent(self):
@@ -198,7 +198,7 @@ class TestSummarizeRatio:
     def test_missing_row_rejected(self):
         table = sweep_snr(MINI)
         with pytest.raises(ValueError):
-            summarize_ratio(table, SCHEME_PERFECT_CSI, SCHEME_EXHAUSTIVE, 55.0)
+            find_row(table, SCHEME_EXHAUSTIVE, 55.0)
 
     def test_hierarchical_close_to_exhaustive_at_high_snr(self):
         table = sweep_snr(MINI)

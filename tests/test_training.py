@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xlris.channel import SceneConfig, sample_near_field_channel
-from xlris.codebook import NearFieldCodebook, SampleGrid, build_near_field_codebook, enumerate_grid
+from xlris.codebook import NearFieldCodebook, SampleGrid, axis_samples, build_near_field_codebook
 from xlris.geometry import ArrayDims, Box3, Point3, cascaded_distances
 from xlris.training import (
     HierarchicalConfig,
@@ -17,11 +17,11 @@ from support import box_contains, codeword_key, near_field_channel, planar_chann
 DIMS = ArrayDims(8, 2, 0.5)
 BOX = Box3((-40, 40), (4, 40), (-16, 16))
 SCENE = SceneConfig(DIMS, BOX, BOX)
-GRID = SampleGrid(BOX.x, BOX.y, BOX.z, 16.0, 18.0, 16.0)
+GRID = SampleGrid(BOX, 16.0)
 
 
 def on_grid_channel(g_index, r_index, alpha=0.6 + 0.8j):
-    pts = enumerate_grid(GRID)
+    pts = GRID.points()
     pg, pr = Point3.from_array(pts[g_index]), Point3.from_array(pts[r_index])
     return near_field_channel(pg, pr, DIMS, alpha)
 
@@ -37,7 +37,7 @@ class TestExhaustive:
         assert res.slots_used == cb.size
 
     def test_single_codeword_wins_regardless_of_noise(self):
-        grid = SampleGrid((2, 2), (5, 5), (0, 0), 1, 1, 1)
+        grid = SampleGrid(Box3((2, 2), (5, 5), (0, 0)), 1)
         cb = build_near_field_codebook(grid, grid, DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(3))
         res = exhaustive_training(cb, ch, 1.0, 5.0, np.random.default_rng(1))
@@ -184,8 +184,10 @@ class TestHierarchical:
             step_multiplier=4.0,
             step_control=0.25,
         )
+        assert hcfg.steps() == [200.0, 50.0]
         grid_g, grid_r = hcfg.stage1_grids()
-        assert grid_g.shape == (7, 1, 3)
+        assert [len(axis_samples(lo, hi, 200.0)) for lo, hi in box.intervals()] == [7, 1, 3]
+        assert grid_g.size == 21
         stage1 = build_near_field_codebook(grid_g, grid_r, dims)
         assert stage1.size == 21 * 22 // 2
 
