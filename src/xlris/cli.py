@@ -64,7 +64,9 @@ class RunManifest:
     outputs: list[str]
 
     def write(self, path: Path) -> None:
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n")
+        path.write_text(
+            json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        )
 
 
 def _utc_now() -> str:
@@ -192,7 +194,7 @@ def cmd_train(args) -> int:
     }
     if result.per_stage is not None:
         report["per_stage"] = [dataclasses.asdict(s) for s in result.per_stage]
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -214,9 +216,8 @@ def cmd_sweep(args) -> int:
     csv_path = out_dir / f"{stem}.csv"
     json_path = out_dir / f"{stem}.json"
     csv_path.write_text(table.to_csv_text())
-    json_path.write_text(
-        json.dumps(table.to_json_dict(config_to_dict(cfg)), indent=2, sort_keys=True) + "\n"
-    )
+    payload = table.to_json_dict(config_to_dict(cfg))
+    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     manifest = _manifest(cfg, f"sweep {args.kind}", [csv_path, json_path])
     manifest.write(out_dir / "manifest.json")
     print(f"wrote {csv_path}")

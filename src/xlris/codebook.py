@@ -24,6 +24,7 @@ import contextlib
 import math
 import os
 import struct
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -169,7 +170,10 @@ class NearFieldCodebook:
     r_points[pairs[l, 1]])``; its vector is the conjugated spherical-wave
     phase profile of that pair, regenerated on demand by
     ``codeword_vector(cb.codeword(l), dims)`` (the full-scale codebook held
-    as dense vectors would be hundreds of MB).
+    as dense vectors would be hundreds of MB). The per-point steering
+    factors behind :meth:`responses` are computed on its first call and
+    kept, one (S, N) array per side, or one for both when the sides hold
+    the same points.
     """
 
     def __init__(
@@ -189,6 +193,8 @@ class NearFieldCodebook:
         if len(self.keys) != len(self.pairs):
             raise ValueError("pairs and keys must have equal length")
         self.pre_dedup_pairs = pre_dedup_pairs
+        self._factors: tuple[np.ndarray, np.ndarray] | None = None
+        self._factors_lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -201,6 +207,18 @@ class NearFieldCodebook:
     def codeword(self, l: int) -> Codeword:
         return Codeword(pair=self.source_pair(l))
 
+    def _steering_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        # Locked so that threads sharing a codebook compute the factors once.
+        with self._factors_lock:
+            if self._factors is None:
+                u_g = phase_vector(element_distances(self.g_points, self.dims), conjugate=True)
+                if np.array_equal(self.g_points, self.r_points):
+                    u_r = u_g
+                else:
+                    u_r = phase_vector(element_distances(self.r_points, self.dims), conjugate=True)
+                self._factors = (u_g, u_r)
+            return self._factors
+
     def responses(self, h_bar: np.ndarray) -> np.ndarray:
         """Noiseless inner products theta_l^T h_bar for every codeword.
 
@@ -211,8 +229,7 @@ class NearFieldCodebook:
         h = np.asarray(h_bar)
         if h.shape != (self.dims.n,):
             raise ValueError(f"channel vector length {h.shape} != N={self.dims.n}")
-        u_g = phase_vector(element_distances(self.g_points, self.dims), conjugate=True)
-        u_r = phase_vector(element_distances(self.r_points, self.dims), conjugate=True)
+        u_g, u_r = self._steering_factors()
         cross = (u_g * h[np.newaxis, :]) @ u_r.T
         return cross[self.pairs[:, 0], self.pairs[:, 1]]
 

@@ -1,9 +1,10 @@
 """Monte Carlo harness: rate-vs-SNR and overhead-vs-step sweeps.
 
 All schemes in a trial share one channel realization (common random
-numbers), and each scheme reuses the same noise substream at every SNR
-point, so curves differ only where the physics differs, not where the dice
-do. Results are a pure function of the experiment config.
+numbers), and each scheme observes the same unit noise at every SNR point,
+scaled by that point's sigma, so curves differ only where the physics
+differs, not where the dice do. Results are a pure function of the
+experiment config.
 """
 
 from __future__ import annotations
@@ -148,11 +149,18 @@ class ResultTable:
 def achievable_rate(
     theta: np.ndarray, ch: ChannelRealization, s_bar: complex, sigma2: float
 ) -> float:
-    """log2(1 + |theta^T h_bar s_bar|^2 / sigma2), bits/s/Hz; no noise draw."""
+    """log2(1 + |theta^T h_bar s_bar|^2 / sigma2), bits/s/Hz; no noise draw.
+
+    Where the SNR gain^2 / sigma2 overflows a float (a subnormal sigma2), the
+    rate is 2 log2(gain) - log2(sigma2), to which the formula then rounds.
+    """
     if not sigma2 > 0:
         raise ValueError(f"rate is undefined for sigma2 <= 0, got {sigma2}")
     gain = abs(complex(np.asarray(theta) @ ch.h_bar) * complex(s_bar))
-    return float(math.log2(1.0 + gain * gain / sigma2))
+    snr = gain * gain / sigma2
+    if math.isinf(snr):
+        return float(2.0 * math.log2(gain) - math.log2(sigma2))
+    return float(math.log2(1.0 + snr))
 
 
 def snr_db_to_sigma2(snr_db: float) -> float:
@@ -169,9 +177,13 @@ def snr_db_to_sigma2(snr_db: float) -> float:
 def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> ResultTable:
     """Mean achievable rate per (scheme, SNR) over `cfg.trials` shared channels.
 
-    Per trial, every scheme trains on the same channel realization; per
-    scheme, the same noise substream is replayed at every SNR point (scaled
-    by sigma), which pairs the curves across the sweep axis. A prebuilt
+    Per trial, every scheme trains on the same channel realization. Per
+    (trial, scheme), one unit noise draw is scaled by each SNR point's sigma,
+    which pairs the curves across the sweep axis: the exhaustive and
+    far-field schemes observe it in one `select_codeword` call over all
+    sigma2 values, and the hierarchical scheme restarts its noise stream at
+    each SNR point and shares one codebook memo across them, so each
+    stage-2 codebook is built once per distinct stage-1 winner. A prebuilt
     `near_codebook` (e.g. loaded from the cache) skips the exhaustive build.
     """
     scene = cfg.scene
@@ -180,7 +192,7 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
 
     near_cb = near_codebook
     far_cb = None
-    stage1_cb = None
+    stage1_grids = stage1_cb = None
     hcfg = None
     if SCHEME_EXHAUSTIVE in cfg.schemes and near_cb is None:
         near_cb = build_near_field_codebook(*cfg.codebook_grids(), dims)
@@ -188,7 +200,8 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
         far_cb = far_field_codebook(dims)
     if SCHEME_HIERARCHICAL in cfg.schemes:
         hcfg = cfg.hierarchical_config()
-        stage1_cb = build_near_field_codebook(*hcfg.stage1_grids(), dims)
+        stage1_grids = hcfg.stage1_grids()
+        stage1_cb = build_near_field_codebook(*stage1_grids, dims)
 
     rates = {scheme: np.zeros((len(sigma2s), cfg.trials)) for scheme in cfg.schemes}
     trial_seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
@@ -205,19 +218,19 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
                 for k, sigma2 in enumerate(sigma2s):
                     rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
             elif scheme == SCHEME_HIERARCHICAL:
+                codebooks = {stage1_grids: stage1_cb}  # this trial's memo, dropped with it
                 for k, sigma2 in enumerate(sigma2s):
                     rng = np.random.default_rng(noise_seed)
                     result = hierarchical_training(
-                        hcfg, dims, ch, scene.s_bar, sigma2, rng, stage1_codebook=stage1_cb
+                        hcfg, dims, ch, scene.s_bar, sigma2, rng, codebooks
                     )
                     theta = codeword_vector(result.best_codeword, dims)
                     rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
             else:
                 cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_cb
-                responses = cb.responses(ch.h_bar)
-                for k, sigma2 in enumerate(sigma2s):
-                    rng = np.random.default_rng(noise_seed)
-                    idx, _ = select_codeword(responses, scene.s_bar, sigma2, rng)
+                rng = np.random.default_rng(noise_seed)
+                picks = select_codeword(cb.responses(ch.h_bar), scene.s_bar, sigma2s, rng)
+                for k, (sigma2, (idx, _)) in enumerate(zip(sigma2s, picks)):
                     theta = codeword_vector(cb.codeword(idx), dims)
                     rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
 

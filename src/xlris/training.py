@@ -8,6 +8,7 @@ of the search loop.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,11 @@ import numpy as np
 from .channel import ChannelRealization, complex_normal
 from .codebook import Codeword, NearFieldCodebook, SampleGrid, build_near_field_codebook
 from .geometry import ArrayDims, Box3, FieldError, Point3
+
+
+# Slots per pass when adding scaled noise: the noisy observations live in
+# one buffer of this size instead of a second full-length vector.
+_NOISE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -81,28 +87,45 @@ class HierarchicalConfig:
 def select_codeword(
     responses: np.ndarray,
     s_bar: complex,
-    sigma2: float,
+    sigma2s: Sequence[float],
     rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Observe every slot once and pick the loudest: argmax |r_l|.
+) -> list[tuple[int, float]]:
+    """Observe every slot once per noise power and pick the loudest: argmax |r_l|.
 
-    Slot l observes r_l = responses[l] * s_bar + n_l, where responses[l] is
-    the noiseless theta_l^T h_bar and n_l is fresh CN(0, sigma2) noise; no
-    draw is consumed when sigma2 == 0. Returns (winning index, winning noisy
-    amplitude). np.argmax keeps the first maximum, which implements the
+    At noise power sigma2, slot l observes r_l = responses[l] * s_bar +
+    sqrt(sigma2) * z_l, where responses[l] is the noiseless theta_l^T h_bar
+    and z is one unit CN(0, 1) vector drawn from `rng` and shared by every
+    sigma2 in `sigma2s`; nothing is drawn when every sigma2 is 0. Returns one
+    (winning index, winning noisy amplitude) per sigma2, in order, so one
+    call equals a call per sigma2 that each restart `rng` from the same
+    state. np.argmax keeps the first maximum, which implements the
     earliest-index tie break.
     """
     responses = np.asarray(responses)
     if responses.size == 0:
         raise ValueError("cannot train on an empty codebook")
-    if sigma2 < 0:
-        raise ValueError(f"noise power must be nonnegative, got {sigma2}")
-    r = responses * complex(s_bar)
-    if sigma2 > 0:
-        r = r + complex_normal(rng, responses.size) * np.sqrt(sigma2)
-    amps = np.abs(r)
-    idx = int(np.argmax(amps))
-    return idx, float(amps[idx])
+    for sigma2 in sigma2s:
+        if sigma2 < 0:
+            raise ValueError(f"noise power must be nonnegative, got {sigma2}")
+    clean = responses.ravel() * complex(s_bar)
+    amps = np.empty(clean.size, dtype=np.float64)
+    if any(sigma2 > 0 for sigma2 in sigma2s):
+        unit = complex_normal(rng, clean.size)
+        noisy = np.empty(min(clean.size, _NOISE_CHUNK), dtype=np.complex128)
+    picks = []
+    for sigma2 in sigma2s:
+        if sigma2 > 0:
+            scale = np.sqrt(sigma2)
+            for lo in range(0, clean.size, _NOISE_CHUNK):
+                r = noisy[: min(_NOISE_CHUNK, clean.size - lo)]
+                np.multiply(unit[lo : lo + _NOISE_CHUNK], scale, out=r)
+                np.add(clean[lo : lo + _NOISE_CHUNK], r, out=r)
+                np.abs(r, out=amps[lo : lo + _NOISE_CHUNK])
+        else:
+            np.abs(clean, out=amps)
+        idx = int(np.argmax(amps))
+        picks.append((idx, float(amps[idx])))
+    return picks
 
 
 def exhaustive_training(
@@ -113,7 +136,7 @@ def exhaustive_training(
     rng: np.random.Generator,
 ) -> TrainingResult:
     """Measure every codeword once and return the loudest slot."""
-    idx, amp = select_codeword(cb.responses(ch.h_bar), s_bar, sigma2, rng)
+    [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), s_bar, [sigma2], rng)
     return TrainingResult(
         best_index=idx,
         best_amplitude=amp,
@@ -142,15 +165,22 @@ def hierarchical_training(
     s_bar: complex,
     sigma2: float,
     rng: np.random.Generator,
-    stage1_codebook: NearFieldCodebook | None = None,
+    codebooks: dict[tuple[SampleGrid, SampleGrid], NearFieldCodebook] | None = None,
 ) -> TrainingResult:
     """Coarse-to-fine search over `hcfg.levels` sub-codebooks.
 
     Refined boxes are clipped back into the initial boxes so later levels
     never sample outside the scene (in particular never behind the array).
-    `stage1_codebook` may carry a prebuilt level-1 codebook, which is the
-    same for every channel realization and therefore worth caching.
+    `codebooks` is a memo the caller owns, from a level's (g-side, r-side)
+    grids to their codebook over `dims`: each level reads it before building
+    and stores what it builds. A codebook depends only on its grids and
+    dims, so a memo kept across calls (say, one per channel realization,
+    seeded with the level-1 codebook from `hcfg.stage1_grids()`) builds each
+    level's codebook once per distinct winner of the level before. Without
+    a memo every level is built.
     """
+    if codebooks is None:
+        codebooks = {}
     box_g, box_r = hcfg.box_g, hcfg.box_r
 
     slots = 0
@@ -159,11 +189,11 @@ def hierarchical_training(
     idx = -1
     amp = 0.0
     for level, step in enumerate(hcfg.steps(), start=1):
-        if level == 1 and stage1_codebook is not None:
-            cb = stage1_codebook
-        else:
-            cb = build_near_field_codebook(SampleGrid(box_g, step), SampleGrid(box_r, step), dims)
-        idx, amp = select_codeword(cb.responses(ch.h_bar), s_bar, sigma2, rng)
+        grids = (SampleGrid(box_g, step), SampleGrid(box_r, step))
+        cb = codebooks.get(grids)
+        if cb is None:
+            cb = codebooks[grids] = build_near_field_codebook(*grids, dims)
+        [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), s_bar, [sigma2], rng)
         slots += cb.size
         traces.append(StageResult(level=level, codebook_size=cb.size, best_index=idx))
         if level < hcfg.levels:

@@ -1,11 +1,29 @@
-"""Geometry, channel, key and table helpers that only the tests use."""
+"""Geometry, channel, key and table helpers, and reference sweeps, that only the tests use."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from xlris.channel import ChannelRealization
-from xlris.codebook import _hash_reduced, codeword_vector, reduced_profile
+from xlris.channel import ChannelRealization, complex_normal, sample_near_field_channel
+from xlris.codebook import (
+    NearFieldCodebook,
+    SampleGrid,
+    _hash_reduced,
+    build_near_field_codebook,
+    codeword_vector,
+    far_field_codebook,
+    reduced_profile,
+)
+from xlris.experiments import (
+    SCHEME_EXHAUSTIVE,
+    SCHEME_HIERARCHICAL,
+    SCHEME_PERFECT_CSI,
+    SWEEP_SNR_DB,
+    ResultRow,
+    ResultTable,
+    achievable_rate,
+    snr_db_to_sigma2,
+)
 from xlris.geometry import (
     ArrayDims,
     Box3,
@@ -15,6 +33,7 @@ from xlris.geometry import (
     far_field_steering,
     phase_vector,
 )
+from xlris.training import perfect_csi_beamforming, refine_ranges
 
 
 def element_position(n1_idx: int, n2_idx: int, dims: ArrayDims) -> Point3:
@@ -90,3 +109,77 @@ def summarize_ratio(table, scheme_a: str, scheme_b: str, sweep_value: float) -> 
 def vector(cb, l: int) -> np.ndarray:
     """Codeword l of a codebook as a complex vector."""
     return codeword_vector(cb.codeword(l), cb.dims)
+
+
+def reference_responses(cb, h_bar: np.ndarray) -> np.ndarray:
+    """theta_l^T h_bar for every codeword, the near-field factors rebuilt on every call."""
+    if not isinstance(cb, NearFieldCodebook):
+        return cb.responses(h_bar)
+    u_g = phase_vector(element_distances(cb.g_points, cb.dims), conjugate=True)
+    u_r = phase_vector(element_distances(cb.r_points, cb.dims), conjugate=True)
+    return ((u_g * h_bar[np.newaxis, :]) @ u_r.T)[cb.pairs[:, 0], cb.pairs[:, 1]]
+
+
+def reference_select(responses: np.ndarray, s_bar: complex, sigma2: float, rng) -> int:
+    """argmax |responses * s_bar + n| with n a fresh CN(0, sigma2) draw; no draw at sigma2 = 0."""
+    r = responses * complex(s_bar)
+    if sigma2 > 0:
+        r = r + complex_normal(rng, responses.size) * np.sqrt(sigma2)
+    return int(np.argmax(np.abs(r)))
+
+
+def reference_hierarchical(hcfg, dims, ch, s_bar: complex, sigma2: float, rng):
+    """The winning codeword of a hierarchical search that builds every level afresh."""
+    box_g, box_r = hcfg.box_g, hcfg.box_r
+    for level, step in enumerate(hcfg.steps(), start=1):
+        cb = build_near_field_codebook(SampleGrid(box_g, step), SampleGrid(box_r, step), dims)
+        idx = reference_select(reference_responses(cb, ch.h_bar), s_bar, sigma2, rng)
+        if level < hcfg.levels:
+            ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
+            box_g, box_r = ref_g.clip(hcfg.box_g), ref_r.clip(hcfg.box_r)
+    return cb.codeword(idx)
+
+
+def reference_sweep_snr(cfg) -> ResultTable:
+    """`sweep_snr` as a plain loop over SNR points, with no work shared between them.
+
+    Every SNR point restarts each scheme's noise generator, draws that
+    scheme's noise afresh, recomputes every response and rebuilds every
+    hierarchical level.
+    """
+    scene, dims = cfg.scene, cfg.scene.dims
+    sigma2s = [snr_db_to_sigma2(s) for s in cfg.snr_grid_db]
+    near_cb = build_near_field_codebook(*cfg.codebook_grids(), dims)
+    rates = {scheme: np.zeros((len(sigma2s), cfg.trials)) for scheme in cfg.schemes}
+    trial_seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
+    for t in range(cfg.trials):
+        streams = trial_seeds[t].spawn(1 + len(cfg.schemes))
+        ch = sample_near_field_channel(scene, np.random.default_rng(streams[0]))
+        for si, scheme in enumerate(cfg.schemes):
+            for k, sigma2 in enumerate(sigma2s):
+                rng = np.random.default_rng(streams[1 + si])
+                if scheme == SCHEME_PERFECT_CSI:
+                    theta = perfect_csi_beamforming(ch)
+                    if cfg.perfect_csi_literal_scaling:
+                        theta = theta / np.sqrt(dims.n)
+                elif scheme == SCHEME_HIERARCHICAL:
+                    hcfg = cfg.hierarchical_config()
+                    cw = reference_hierarchical(hcfg, dims, ch, scene.s_bar, sigma2, rng)
+                    theta = codeword_vector(cw, dims)
+                else:
+                    cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_field_codebook(dims)
+                    responses = reference_responses(cb, ch.h_bar)
+                    idx = reference_select(responses, scene.s_bar, sigma2, rng)
+                    theta = codeword_vector(cb.codeword(idx), dims)
+                rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
+    table = ResultTable()
+    for scheme in cfg.schemes:
+        for k, snr in enumerate(cfg.snr_grid_db):
+            per_trial = rates[scheme][k]
+            stderr = float(per_trial.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+            mean = float(per_trial.mean())
+            row = ResultRow(
+                scheme, SWEEP_SNR_DB, float(snr), mean, stderr, cfg.trials, cfg.master_seed
+            )
+            table.rows.append(row)
+    return table

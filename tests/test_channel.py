@@ -65,27 +65,27 @@ class TestReceivedSignal:
         rng = np.random.default_rng(5)
         ch = sample_near_field_channel(SCENE, rng)
         theta = np.conj(ch.steering_part())
-        _, amp = select_codeword(np.array([theta @ ch.h_bar]), 1.0, 0.0, rng)
+        [(_, amp)] = select_codeword(np.array([theta @ ch.h_bar]), 1.0, [0.0], rng)
         assert amp == pytest.approx(DIMS.n * abs(ch.alpha), rel=1e-12)
 
     def test_orthogonal_toy_cancels(self):
         dims = ArrayDims(2, 1, 0.5)
         h_bar = far_field_steering(0.5, 0.0, dims)  # [1, -1]
         response = np.array([1.0, 1.0]) @ h_bar
-        _, amp = select_codeword(np.array([response]), 1.0, 0.0, np.random.default_rng(0))
+        [(_, amp)] = select_codeword(np.array([response]), 1.0, [0.0], np.random.default_rng(0))
         assert amp < 1e-12
 
     def test_pure_noise_variance_monte_carlo(self):
         rng = np.random.default_rng(99)
         draws = 100_000
-        amps = np.array([select_codeword(np.zeros(1), 1.0, 1.0, rng)[1] for _ in range(draws)])
+        amps = np.array([select_codeword(np.zeros(1), 1.0, [1.0], rng)[0][1] for _ in range(draws)])
         assert np.mean(amps**2) == pytest.approx(1.0, abs=0.05)
 
     def test_no_noise_draw_when_sigma2_zero(self):
         rng = np.random.default_rng(1)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(8))
         before = rng.bit_generator.state["state"]["state"]
-        select_codeword(np.array([np.ones(DIMS.n) @ ch.h_bar]), 1.0, 0.0, rng)
+        select_codeword(np.array([np.ones(DIMS.n) @ ch.h_bar]), 1.0, [0.0, 0.0], rng)
         assert rng.bit_generator.state["state"]["state"] == before
 
     def test_length_mismatch_rejected(self):
@@ -98,9 +98,9 @@ class TestReceivedSignal:
         for _ in range(50):
             ch = sample_near_field_channel(SCENE, rng)
             thetas = np.exp(2j * np.pi * rng.uniform(0, 1, (8, DIMS.n)))
-            _, amp = select_codeword(thetas @ ch.h_bar, 1.0, 0.0, rng)
+            [(_, amp)] = select_codeword(thetas @ ch.h_bar, 1.0, [0.0], rng)
             assert amp <= DIMS.n * abs(ch.alpha) * (1 + 1e-12)
 
     def test_negative_noise_power_rejected(self):
         with pytest.raises(ValueError):
-            select_codeword(np.ones(3), 1.0, -0.1, np.random.default_rng(0))
+            select_codeword(np.ones(3), 1.0, [0.5, -0.1], np.random.default_rng(0))

@@ -55,6 +55,11 @@ def raw_configs(draw):
     }
 
 
+def reject_constant(name):
+    """`json.loads` hook: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def write_config(tmp_path, overrides=None, name="cfg.json"):
     raw = json.loads(json.dumps(TINY))
     if overrides:
@@ -305,6 +310,26 @@ class TestCli:
             main(["train", "--config", str(cfg), f"--snr-db={snr_db}"])
         assert exc.value.code == 2
         assert "--snr-db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["far-field", "near-field-hierarchical"])
+    def test_subnormal_noise_power_gives_a_finite_rate(self, tmp_path, capsys, scheme):
+        # 3200 dB is sigma2 = 1e-320, so gain^2 / sigma2 overflows a float
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--scheme", scheme, "--snr-db", "3200"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert math.isfinite(report["achievable_rate"]) and report["achievable_rate"] > 1000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_noise_power_sweep_is_finite(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"snr_grid_db": [0, 3200]})
+        out = tmp_path / "run"
+        assert main(["sweep", "snr", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "snr_results.json").read_text(), parse_constant=reject_constant)
+        assert len(rows["rows"]) == 2 * 4
+        for row in rows["rows"]:
+            assert math.isfinite(row["mean"]) and math.isfinite(row["stderr"])
+        for line in (out / "snr_results.csv").read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(x)) for x in line.split(",")[2:5])
 
     @pytest.mark.parametrize(
         "numbers",

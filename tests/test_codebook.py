@@ -1,3 +1,7 @@
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +27,7 @@ from xlris.geometry import (
     far_field_steering,
 )
 
-from support import codeword_key, vector
+from support import codeword_key, reference_responses, vector
 
 DIMS = ArrayDims(8, 2, 0.5)
 
@@ -317,6 +321,55 @@ class TestNearFieldBuild:
         h = rng.standard_normal(DIMS.n) + 1j * rng.standard_normal(DIMS.n)
         naive = np.array([vector(cb, l) @ h for l in range(cb.size)])
         assert np.abs(cb.responses(h) - naive).max() < 1e-9
+
+
+def counting_phase_vector(monkeypatch, delay_s=0.0) -> list:
+    """Record the shape of every `phase_vector` input the codebook module makes.
+
+    A delay holds each call open, which widens any window between checking
+    for cached factors and storing them.
+    """
+    calls = []
+    real = codebook.phase_vector
+
+    def counted(cycles, conjugate=False):
+        calls.append(np.shape(cycles))
+        time.sleep(delay_s)
+        return real(cycles, conjugate)
+
+    monkeypatch.setattr(codebook, "phase_vector", counted)
+    return calls
+
+
+class TestSteeringFactors:
+    H = np.random.default_rng(12).standard_normal(DIMS.n) * np.exp(0.3j * np.arange(DIMS.n))
+
+    @pytest.mark.parametrize("other", [None, generic_line_grid(4, step=0.91)])
+    def test_lazy_cached_and_bitwise_equal_to_fresh_factors(self, monkeypatch, other):
+        grid = generic_line_grid(5)
+        calls = counting_phase_vector(monkeypatch)
+        cb = build_near_field_codebook(grid, other or grid, DIMS)
+        assert calls == []  # none at build time
+        first, second = cb.responses(self.H), cb.responses(self.H)
+        # one (S, N) factor for equal point sets, one per side otherwise
+        assert len(calls) == (1 if other is None else 2)
+        want = reference_responses(cb, self.H)
+        assert np.array_equal(first, want) and np.array_equal(second, want)
+
+    def test_threads_sharing_a_codebook_compute_the_factors_once(self, monkeypatch):
+        grid = generic_line_grid(6)
+        cb = build_near_field_codebook(grid, grid, DIMS)
+        calls = counting_phase_vector(monkeypatch, delay_s=0.01)
+        want = reference_responses(cb, self.H)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: cb.responses(self.H), range(32), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert len(results) == 32 and all(np.array_equal(r, want) for r in results)
 
 
 class TestPersistence:

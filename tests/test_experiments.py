@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlris import codebook, experiments, training
 from xlris.channel import SceneConfig, sample_near_field_channel
 from xlris.codebook import build_near_field_codebook
+from xlris.config import parse_config, resolve_config_path
 from xlris.experiments import (
     SCHEME_EXHAUSTIVE,
     SCHEME_FAR_FIELD,
@@ -23,7 +25,13 @@ from xlris.experiments import (
 from xlris.geometry import ArrayDims, Box3, Point3
 from xlris.training import hierarchical_training, perfect_csi_beamforming
 
-from support import find_row, near_field_channel, planar_channel, summarize_ratio
+from support import (
+    find_row,
+    near_field_channel,
+    planar_channel,
+    reference_sweep_snr,
+    summarize_ratio,
+)
 
 DIMS = ArrayDims(16, 2, 0.5)
 BOX = Box3((-75.0, 75.0), (0.75, 12.5), (-25.0, 25.0))
@@ -35,6 +43,23 @@ MINI = ExperimentConfig(
     trials=40,
     master_seed=7,
 )
+
+
+@st.composite
+def small_sweep_configs(draw):
+    """Few elements and points, levels 1-3, equal or unequal g/r boxes, random seeds."""
+    dims = ArrayDims(draw(st.integers(2, 6)), draw(st.integers(1, 2)), 0.5)
+    box_g = Box3((-10.0, 10.0), (1.0, 6.0), (-3.0, 3.0))
+    box_r = draw(st.sampled_from([box_g, Box3((-6.0, 12.0), (0.5, 8.0), (-2.0, 4.0))]))
+    snrs = st.sampled_from([-10.0, -2.5, 0.0, 7.5, 20.0])
+    return ExperimentConfig(
+        scene=SceneConfig(dims, box_g, box_r),
+        snr_grid_db=tuple(draw(st.lists(snrs, min_size=1, max_size=4, unique=True))),
+        sampling_step=draw(st.sampled_from([2.5, 4.0])),
+        levels=draw(st.integers(1, 3)),
+        trials=draw(st.integers(1, 3)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 class TestAchievableRate:
@@ -57,6 +82,15 @@ class TestAchievableRate:
         with pytest.raises(ValueError):
             achievable_rate(np.ones(1), ch, 1.0, 0.0)
 
+    def test_overflowing_snr_falls_back_to_log_form(self):
+        ch = planar_channel(0.0, 0.0, ArrayDims(4, 2, 0.5))  # gain 8 with theta = 1
+        sigma2 = snr_db_to_sigma2(3200.0)  # subnormal: 64 / sigma2 overflows
+        assert math.isinf(64.0 / sigma2)
+        rate = achievable_rate(np.ones(8), ch, 1.0, sigma2)
+        assert rate == 6.0 - math.log2(sigma2)
+        # where the ratio is finite the formula is unchanged
+        assert achievable_rate(np.ones(8), ch, 1.0, 1e-300) == math.log2(1.0 + 64.0 / 1e-300)
+
     def test_snr_conversion(self):
         assert snr_db_to_sigma2(0.0) == 1.0
         assert snr_db_to_sigma2(10.0) == pytest.approx(0.1, rel=1e-12)
@@ -72,6 +106,57 @@ class TestSweepSnr:
         a = sweep_snr(MINI)
         b = sweep_snr(MINI, threads=4)
         assert a.rows == b.rows
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=small_sweep_configs())
+    def test_matches_the_per_point_reference_at_any_thread_count(self, cfg):
+        want = reference_sweep_snr(cfg).to_csv_text()
+        for threads in (1, 2):
+            assert sweep_snr(cfg, threads=threads).to_csv_text() == want
+
+    def test_snr_invariant_work_done_once_per_trial(self, monkeypatch):
+        cfg = dataclasses.replace(parse_config(resolve_config_path("desk")), trials=1)
+        dims = cfg.scene.dims
+        assert len(cfg.snr_grid_db) == 5 and cfg.scene.box_g == cfg.scene.box_r
+        built, stage2, factor_shapes, draws, stage1_picks = [], [], [], [], []
+
+        def spy(module, name, record):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                record(args, out)
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(experiments, "build_near_field_codebook", lambda a, out: built.append(out))
+        spy(training, "build_near_field_codebook", lambda a, out: stage2.append((a[:2], out)))
+        spy(codebook, "phase_vector", lambda a, out: factor_shapes.append(np.shape(a[0])))
+        spy(training, "complex_normal", lambda a, out: draws.append(np.size(out)))
+        stage1_grids = cfg.hierarchical_config().stage1_grids()
+        stage1_size = build_near_field_codebook(*stage1_grids, dims).size
+        spy(
+            training,
+            "select_codeword",
+            lambda a, out: stage1_picks.extend(out) if np.size(a[0]) == stage1_size else None,
+        )
+        sweep_snr(cfg)
+
+        near_cb, stage1_cb = built
+        assert stage1_cb.size == stage1_size
+        # one stage-2 build per distinct stage-1 winner, never one per SNR point
+        winners = {idx for idx, _ in stage1_picks}
+        assert len(stage1_picks) == 5 and len(stage2) == len(winners) < 5
+        assert len({grids for grids, _ in stage2}) == len(stage2)
+        # steering factors once per codebook: one array when both sides hold the same points
+        codebooks = [near_cb, stage1_cb, *(cb for _, cb in stage2)]
+        sides = [1 if np.array_equal(cb.g_points, cb.r_points) else 2 for cb in codebooks]
+        assert sides[:2] == [1, 1]
+        assert sum(len(s) == 2 and s[1] == dims.n for s in factor_shapes) == sum(sides)
+        # one noise draw per (trial, scheme) for the exhaustive and far-field schemes
+        assert draws.count(near_cb.size) == 1 and draws.count(dims.n) == 1
+        assert len(draws) == 2 + 5 * cfg.levels  # hierarchical: one per level and SNR point
 
     def test_perfect_csi_dominates_all_schemes(self):
         table = sweep_snr(MINI)

@@ -1,15 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xlris.channel import SceneConfig, sample_near_field_channel
+from xlris import training
+from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
 from xlris.codebook import NearFieldCodebook, SampleGrid, axis_samples, build_near_field_codebook
 from xlris.geometry import ArrayDims, Box3, Point3, cascaded_distances
 from xlris.training import (
+    _NOISE_CHUNK,
     HierarchicalConfig,
     exhaustive_training,
     hierarchical_training,
     perfect_csi_beamforming,
     refine_ranges,
+    select_codeword,
 )
 
 from support import box_contains, codeword_key, near_field_channel, planar_channel, vector
@@ -84,6 +91,35 @@ class TestExhaustive:
         assert a == b
 
 
+class TestSelectCodeword:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.sampled_from([1, 7, _NOISE_CHUNK - 1, _NOISE_CHUNK, 2 * _NOISE_CHUNK + 5]),
+        sigma2s=st.lists(st.sampled_from([0.0, 1e-3, 0.25, 1.0, 4.0]), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_call_equals_a_restarted_draw_per_noise_power(self, size, sigma2s, seed):
+        data = np.random.default_rng(seed)
+        responses = data.standard_normal(size) + 1j * data.standard_normal(size)
+        s_bar = complex(data.standard_normal(), data.standard_normal())
+        rng = np.random.default_rng(seed)
+        picks = select_codeword(responses, s_bar, sigma2s, rng)
+        want = []
+        for sigma2 in sigma2s:
+            noise_rng = np.random.default_rng(seed)  # restarted at every noise power
+            r = responses * s_bar
+            if sigma2 > 0:
+                r = r + complex_normal(noise_rng, size) * np.sqrt(sigma2)
+            amps = np.abs(r)
+            want.append((int(np.argmax(amps)), float(amps.max())))
+        assert picks == want
+        # one unit draw serves every noise power, none when all are zero
+        fresh = np.random.default_rng(seed)
+        if any(sigma2 > 0 for sigma2 in sigma2s):
+            complex_normal(fresh, size)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
 class TestRefineRanges:
     def test_window_centers_on_winner(self):
         box_g, box_r = refine_ranges((Point3(50.0, 10.0, -3.0), Point3(-20.0, 5.0, 8.0)), 8.0)
@@ -149,10 +185,25 @@ class TestHierarchical:
         stage1 = build_near_field_codebook(*self.HCFG.stage1_grids(), DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(55))
         a = hierarchical_training(self.HCFG, DIMS, ch, 1.0, 0.2, np.random.default_rng(9))
-        b = hierarchical_training(
-            self.HCFG, DIMS, ch, 1.0, 0.2, np.random.default_rng(9), stage1_codebook=stage1
-        )
+        memo = {self.HCFG.stage1_grids(): stage1}
+        b = hierarchical_training(self.HCFG, DIMS, ch, 1.0, 0.2, np.random.default_rng(9), memo)
         assert a == b
+
+    def test_memo_is_filled_then_read_instead_of_building(self, monkeypatch):
+        ch = sample_near_field_channel(SCENE, np.random.default_rng(56))
+        hcfg = dataclasses.replace(self.HCFG, levels=3)
+        memo = {}
+        a = hierarchical_training(hcfg, DIMS, ch, 1.0, 0.2, np.random.default_rng(9), memo)
+        assert len(memo) == 3 and hcfg.stage1_grids() in memo
+        for (grid_g, grid_r), cb in memo.items():
+            assert cb.size == build_near_field_codebook(grid_g, grid_r, DIMS).size
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a memoized level was rebuilt")
+
+        monkeypatch.setattr(training, "build_near_field_codebook", no_build)
+        b = hierarchical_training(hcfg, DIMS, ch, 1.0, 0.2, np.random.default_rng(9), memo)
+        assert a == b and len(memo) == 3
 
     def test_fixed_seed_reproducible_with_trace(self):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(60))
