@@ -14,7 +14,6 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,25 +53,6 @@ from .training import exhaustive_training, hierarchical_training
 CACHE_ENV = "XLRIS_CACHE"
 
 
-@dataclass
-class RunManifest:
-    config_digest: str
-    master_seed: int
-    artifact_version: str
-    created_utc: str
-    command: str
-    outputs: list[str]
-
-    def write(self, path: Path) -> None:
-        path.write_text(
-            json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        )
-
-
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
-
-
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(resolve_config_path(args.config))
     if getattr(args, "seed", None) is not None:
@@ -97,31 +77,39 @@ def _cache_file(cache_dir: Path | None, cfg) -> Path | None:
 def _near_codebook(cfg, path: Path | None, threads: int = 1) -> tuple[NearFieldCodebook, bool]:
     """The config's full near-field codebook, and whether it was read from `path`.
 
-    With a cache file `path`, a readable file is loaded; a missing one is
-    built and saved. A file that fails to load (corrupt, truncated, or made
-    for other dims or another format) is reported on stderr, rebuilt and
-    replaced. Without a `path` the codebook is just built.
+    With a cache file `path`, a readable file built over the config's grids
+    is loaded; a missing one is built and saved. A file that fails to load
+    (corrupt, truncated, or made for other dims, other grids or another
+    format) is reported on stderr, rebuilt and replaced. Without a `path`
+    the codebook is just built.
     """
+    grids = cfg.codebook_grids()
     if path is not None and path.exists():
         try:
-            return load_codebook(path, cfg.scene.dims), True
+            cb = load_codebook(path, cfg.scene.dims)
+            if cb.grids != grids:
+                raise CodebookFileError(f"codebook file {path} holds other sample grids")
+            return cb, True
         except CodebookFileError as exc:
             print(f"warning: rebuilding the cached codebook: {exc}", file=sys.stderr)
-    cb = build_near_field_codebook(*cfg.codebook_grids(), cfg.scene.dims, threads=threads)
+    cb = build_near_field_codebook(*grids, cfg.scene.dims, threads=threads)
     if path is not None:
         save_codebook(cb, path)
     return cb, False
 
 
-def _manifest(cfg, command: str, outputs: list[Path]) -> RunManifest:
-    return RunManifest(
-        config_digest=config_digest(cfg),
-        master_seed=cfg.master_seed,
-        artifact_version=__version__,
-        created_utc=_utc_now(),
-        command=command,
-        outputs=[str(p) for p in outputs],
-    )
+def _write_manifest(path: Path, cfg, command: str, outputs: list[Path]) -> None:
+    """Record what a run wrote and from which config; the timestamp is the only varying field."""
+    created = datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
+    manifest = {
+        "config_digest": config_digest(cfg),
+        "master_seed": cfg.master_seed,
+        "artifact_version": __version__,
+        "created_utc": created,
+        "command": command,
+        "outputs": [str(p) for p in outputs],
+    }
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_info(args) -> int:
@@ -153,13 +141,9 @@ def cmd_codebook_build(args) -> int:
     path = _cache_file(_cache_dir(args) or out_dir, cfg)
     cb, hit = _near_codebook(cfg, path, threads=args.threads)
     print(f"cache hit: {path}" if hit else f"built and cached: {path}")
-    grid_g, grid_r = cfg.codebook_grids()
-    print(f"pre_dedup_pairs: {grid_g.size * grid_r.size}")
+    print(f"pre_dedup_pairs: {cb.pre_dedup_pairs}")
     print(f"codebook_size_L: {cb.size}")
-
-    manifest = _manifest(cfg, "codebook build", [path])
-    manifest_path = out_dir / "codebook_manifest.json"
-    manifest.write(manifest_path)
+    _write_manifest(out_dir / "codebook_manifest.json", cfg, "codebook build", [path])
     return 0
 
 
@@ -218,8 +202,7 @@ def cmd_sweep(args) -> int:
     csv_path.write_text(table.to_csv_text())
     payload = table.to_json_dict(config_to_dict(cfg))
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    manifest = _manifest(cfg, f"sweep {args.kind}", [csv_path, json_path])
-    manifest.write(out_dir / "manifest.json")
+    _write_manifest(out_dir / "manifest.json", cfg, f"sweep {args.kind}", [csv_path, json_path])
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0

@@ -13,9 +13,10 @@ distance profile: fractional parts anchored to the first element, rounded to
 nine decimals (integer nanocycles). Pairs are grouped by a 64-bit polynomial
 hash of that form, and the canonical forms of pairs sharing a hash are
 compared directly, so dedup is exact: a hash collision keeps both codewords.
-Codebooks store the hash rather than the full sequence, which keeps the
-full-scale codebook small; the hash is what the cache file format carries
-per record.
+
+A near-field codebook is its two sample grids, the kept pairs as indices
+into the grids' points, and each kept pair's hash. The cache file stores
+exactly that; the points are regenerated from the grids on load.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _CHECK_ELEMENTS = 1 << 21
 
 _MAGIC = b"XLRC"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<IIIdQ")  # version, N1, N2, d, L
-_RECORD_DTYPE = np.dtype([("pg", "<f8", 3), ("pr", "<f8", 3), ("key", "<u8")])
+_FORMAT_VERSION = 2
+# version, N1, N2, d, L, then per grid (g, r): x, y, z intervals and the step
+_HEADER = struct.Struct("<IIIdQ14d")
 
 
 def key_algorithm() -> list[int]:
@@ -166,7 +167,9 @@ def codeword_vector(cw: Codeword, dims: ArrayDims) -> np.ndarray:
 class NearFieldCodebook:
     """Ordered, deduplicated codewords indexed by scatter-point pairs.
 
-    Codeword ``l`` is defined by points ``(g_points[pairs[l, 0]],
+    A codebook is its sample grids ``grids = (grid_g, grid_r)``, the kept
+    pairs as row indices into the grids' points, and each kept pair's dedup
+    key. Codeword ``l`` is defined by points ``(g_points[pairs[l, 0]],
     r_points[pairs[l, 1]])``; its vector is the conjugated spherical-wave
     phase profile of that pair, regenerated on demand by
     ``codeword_vector(cb.codeword(l), dims)`` (the full-scale codebook held
@@ -179,22 +182,29 @@ class NearFieldCodebook:
     def __init__(
         self,
         dims: ArrayDims,
-        g_points: np.ndarray,
-        r_points: np.ndarray,
+        grid_g: SampleGrid,
+        grid_r: SampleGrid,
         pairs: np.ndarray,
         keys: np.ndarray,
-        pre_dedup_pairs: int | None = None,
     ):
         self.dims = dims
-        self.g_points = np.asarray(g_points, dtype=np.float64).reshape(-1, 3)
-        self.r_points = np.asarray(r_points, dtype=np.float64).reshape(-1, 3)
+        self.grids = (grid_g, grid_r)
+        self.g_points = grid_g.points()
+        self.r_points = self.g_points if grid_g == grid_r else grid_r.points()
         self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
         if len(self.keys) != len(self.pairs):
             raise ValueError("pairs and keys must have equal length")
-        self.pre_dedup_pairs = pre_dedup_pairs
+        sizes = (len(self.g_points), len(self.r_points))
+        if self.pairs.size and (self.pairs.min() < 0 or (self.pairs.max(axis=0) >= sizes).any()):
+            raise ValueError(f"pair indices must lie within the grids' {sizes} points")
         self._factors: tuple[np.ndarray, np.ndarray] | None = None
         self._factors_lock = threading.Lock()
+
+    @property
+    def pre_dedup_pairs(self) -> int:
+        """Pairs in the full grid product, before the triangle sweep and dedup."""
+        return len(self.g_points) * len(self.r_points)
 
     @property
     def size(self) -> int:
@@ -286,7 +296,6 @@ def build_near_field_codebook(
     repeats the profile of its earlier swap bitwise and could never be
     kept. Keys are a deterministic map over the swept pairs, so the result
     is identical whether rows run serially or on `threads` workers.
-    `pre_dedup_pairs` counts the full product either way.
     """
     pts_g = grid_g.points()
     pts_r = grid_r.points()
@@ -323,7 +332,7 @@ def build_near_field_codebook(
 
     kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
     pairs = np.column_stack(locate(kept))
-    return NearFieldCodebook(dims, pts_g, pts_r, pairs, keys[kept], pre_dedup_pairs=s_g * s_r)
+    return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys[kept])
 
 
 def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray:
@@ -358,21 +367,19 @@ def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarr
 
 
 def save_codebook(cb: NearFieldCodebook, path) -> None:
-    """Write the binary cache: header, one record per codeword, trailing CRC32.
+    """Write the binary cache: a header, the pairs as int32, the keys as uint64, a CRC32.
 
-    Only source pairs, dims, and key hashes are persisted; vectors are
-    regenerated on load. The bytes go to ``<path>.tmp-<pid>`` in the same
-    directory, which is then renamed onto `path`, so a crash or a failed
-    write never leaves a partial cache file behind.
+    The header holds the format version, N1, N2, d, L and each grid's box
+    and step, so points and vectors are regenerated on load. The bytes go to
+    ``<path>.tmp-<pid>`` in the same directory, which is then renamed onto
+    `path`, so a crash or a failed write never leaves a partial cache file.
     """
     if not isinstance(cb, NearFieldCodebook):
         raise TypeError("only near-field codebooks are persisted (far-field is formulaic)")
-    records = np.empty(cb.size, dtype=_RECORD_DTYPE)
-    records["pg"] = cb.g_points[cb.pairs[:, 0]]
-    records["pr"] = cb.r_points[cb.pairs[:, 1]]
-    records["key"] = cb.keys
-    payload = _HEADER.pack(_FORMAT_VERSION, cb.dims.n1, cb.dims.n2, cb.dims.d, cb.size)
-    payload += records.tobytes()
+    grid_fields = [v for g in cb.grids for v in (*g.box.x, *g.box.y, *g.box.z, g.step)]
+    dims = cb.dims
+    payload = _HEADER.pack(_FORMAT_VERSION, dims.n1, dims.n2, dims.d, cb.size, *grid_fields)
+    payload += cb.pairs.astype("<i4").tobytes() + cb.keys.astype("<u8").tobytes()
     tmp = f"{os.fspath(path)}.tmp-{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
@@ -386,7 +393,12 @@ def save_codebook(cb: NearFieldCodebook, path) -> None:
 
 
 def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
-    """Read a cache file back; rejects wrong magic/version/dims and corruption."""
+    """Read a cache file back, with the grids it was built over.
+
+    Raises :class:`CodebookFileError` for a wrong magic, version or dims,
+    a bad checksum or length, an invalid grid, or a pair index outside its
+    grid. Callers compare ``cb.grids`` with the grids they expect.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(_MAGIC) + _HEADER.size + 4:
@@ -396,7 +408,8 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
     payload, (crc,) = blob[len(_MAGIC) : -4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != crc:
         raise CodebookFileError(f"checksum mismatch in codebook file: {path}")
-    version, n1, n2, d, size = _HEADER.unpack_from(payload)
+    header = _HEADER.unpack_from(payload)
+    version, n1, n2, d, size = header[:5]
     if version != _FORMAT_VERSION:
         raise CodebookFileError(f"unsupported codebook format version {version}")
     if (n1, n2) != (dims.n1, dims.n2) or d != dims.d:
@@ -405,10 +418,15 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
             f"({dims.n1}x{dims.n2}, d={dims.d})"
         )
     body = payload[_HEADER.size :]
-    if len(body) != size * _RECORD_DTYPE.itemsize:
-        raise CodebookFileError(f"record section length mismatch in {path}")
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    g_unique, g_idx = np.unique(records["pg"], axis=0, return_inverse=True)
-    r_unique, r_idx = np.unique(records["pr"], axis=0, return_inverse=True)
-    pairs = np.column_stack([g_idx.ravel(), r_idx.ravel()])
-    return NearFieldCodebook(dims, g_unique, r_unique, pairs, records["key"].copy())
+    if len(body) != size * (2 * 4 + 8):
+        raise CodebookFileError(f"pair and key section length mismatch in {path}")
+    try:
+        grid_g, grid_r = (
+            SampleGrid(Box3(v[0:2], v[2:4], v[4:6]), v[6])
+            for v in (header[5:12], header[12:])  # tuples, as a config's intervals are
+        )
+        pairs = np.frombuffer(body, dtype="<i4", count=2 * size)
+        keys = np.frombuffer(body, dtype="<u8", offset=8 * size)
+        return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys)
+    except ValueError as exc:
+        raise CodebookFileError(f"invalid codebook file {path}: {exc}") from None

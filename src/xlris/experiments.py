@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,8 +182,9 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     far-field schemes observe it in one `select_codeword` call over all
     sigma2 values, and the hierarchical scheme restarts its noise stream at
     each SNR point and shares one codebook memo across them, so each
-    stage-2 codebook is built once per distinct stage-1 winner. A prebuilt
-    `near_codebook` (e.g. loaded from the cache) skips the exhaustive build.
+    stage-2 codebook is built once per distinct stage-1 winner. Trials run
+    one after another; `threads` workers build the exhaustive codebook, and
+    a prebuilt `near_codebook` (e.g. loaded from the cache) skips that build.
     """
     scene = cfg.scene
     dims = scene.dims
@@ -195,7 +195,7 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     stage1_grids = stage1_cb = None
     hcfg = None
     if SCHEME_EXHAUSTIVE in cfg.schemes and near_cb is None:
-        near_cb = build_near_field_codebook(*cfg.codebook_grids(), dims)
+        near_cb = build_near_field_codebook(*cfg.codebook_grids(), dims, threads=threads)
     if SCHEME_FAR_FIELD in cfg.schemes:
         far_cb = far_field_codebook(dims)
     if SCHEME_HIERARCHICAL in cfg.schemes:
@@ -206,7 +206,7 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     rates = {scheme: np.zeros((len(sigma2s), cfg.trials)) for scheme in cfg.schemes}
     trial_seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
 
-    def run_trial(t: int) -> None:
+    for t in range(cfg.trials):
         streams = trial_seeds[t].spawn(1 + len(cfg.schemes))
         ch = sample_near_field_channel(scene, np.random.default_rng(streams[0]))
         for si, scheme in enumerate(cfg.schemes):
@@ -233,13 +233,6 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
                 for k, (sigma2, (idx, _)) in enumerate(zip(sigma2s, picks)):
                     theta = codeword_vector(cb.codeword(idx), dims)
                     rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(cfg.trials)))
-    else:
-        for t in range(cfg.trials):
-            run_trial(t)
 
     table = ResultTable()
     for scheme in cfg.schemes:

@@ -8,6 +8,7 @@ of the search loop.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -95,18 +96,18 @@ def select_codeword(
     At noise power sigma2, slot l observes r_l = responses[l] * s_bar +
     sqrt(sigma2) * z_l, where responses[l] is the noiseless theta_l^T h_bar
     and z is one unit CN(0, 1) vector drawn from `rng` and shared by every
-    sigma2 in `sigma2s`; nothing is drawn when every sigma2 is 0. Returns one
-    (winning index, winning noisy amplitude) per sigma2, in order, so one
-    call equals a call per sigma2 that each restart `rng` from the same
-    state. np.argmax keeps the first maximum, which implements the
-    earliest-index tie break.
+    sigma2 in `sigma2s`, each finite and >= 0; nothing is drawn when every
+    sigma2 is 0. Returns one (winning index, winning noisy amplitude) per
+    sigma2, in order, so one call equals a call per sigma2 that each restart
+    `rng` from the same state. np.argmax keeps the first maximum, which
+    implements the earliest-index tie break.
     """
     responses = np.asarray(responses)
     if responses.size == 0:
         raise ValueError("cannot train on an empty codebook")
     for sigma2 in sigma2s:
-        if sigma2 < 0:
-            raise ValueError(f"noise power must be nonnegative, got {sigma2}")
+        if not 0 <= sigma2 < math.inf:
+            raise ValueError(f"noise power must be nonnegative and finite, got {sigma2}")
     clean = responses.ravel() * complex(s_bar)
     amps = np.empty(clean.size, dtype=np.float64)
     if any(sigma2 > 0 for sigma2 in sigma2s):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,5 +104,6 @@ class TestReceivedSignal:
             assert amp <= DIMS.n * abs(ch.alpha) * (1 + 1e-12)
 
     def test_negative_noise_power_rejected(self):
-        with pytest.raises(ValueError):
-            select_codeword(np.ones(3), 1.0, [0.5, -0.1], np.random.default_rng(0))
+        for bad in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="noise power"):
+                select_codeword(np.ones(3), 1.0, [0.5, bad], np.random.default_rng(0))

@@ -381,8 +381,32 @@ class TestCli:
         warm = (tmp_path / "warm" / "snr_results.csv").read_bytes()
         assert warm == (cold / "snr_results.csv").read_bytes()
 
+    def test_cache_file_for_other_grids_is_rebuilt(self, tmp_path, capsys):
+        # a valid file built over other grids, copied under this config's cache name
+        configs = {
+            "mine": write_config(tmp_path, {"sampling_step_d": 24}, name="mine.json"),
+            "other": write_config(tmp_path, name="other.json"),
+        }
+        files, sizes = {}, {}
+        for name, cfg in configs.items():
+            argv = ["codebook", "build", "--config", str(cfg), "--out", str(tmp_path),
+                    "--cache", str(tmp_path / name)]
+            assert main(argv) == 0
+            sizes[name] = capsys.readouterr().out.splitlines()[-1]
+            (files[name],) = (tmp_path / name).glob("xlrc_*.bin")
+        assert sizes["mine"] != sizes["other"]
+        good = files["mine"].read_bytes()
+        files["mine"].write_bytes(files["other"].read_bytes())
+        assert main(["codebook", "build", "--config", str(configs["mine"]), "--out", str(tmp_path),
+                     "--cache", str(tmp_path / "mine")]) == 0
+        captured = capsys.readouterr()
+        assert "other sample grids" in captured.err
+        assert captured.out.splitlines()[0].startswith("built and cached")
+        assert captured.out.splitlines()[-1] == sizes["mine"]
+        assert files["mine"].read_bytes() == good
+
     @pytest.mark.parametrize(
-        "name,value", [("_FORMAT_VERSION", 2), ("_NANO", 10**8), ("_KEY_MULTIPLIER", np.uint64(3))]
+        "name,value", [("_FORMAT_VERSION", 3), ("_NANO", 10**8), ("_KEY_MULTIPLIER", np.uint64(3))]
     )
     def test_key_algorithm_change_misses_the_cache(
         self, tmp_path, capsys, monkeypatch, name, value

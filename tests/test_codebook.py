@@ -1,5 +1,7 @@
+import struct
 import sys
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -387,7 +389,12 @@ class TestPersistence:
         save_codebook(built, path)
         loaded = load_codebook(path, DIMS)
         assert loaded.size == built.size
+        assert loaded.grids == built.grids == (grid_g, grid_r)
+        assert np.array_equal(loaded.g_points, built.g_points)
+        assert np.array_equal(loaded.r_points, built.r_points)
+        assert np.array_equal(loaded.pairs, built.pairs)
         assert np.array_equal(loaded.keys, built.keys)
+        assert loaded.pre_dedup_pairs == built.pre_dedup_pairs == grid_g.size * grid_r.size
         for l in range(built.size):
             assert loaded.source_pair(l) == built.source_pair(l)
             assert np.abs(vector(loaded, l) - vector(built, l)).max() <= 1e-12
@@ -407,6 +414,21 @@ class TestPersistence:
         blob[40] ^= 0x5A
         path.write_bytes(bytes(blob))
         with pytest.raises(CodebookFileError):
+            load_codebook(path, DIMS)
+
+    @pytest.mark.parametrize("column,past_end", [(0, False), (1, True)], ids=["negative", "past-grid"])
+    def test_pair_index_outside_its_grid_rejected(self, built, tmp_path, column, past_end):
+        # a file with a valid checksum whose last pair points outside a grid
+        path = tmp_path / "cb.bin"
+        save_codebook(built, path)
+        blob = bytearray(path.read_bytes())
+        start = len(codebook._MAGIC) + codebook._HEADER.size
+        pairs = np.frombuffer(blob, "<i4", count=2 * built.size, offset=start).reshape(-1, 2).copy()
+        pairs[-1, column] = built.grids[column].size if past_end else -1
+        blob[start : start + pairs.nbytes] = pairs.tobytes()
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[len(codebook._MAGIC) : -4]))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CodebookFileError, match="pair indices"):
             load_codebook(path, DIMS)
 
     def test_truncated_file_rejected(self, built, tmp_path):

@@ -62,9 +62,7 @@ class TestExhaustive:
             assert res.best_index == int(np.argmax(amps))
 
     def test_empty_codebook_rejected(self):
-        empty = NearFieldCodebook(
-            DIMS, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((0, 2)), np.zeros(0, np.uint64)
-        )
+        empty = NearFieldCodebook(DIMS, GRID, GRID, np.zeros((0, 2)), np.zeros(0, np.uint64))
         ch = sample_near_field_channel(SCENE, np.random.default_rng(0))
         with pytest.raises(ValueError):
             exhaustive_training(empty, ch, 1.0, 0.0, np.random.default_rng(0))
@@ -75,8 +73,7 @@ class TestExhaustive:
         res = exhaustive_training(base, ch, 1.0, 0.0, np.random.default_rng(0))
         dup = NearFieldCodebook(
             DIMS,
-            base.g_points,
-            base.r_points,
+            *base.grids,
             np.vstack([base.pairs, base.pairs[res.best_index]]),
             np.concatenate([base.keys, [base.keys[res.best_index]]]),
         )
