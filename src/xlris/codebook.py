@@ -47,6 +47,9 @@ _NANO = 1_000_000_000
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # Canonical-form elements compared per batch when checking shared keys.
 _CHECK_ELEMENTS = 1 << 21
+# Profile elements swept per chunk of a row: about 256 KB of float64, so the
+# chunk and the temporaries of its key stay in L2.
+_CHUNK_ELEMENTS = 1 << 15
 
 _MAGIC = b"XLRC"
 _FORMAT_VERSION = 2
@@ -105,6 +108,7 @@ def _key_powers(n: int) -> np.ndarray:
     for i in range(n):
         powers[i] = acc
         acc = (acc * mult) & 0xFFFFFFFFFFFFFFFF
+    powers.flags.writeable = False  # shared by every caller through the cache
     return powers
 
 
@@ -114,23 +118,22 @@ def reduced_profile(profile) -> np.ndarray:
     Takes fractional parts, anchors them to the first element, wraps into
     [0, 1), and rounds to 1e-9. Profiles that differ by a constant offset or
     by per-element integers (a global phase, or whole-wavelength shifts)
-    reduce to the same form. Works on (N,) or batched (..., N) input.
+    reduce to the same form. Works on (N,) or batched (..., N) input and
+    leaves the input unchanged.
 
-    The loop below is a hand-fused equivalent of
-    ``rint(mod(mod(p, 1) - mod(p, 1)[..., :1], 1) * 1e9) % 1e9`` that avoids
-    np.mod (slow) and most temporaries; the full-scale build sweeps hundreds
-    of millions of elements through here.
+    Equals ``rint(mod(mod(p, 1) - mod(p, 1)[..., :1], 1) * 1e9) % 1e9``
+    without np.mod (slow): ``x - floor(x)`` is exact, and after anchoring
+    every value lies in (-1, 1), so subtracting its floor (-1.0 or 0.0)
+    wraps it with no mask. A delta that rounds to a full cycle is zero.
     """
     p = np.asarray(profile, dtype=np.float64)
-    frac = np.floor(p)
-    np.subtract(p, frac, out=frac)  # x - floor(x): exact, == np.mod(x, 1)
-    anchor = frac[..., :1].copy()
-    np.subtract(frac, anchor, out=frac)
-    np.add(frac, 1.0, out=frac, where=frac < 0.0)  # wrap (-1, 1) into [0, 1)
-    np.multiply(frac, float(_NANO), out=frac)
-    np.rint(frac, out=frac)
-    nano = frac.astype(np.int64)
-    nano[nano == _NANO] = 0  # a delta that rounded to a full cycle is zero
+    whole = np.floor(p)
+    frac = p - whole
+    frac -= frac[..., :1].copy()
+    frac -= np.floor(frac, out=whole)
+    frac *= float(_NANO)
+    nano = np.rint(frac, out=frac).astype(np.int64)
+    nano[nano == _NANO] = 0
     return nano
 
 
@@ -311,9 +314,16 @@ def build_near_field_codebook(
     offsets = np.concatenate(([0], np.cumsum(s_r - first_col)))
     keys = np.empty(offsets[-1], dtype=np.uint64)
 
+    chunk_rows = max(1, _CHUNK_ELEMENTS // dims.n)
+
     def fill_block(i: int) -> None:
-        block = dist_g[i, np.newaxis, :] + dist_r[first_col[i] :]
-        keys[offsets[i] : offsets[i + 1]] = _hash_reduced(reduced_profile(block))
+        # Row i in chunks of chunk_rows columns, summed into one buffer.
+        block = np.empty((min(chunk_rows, s_r - first_col[i]), dims.n))
+        for col in range(first_col[i], s_r, chunk_rows):
+            part = block[: min(chunk_rows, s_r - col)]
+            np.add(dist_g[i], dist_r[col : col + len(part)], out=part)
+            start = offsets[i] + (col - first_col[i])
+            keys[start : start + len(part)] = _hash_reduced(reduced_profile(part))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -8,6 +8,7 @@ from xlris.channel import ChannelRealization, complex_normal, sample_near_field_
 from xlris.codebook import (
     NearFieldCodebook,
     SampleGrid,
+    _NANO,
     _hash_reduced,
     build_near_field_codebook,
     codeword_vector,
@@ -91,6 +92,39 @@ def planar_channel(phi: float, psi: float, dims: ArrayDims) -> SimpleNamespace:
 def codeword_key(profile) -> int:
     """The 64-bit dedup key a codebook stores for one distance profile."""
     return int(_hash_reduced(reduced_profile(profile)))
+
+
+def reference_reduced_profile(profile) -> np.ndarray:
+    """The canonical form `reduced_profile` must equal bitwise; wraps by a masked add."""
+    p = np.asarray(profile, dtype=np.float64)
+    frac = np.floor(p)
+    np.subtract(p, frac, out=frac)  # x - floor(x): exact, == np.mod(x, 1)
+    anchor = frac[..., :1].copy()
+    np.subtract(frac, anchor, out=frac)
+    np.add(frac, 1.0, out=frac, where=frac < 0.0)  # wrap (-1, 1) into [0, 1)
+    np.multiply(frac, float(_NANO), out=frac)
+    np.rint(frac, out=frac)
+    nano = frac.astype(np.int64)
+    nano[nano == _NANO] = 0  # a delta that rounded to a full cycle is zero
+    return nano
+
+
+def reference_keys(grid_g, grid_r, dims) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair the build sweeps, in sweep order, and its key, one whole row at a time.
+
+    Uses the masked-add canonical form. Returns (swept, keys): `swept[k]` is
+    the (g, r) index pair at sweep position k and `keys[k]` its key.
+    """
+    dist_g = element_distances(grid_g.points(), dims)
+    dist_r = element_distances(grid_r.points(), dims)
+    s_r = len(dist_r)
+    swept, keys = [], []
+    for i in range(len(dist_g)):
+        first = i if grid_g == grid_r else 0
+        block = dist_g[i, np.newaxis, :] + dist_r[first:]
+        keys.append(_hash_reduced(reference_reduced_profile(block)))
+        swept.append(np.column_stack([np.full(s_r - first, i), np.arange(first, s_r)]))
+    return np.concatenate(swept), np.concatenate(keys)
 
 
 def find_row(table, scheme: str, sweep_value: float):

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import sys
 import time
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlris import codebook
+from xlris.cli import main
 from xlris.codebook import (
     CodebookFileError,
     SampleGrid,
@@ -29,9 +31,18 @@ from xlris.geometry import (
     far_field_steering,
 )
 
-from support import codeword_key, reference_responses, vector
+from support import (
+    codeword_key,
+    reference_keys,
+    reference_reduced_profile,
+    reference_responses,
+    vector,
+)
 
 DIMS = ArrayDims(8, 2, 0.5)
+# Multiples of 2**-10 below 2**10: sums of two of them, or of one and an
+# integer below 2**10, are exact in float64.
+DYADIC = st.integers(-(1 << 20) + 1, (1 << 20) - 1).map(lambda k: k / 1024.0)
 
 
 def generic_line_grid(s, step=1.137):
@@ -151,6 +162,44 @@ class TestCanonicalKey:
         reduced_profile(profile)
         assert np.array_equal(profile, before)
 
+    @given(profile=st.lists(DYADIC, min_size=1, max_size=8).map(np.array), offset=DYADIC)
+    @example(profile=np.array([-0.0, 0.5, 0.75]), offset=0.25)
+    @example(profile=np.array([3.0, -7.0, 12.0]), offset=-0.0)
+    # The last delta rounds to a full cycle, which must read as zero.
+    @example(profile=np.array([0.0, -(2.0**-40), 1.0 - 2.0**-40]), offset=5.5)
+    def test_global_offset_keeps_the_form(self, profile, offset):
+        form = reduced_profile(profile)
+        assert form[0] == 0 and form.min() >= 0 and form.max() < 1_000_000_000
+        assert np.array_equal(reduced_profile(profile + offset), form)
+        assert np.array_equal(form, reference_reduced_profile(profile))
+
+    @given(elements=st.lists(st.tuples(DYADIC, st.integers(-1023, 1023)), min_size=1, max_size=8))
+    @example(elements=[(-0.0, 3), (0.5, -1)])
+    @example(elements=[(2.0, 5), (-9.0, -4), (0.0, 1)])
+    @example(elements=[(0.25, 0), (0.25 - 2.0**-40, 7)])  # a full cycle after rounding
+    def test_whole_cycle_shifts_keep_the_form(self, elements):
+        profile, shifts = (np.array(column, dtype=np.float64) for column in zip(*elements))
+        form = reduced_profile(profile)
+        assert np.array_equal(reduced_profile(profile + shifts), form)
+        assert np.array_equal(form, reference_reduced_profile(profile))
+
+    @given(
+        a=st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=3, max_size=3),
+        b=st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=3, max_size=3),
+    )
+    @example(a=[0.25, 1.5, 3.75], b=[1.5, 2.75, 5.0])
+    @example(a=[0.25, 1.5, 3.75], b=[0.25, 1.5, 3.5])
+    def test_equal_keys_iff_equal_forms(self, a, b):
+        same_form = np.array_equal(reduced_profile(a), reduced_profile(b))
+        assert (codeword_key(a) == codeword_key(b)) == same_form
+
+    def test_key_powers_are_read_only(self):
+        powers = codebook._key_powers(DIMS.n)
+        with pytest.raises(ValueError, match="read-only"):
+            powers[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(powers, 2, out=powers)
+
 
 class TestFarFieldCodebook:
     def test_two_element_angles(self):
@@ -266,6 +315,37 @@ class TestNearFieldBuild:
             assert np.array_equal(cb.pairs, ref_pairs)
             assert np.array_equal(cb.keys, ref_keys)
             assert cb.pre_dedup_pairs == ref_pre
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_g=small_grids(), grid_r=small_grids(), square=st.booleans())
+    def test_chunked_sweep_keeps_the_whole_row_keys(self, grid_g, grid_r, square):
+        grid_r = grid_g if square else grid_r
+        swept, ref_keys = reference_keys(grid_g, grid_r, DIMS)
+        dist_g = element_distances(grid_g.points(), DIMS)
+        dist_r = element_distances(grid_r.points(), DIMS)
+        kept = codebook._first_distinct(
+            ref_keys,
+            lambda flat: reference_reduced_profile(dist_g[swept[flat, 0]] + dist_r[swept[flat, 1]]),
+            1,
+        )
+        # Chunks of 1 or 3 rows, so chunk edges fall inside rows.
+        for chunk in (DIMS.n, 3 * DIMS.n, 3 * DIMS.n + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
+                for threads in (1, 2):
+                    cb = build_near_field_codebook(grid_g, grid_r, DIMS, threads=threads)
+                    assert np.array_equal(cb.pairs, swept[kept])
+                    assert np.array_equal(cb.keys, ref_keys[kept])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_paper_cache_file_bytes_are_pinned(self, tmp_path, capsys, threads):
+        assert main(["codebook", "build", "--config", "paper", "--threads", str(threads),
+                     "--cache", str(tmp_path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "xlrc_720a8542c4419ec9.bin"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a2e617bb2b9c7556f88134ae3d0a5d094f1bfc5672f24af75fc04ba498c43253"
+        )
 
     @pytest.mark.parametrize("square", [True, False])
     def test_equal_grids_hash_only_the_upper_triangle(self, monkeypatch, square):

@@ -227,6 +227,16 @@ class TestSweepOverhead:
             coarse = find_row(table, scheme, 25.0).mean
             assert coarse < fine
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        cfg=small_sweep_configs(),
+        steps=st.lists(st.sampled_from([1.5, 2.5, 4.0]), min_size=1, max_size=3, unique=True),
+    )
+    def test_threads_do_not_change_the_csv(self, cfg, steps):
+        cfg = dataclasses.replace(cfg, step_sweep=tuple(steps))
+        want = sweep_overhead(cfg).to_csv_text().encode()
+        assert sweep_overhead(cfg, threads=2).to_csv_text().encode() == want
+
     def test_seed_independent(self):
         a = sweep_overhead(MINI)
         b = sweep_overhead(ExperimentConfig(
