@@ -1,15 +1,16 @@
 """Cascaded channel synthesis.
 
-The base station side is collapsed into an effective transmitted symbol, so
-a channel realization is just the length-N cascaded vector seen by the
-reflecting array, scaled by the product of the two hop gains. Each
-realization carries the scatter-point pair that generated it. The per-slot
-training observation r = theta^T h_bar s_bar + n is
+The base station side is collapsed into a unit effective transmitted
+symbol, so a channel realization is just the length-N cascaded vector seen
+by the reflecting array, scaled by the product of the two hop gains, and
+the SNR is 1/sigma2. Each realization carries the scatter-point pair that
+generated it. The per-slot training observation r = theta^T h_bar + n is
 `training.select_codeword`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +20,29 @@ from .geometry import ArrayDims, Box3, FieldError, Point3, cascaded_steering
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Array dims, the two scatter boxes and the effective transmitted symbol."""
+    """Array dims and the two scatter boxes.
+
+    Each box lies in front of the array (y_min > 0) and near enough that
+    every element's distance to every point of it is a finite float.
+    """
 
     dims: ArrayDims
     box_g: Box3
     box_r: Box3
-    s_bar: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
+        # The corner elements sit (n - 1)/2 spacings from the center on each axis.
+        half_x, half_z = ((n - 1) / 2.0 * self.dims.d for n in (self.dims.n1, self.dims.n2))
         for side, box in (("g", self.box_g), ("r", self.box_r)):
             if not box.y[0] > 0:
                 msg = f"scatter box ({side}-side) must have y_min > 0, got {box.y[0]}"
                 raise FieldError(f"box_{side}.y", msg)
+            # Per axis, the farthest element and box point are at opposite corners.
+            dx = max(abs(box.x[0]), abs(box.x[1])) + half_x
+            dz = max(abs(box.z[0]), abs(box.z[1])) + half_z
+            if not math.isfinite(dx * dx + box.y[1] * box.y[1] + dz * dz):
+                msg = f"element distances to the scatter box ({side}-side) overflow a float"
+                raise FieldError(f"box_{side}", msg)
 
 
 @dataclass(frozen=True)

@@ -157,14 +157,12 @@ def cmd_train(args) -> int:
 
     if args.scheme == SCHEME_EXHAUSTIVE:
         cb, _ = _near_codebook(cfg, _cache_file(_cache_dir(args), cfg))
-        result = exhaustive_training(cb, ch, cfg.scene.s_bar, sigma2, rng)
+        result = exhaustive_training(cb, ch, sigma2, rng)
     elif args.scheme == SCHEME_FAR_FIELD:
         cb = far_field_codebook(dims)
-        result = exhaustive_training(cb, ch, cfg.scene.s_bar, sigma2, rng)
+        result = exhaustive_training(cb, ch, sigma2, rng)
     else:
-        result = hierarchical_training(
-            cfg.hierarchical_config(), dims, ch, cfg.scene.s_bar, sigma2, rng
-        )
+        result = hierarchical_training(cfg.hierarchical_config(), dims, ch, sigma2, rng)
 
     theta = codeword_vector(result.best_codeword, dims)
     report = {
@@ -174,7 +172,7 @@ def cmd_train(args) -> int:
         "best_index": result.best_index,
         "best_amplitude": result.best_amplitude,
         "slots_used": result.slots_used,
-        "achievable_rate": achievable_rate(theta, ch, cfg.scene.s_bar, sigma2),
+        "achievable_rate": achievable_rate(theta, ch, sigma2),
     }
     if result.per_stage is not None:
         report["per_stage"] = [dataclasses.asdict(s) for s in result.per_stage]
@@ -191,7 +189,7 @@ def cmd_sweep(args) -> int:
         near_cb = None
         if SCHEME_EXHAUSTIVE in cfg.schemes:
             near_cb, _ = _near_codebook(cfg, _cache_file(_cache_dir(args), cfg), args.threads)
-        table = sweep_snr(cfg, threads=args.threads, near_codebook=near_cb)
+        table = sweep_snr(cfg, near_codebook=near_cb)
         stem = "snr_results"
     else:
         table = sweep_overhead(cfg, threads=args.threads)

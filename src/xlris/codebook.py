@@ -79,8 +79,8 @@ class SampleGrid:
     step: float
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValueError(f"grid step must be positive, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got {self.step}")
 
     def points(self) -> np.ndarray:
         """All grid points as an (S, 3) array, x-major, then y, then z."""
@@ -94,8 +94,8 @@ class SampleGrid:
 
 def axis_samples(lo: float, hi: float, step: float) -> np.ndarray:
     """Samples lo, lo+step, ... not exceeding hi (small float slop tolerated)."""
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
 

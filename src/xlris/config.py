@@ -27,18 +27,15 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {
     "array",
-    "bs_antennas",
     "scatter_g_d",
     "scatter_r_d",
     "sampling_step_d",
     "step_sweep_d",
     "hierarchical",
-    "effective_symbol",
     "schemes",
     "snr_grid_db",
     "trials",
     "seed",
-    "perfect_csi_literal_scaling",
 }
 _ARRAY_KEYS = {"n1", "n2", "spacing_wavelengths"}
 _BOX_KEYS = {"x", "y", "z"}
@@ -50,7 +47,9 @@ _FIELD_PATHS = {
     "n1": "array.n1",
     "n2": "array.n2",
     "d": "array.spacing_wavelengths",
+    "box_g": "scatter_g_d",
     "box_g.y": "scatter_g_d.y",
+    "box_r": "scatter_r_d",
     "box_r.y": "scatter_r_d.y",
     "sampling_step": "sampling_step_d",
     "step_sweep": "step_sweep_d",
@@ -128,14 +127,6 @@ def _parse_box(value, path: str, d: float) -> Box3:
     return _checked(Box3, x, y, z, path=path)
 
 
-def _parse_symbol(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_as_number(value, path), 0.0)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_as_number(value[0], path), _as_number(value[1], path))
-    raise ConfigError(f"{path} must be a number or an [re, im] pair, got {value!r}")
-
-
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file, resolving all defaults."""
     try:
@@ -163,13 +154,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         d=_as_number(_require(array, "spacing_wavelengths", "array"), "array.spacing_wavelengths"),
     )
     d = dims.d
-    scene = {
-        "dims": dims,
-        "box_g": _parse_box(_require(raw, "scatter_g_d", ""), "scatter_g_d", d),
-        "box_r": _parse_box(_require(raw, "scatter_r_d", ""), "scatter_r_d", d),
-    }
-    if "effective_symbol" in raw:
-        scene["s_bar"] = _parse_symbol(raw["effective_symbol"], "effective_symbol")
+    scene = _checked(
+        SceneConfig,
+        dims,
+        _parse_box(_require(raw, "scatter_g_d", ""), "scatter_g_d", d),
+        _parse_box(_require(raw, "scatter_r_d", ""), "scatter_r_d", d),
+    )
 
     step_d = _as_number(_require(raw, "sampling_step_d", ""), "sampling_step_d")
     # The one default kept here: it is in element spacings, the dataclass's in wavelengths.
@@ -183,8 +173,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("step_multiplier", "step_control"):
         if key in hier:
             fields[key] = _as_number(hier[key], f"hierarchical.{key}")
-    int_keys = {"trials": "trials", "seed": "master_seed", "bs_antennas": "bs_antennas"}
-    for key, field in int_keys.items():
+    for key, field in (("trials", "trials"), ("seed", "master_seed")):
         if key in raw:
             fields[field] = _as_int(raw[key], key)
     if "snr_grid_db" in raw:
@@ -193,12 +182,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not isinstance(raw["schemes"], list):
             raise ConfigError(f"schemes must be a list, got {raw['schemes']!r}")
         fields["schemes"] = tuple(raw["schemes"])
-    if "perfect_csi_literal_scaling" in raw:
-        if not isinstance(raw["perfect_csi_literal_scaling"], bool):
-            raise ConfigError("perfect_csi_literal_scaling must be a boolean")
-        fields["perfect_csi_literal_scaling"] = raw["perfect_csi_literal_scaling"]
 
-    return _checked(ExperimentConfig, scene=_checked(SceneConfig, **scene), **fields)
+    return _checked(ExperimentConfig, scene=scene, **fields)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -211,7 +196,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
     return {
         "array": {"n1": cfg.scene.dims.n1, "n2": cfg.scene.dims.n2, "spacing_wavelengths": d},
-        "bs_antennas": cfg.bs_antennas,
         "scatter_g_d": box_d(cfg.scene.box_g),
         "scatter_r_d": box_d(cfg.scene.box_r),
         "sampling_step_d": cfg.sampling_step / d,
@@ -221,12 +205,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "step_multiplier": cfg.step_multiplier,
             "step_control": cfg.step_control,
         },
-        "effective_symbol": [cfg.scene.s_bar.real, cfg.scene.s_bar.imag],
         "schemes": list(cfg.schemes),
         "snr_grid_db": list(cfg.snr_grid_db),
         "trials": cfg.trials,
         "seed": cfg.master_seed,
-        "perfect_csi_literal_scaling": cfg.perfect_csi_literal_scaling,
     }
 
 

@@ -62,8 +62,6 @@ class ExperimentConfig:
     step_control: float = 0.25
     trials: int = 200
     master_seed: int = 0
-    bs_antennas: int = 64  # reporting metadata only; the BS reduces to s_bar
-    perfect_csi_literal_scaling: bool = False
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -84,22 +82,23 @@ class ExperimentConfig:
                 snr_db_to_sigma2(snr_db)
             except ValueError as exc:
                 raise FieldError("snr_grid_db", str(exc)) from None
-        if not self.sampling_step > 0:
+        if not 0 < self.sampling_step < math.inf:
             raise FieldError(
-                "sampling_step", f"sampling step must be positive, got {self.sampling_step}"
+                "sampling_step",
+                f"sampling step must be positive and finite, got {self.sampling_step}",
             )
         if not self.step_sweep:
             raise FieldError("step_sweep", "step sweep must be nonempty")
         for s in self.step_sweep:
-            if not s > 0:
-                raise FieldError("step_sweep", f"step sweep values must be positive, got {s}")
+            if not 0 < s < math.inf:
+                raise FieldError(
+                    "step_sweep", f"step sweep values must be positive and finite, got {s}"
+                )
         if self.master_seed < 0:
             raise FieldError("master_seed", f"seed must be >= 0, got {self.master_seed}")
-        if self.bs_antennas < 1:
-            raise FieldError(
-                "bs_antennas", f"BS antenna count must be >= 1, got {self.bs_antennas}"
-            )
-        self.hierarchical_config()  # levels, step multiplier and step control
+        # levels, step multiplier and step control, at every step a sweep uses
+        for s in (self.sampling_step, *self.step_sweep):
+            self.hierarchical_config(s)
 
     def codebook_grids(self, sampling_step: float | None = None) -> tuple[SampleGrid, SampleGrid]:
         step = self.sampling_step if sampling_step is None else sampling_step
@@ -145,17 +144,15 @@ class ResultTable:
         return {"rows": [dataclasses.asdict(r) for r in self.rows], "config": config_dict}
 
 
-def achievable_rate(
-    theta: np.ndarray, ch: ChannelRealization, s_bar: complex, sigma2: float
-) -> float:
-    """log2(1 + |theta^T h_bar s_bar|^2 / sigma2), bits/s/Hz; no noise draw.
+def achievable_rate(theta: np.ndarray, ch: ChannelRealization, sigma2: float) -> float:
+    """log2(1 + |theta^T h_bar|^2 / sigma2), bits/s/Hz, at SNR 1/sigma2; no noise draw.
 
     Where the SNR gain^2 / sigma2 overflows a float (a subnormal sigma2), the
     rate is 2 log2(gain) - log2(sigma2), to which the formula then rounds.
     """
     if not sigma2 > 0:
         raise ValueError(f"rate is undefined for sigma2 <= 0, got {sigma2}")
-    gain = abs(complex(np.asarray(theta) @ ch.h_bar) * complex(s_bar))
+    gain = abs(complex(np.asarray(theta) @ ch.h_bar))
     snr = gain * gain / sigma2
     if math.isinf(snr):
         return float(2.0 * math.log2(gain) - math.log2(sigma2))
@@ -213,26 +210,22 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
             noise_seed = streams[1 + si]
             if scheme == SCHEME_PERFECT_CSI:
                 theta = perfect_csi_beamforming(ch)
-                if cfg.perfect_csi_literal_scaling:
-                    theta = theta / np.sqrt(dims.n)
                 for k, sigma2 in enumerate(sigma2s):
-                    rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
+                    rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
             elif scheme == SCHEME_HIERARCHICAL:
                 codebooks = {stage1_grids: stage1_cb}  # this trial's memo, dropped with it
                 for k, sigma2 in enumerate(sigma2s):
                     rng = np.random.default_rng(noise_seed)
-                    result = hierarchical_training(
-                        hcfg, dims, ch, scene.s_bar, sigma2, rng, codebooks
-                    )
+                    result = hierarchical_training(hcfg, dims, ch, sigma2, rng, codebooks)
                     theta = codeword_vector(result.best_codeword, dims)
-                    rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
+                    rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
             else:
                 cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_cb
                 rng = np.random.default_rng(noise_seed)
-                picks = select_codeword(cb.responses(ch.h_bar), scene.s_bar, sigma2s, rng)
+                picks = select_codeword(cb.responses(ch.h_bar), sigma2s, rng)
                 for k, (sigma2, (idx, _)) in enumerate(zip(sigma2s, picks)):
                     theta = codeword_vector(cb.codeword(idx), dims)
-                    rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
+                    rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
 
     table = ResultTable()
     for scheme in cfg.schemes:

@@ -40,6 +40,15 @@ class ArrayDims:
                 raise FieldError(name, f"element count must be >= 1, got {name}={count}")
         if not self.d > 0:
             raise FieldError("d", f"element spacing must be positive, got d={self.d}")
+        # the corner elements sit (n - 1)/2 spacings from the center on each axis
+        try:
+            extent = (max(self.n1, self.n2) - 1) / 2.0 * self.d
+        except OverflowError:  # a count too large for a float
+            extent = np.inf
+        if not extent < np.inf:
+            raise FieldError(
+                "d", f"element coordinates overflow a float: n1={self.n1}, n2={self.n2}, d={self.d}"
+            )
 
     @property
     def n(self) -> int:

@@ -70,8 +70,15 @@ class HierarchicalConfig:
             raise FieldError(
                 "step_control", f"step control must lie in (0, 1), got {self.step_control}"
             )
-        if not self.base_step > 0:
-            raise FieldError("base_step", f"base step must be positive, got {self.base_step}")
+        if not 0 < self.base_step < math.inf:
+            raise FieldError(
+                "base_step", f"base step must be positive and finite, got {self.base_step}"
+            )
+        if not self.steps()[0] < math.inf:
+            raise FieldError(
+                "step_multiplier",
+                f"level 1 step {self.step_multiplier} * {self.base_step} is not a finite float",
+            )
 
     def steps(self) -> list[float]:
         """The sampling step of each level, level 1 first."""
@@ -87,20 +94,20 @@ class HierarchicalConfig:
 
 def select_codeword(
     responses: np.ndarray,
-    s_bar: complex,
     sigma2s: Sequence[float],
     rng: np.random.Generator,
 ) -> list[tuple[int, float]]:
     """Observe every slot once per noise power and pick the loudest: argmax |r_l|.
 
-    At noise power sigma2, slot l observes r_l = responses[l] * s_bar +
+    At noise power sigma2, slot l observes r_l = responses[l] +
     sqrt(sigma2) * z_l, where responses[l] is the noiseless theta_l^T h_bar
-    and z is one unit CN(0, 1) vector drawn from `rng` and shared by every
-    sigma2 in `sigma2s`, each finite and >= 0; nothing is drawn when every
-    sigma2 is 0. Returns one (winning index, winning noisy amplitude) per
-    sigma2, in order, so one call equals a call per sigma2 that each restart
-    `rng` from the same state. np.argmax keeps the first maximum, which
-    implements the earliest-index tie break.
+    (the transmitted symbol is 1, so the SNR is 1/sigma2) and z is one unit
+    CN(0, 1) vector drawn from `rng` and shared by every sigma2 in
+    `sigma2s`, each finite and >= 0; nothing is drawn when every sigma2 is
+    0. Returns one (winning index, winning noisy amplitude) per sigma2, in
+    order, so one call equals a call per sigma2 that each restart `rng` from
+    the same state. np.argmax keeps the first maximum, which implements the
+    earliest-index tie break.
     """
     responses = np.asarray(responses)
     if responses.size == 0:
@@ -108,7 +115,7 @@ def select_codeword(
     for sigma2 in sigma2s:
         if not 0 <= sigma2 < math.inf:
             raise ValueError(f"noise power must be nonnegative and finite, got {sigma2}")
-    clean = responses.ravel() * complex(s_bar)
+    clean = responses.ravel()
     amps = np.empty(clean.size, dtype=np.float64)
     if any(sigma2 > 0 for sigma2 in sigma2s):
         unit = complex_normal(rng, clean.size)
@@ -132,12 +139,11 @@ def select_codeword(
 def exhaustive_training(
     cb,
     ch: ChannelRealization,
-    s_bar: complex,
     sigma2: float,
     rng: np.random.Generator,
 ) -> TrainingResult:
     """Measure every codeword once and return the loudest slot."""
-    [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), s_bar, [sigma2], rng)
+    [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), [sigma2], rng)
     return TrainingResult(
         best_index=idx,
         best_amplitude=amp,
@@ -163,7 +169,6 @@ def hierarchical_training(
     hcfg: HierarchicalConfig,
     dims: ArrayDims,
     ch: ChannelRealization,
-    s_bar: complex,
     sigma2: float,
     rng: np.random.Generator,
     codebooks: dict[tuple[SampleGrid, SampleGrid], NearFieldCodebook] | None = None,
@@ -194,7 +199,7 @@ def hierarchical_training(
         cb = codebooks.get(grids)
         if cb is None:
             cb = codebooks[grids] = build_near_field_codebook(*grids, dims)
-        [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), s_bar, [sigma2], rng)
+        [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), [sigma2], rng)
         slots += cb.size
         traces.append(StageResult(level=level, codebook_size=cb.size, best_index=idx))
         if level < hcfg.levels:

@@ -154,20 +154,20 @@ def reference_responses(cb, h_bar: np.ndarray) -> np.ndarray:
     return ((u_g * h_bar[np.newaxis, :]) @ u_r.T)[cb.pairs[:, 0], cb.pairs[:, 1]]
 
 
-def reference_select(responses: np.ndarray, s_bar: complex, sigma2: float, rng) -> int:
-    """argmax |responses * s_bar + n| with n a fresh CN(0, sigma2) draw; no draw at sigma2 = 0."""
-    r = responses * complex(s_bar)
+def reference_select(responses: np.ndarray, sigma2: float, rng) -> int:
+    """argmax |responses + n| with n a fresh CN(0, sigma2) draw; no draw at sigma2 = 0."""
+    r = responses
     if sigma2 > 0:
         r = r + complex_normal(rng, responses.size) * np.sqrt(sigma2)
     return int(np.argmax(np.abs(r)))
 
 
-def reference_hierarchical(hcfg, dims, ch, s_bar: complex, sigma2: float, rng):
+def reference_hierarchical(hcfg, dims, ch, sigma2: float, rng):
     """The winning codeword of a hierarchical search that builds every level afresh."""
     box_g, box_r = hcfg.box_g, hcfg.box_r
     for level, step in enumerate(hcfg.steps(), start=1):
         cb = build_near_field_codebook(SampleGrid(box_g, step), SampleGrid(box_r, step), dims)
-        idx = reference_select(reference_responses(cb, ch.h_bar), s_bar, sigma2, rng)
+        idx = reference_select(reference_responses(cb, ch.h_bar), sigma2, rng)
         if level < hcfg.levels:
             ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
             box_g, box_r = ref_g.clip(hcfg.box_g), ref_r.clip(hcfg.box_r)
@@ -194,18 +194,16 @@ def reference_sweep_snr(cfg) -> ResultTable:
                 rng = np.random.default_rng(streams[1 + si])
                 if scheme == SCHEME_PERFECT_CSI:
                     theta = perfect_csi_beamforming(ch)
-                    if cfg.perfect_csi_literal_scaling:
-                        theta = theta / np.sqrt(dims.n)
                 elif scheme == SCHEME_HIERARCHICAL:
                     hcfg = cfg.hierarchical_config()
-                    cw = reference_hierarchical(hcfg, dims, ch, scene.s_bar, sigma2, rng)
+                    cw = reference_hierarchical(hcfg, dims, ch, sigma2, rng)
                     theta = codeword_vector(cw, dims)
                 else:
                     cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_field_codebook(dims)
                     responses = reference_responses(cb, ch.h_bar)
-                    idx = reference_select(responses, scene.s_bar, sigma2, rng)
+                    idx = reference_select(responses, sigma2, rng)
                     theta = codeword_vector(cb.codeword(idx), dims)
-                rates[scheme][k, t] = achievable_rate(theta, ch, scene.s_bar, sigma2)
+                rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
     table = ResultTable()
     for scheme in cfg.schemes:
         for k, snr in enumerate(cfg.snr_grid_db):

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xlris.channel import SceneConfig, sample_near_field_channel
 from xlris.codebook import far_field_codebook
-from xlris.geometry import ArrayDims, Box3, Point3, far_field_steering
+from xlris.geometry import (
+    ArrayDims,
+    Box3,
+    FieldError,
+    Point3,
+    element_distances,
+    far_field_steering,
+)
 from xlris.training import select_codeword
 
 from support import box_contains
@@ -59,35 +68,72 @@ class TestSampling:
         with pytest.raises(ValueError):
             SceneConfig(DIMS, BOX, Box3((-1, 1), (-3.0, 5), (-1, 1)))
 
+    @pytest.mark.parametrize("side", ["g", "r"])
+    def test_element_distances_must_be_finite(self, side):
+        # every coordinate is finite, but its square overflows a float
+        far = Box3((-1, 1), (1.0, 1e200), (-1, 1))
+        boxes = {"box_g": BOX, "box_r": BOX, f"box_{side}": far}
+        with pytest.raises(FieldError, match="overflow") as exc:
+            SceneConfig(DIMS, **boxes)
+        assert exc.value.field == f"box_{side}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n1=st.integers(1, 64),
+        n2=st.integers(1, 8),
+        d=st.floats(-3, 156).map(lambda e: 10.0**e),
+        magnitudes=st.lists(st.floats(-3, 156).map(lambda e: 10.0**e), min_size=5, max_size=5),
+        signs=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    # a small box beside an array whose corner element alone is too far, on x, then on z
+    @example(n1=64, n2=1, d=1e153, magnitudes=[1.0] * 5, signs=[False, True, False, True])
+    @example(n1=1, n2=8, d=1e154, magnitudes=[1.0] * 5, signs=[False, True, False, True])
+    def test_accepted_iff_every_corner_distance_is_finite(self, n1, n2, d, magnitudes, signs):
+        # around 1.3e154 a squared coordinate overflows, so both outcomes occur
+        x0, x1, y1, z0, z1 = magnitudes
+        x = sorted(v if s else -v for v, s in zip((x0, x1), signs[:2]))
+        z = sorted(v if s else -v for v, s in zip((z0, z1), signs[2:]))
+        box = Box3(tuple(x), (1e-3, max(y1, 1e-3)), tuple(z))
+        dims = ArrayDims(n1, n2, d)
+        corners = [[cx, cy, cz] for cx in x for cy in box.y for cz in z]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = bool(np.isfinite(element_distances(corners, dims)).all())
+        try:
+            SceneConfig(dims, box, BOX)
+        except FieldError as exc:
+            assert exc.field == "box_g" and not finite
+        else:
+            assert finite
+
 
 class TestReceivedSignal:
-    """The per-slot observation r = theta^T h_bar s_bar + n, as select_codeword runs it."""
+    """The per-slot observation r = theta^T h_bar + n, as select_codeword runs it."""
 
     def test_coherent_sum_reaches_n(self):
         rng = np.random.default_rng(5)
         ch = sample_near_field_channel(SCENE, rng)
         theta = np.conj(ch.steering_part())
-        [(_, amp)] = select_codeword(np.array([theta @ ch.h_bar]), 1.0, [0.0], rng)
+        [(_, amp)] = select_codeword(np.array([theta @ ch.h_bar]), [0.0], rng)
         assert amp == pytest.approx(DIMS.n * abs(ch.alpha), rel=1e-12)
 
     def test_orthogonal_toy_cancels(self):
         dims = ArrayDims(2, 1, 0.5)
         h_bar = far_field_steering(0.5, 0.0, dims)  # [1, -1]
         response = np.array([1.0, 1.0]) @ h_bar
-        [(_, amp)] = select_codeword(np.array([response]), 1.0, [0.0], np.random.default_rng(0))
+        [(_, amp)] = select_codeword(np.array([response]), [0.0], np.random.default_rng(0))
         assert amp < 1e-12
 
     def test_pure_noise_variance_monte_carlo(self):
         rng = np.random.default_rng(99)
         draws = 100_000
-        amps = np.array([select_codeword(np.zeros(1), 1.0, [1.0], rng)[0][1] for _ in range(draws)])
+        amps = np.array([select_codeword(np.zeros(1), [1.0], rng)[0][1] for _ in range(draws)])
         assert np.mean(amps**2) == pytest.approx(1.0, abs=0.05)
 
     def test_no_noise_draw_when_sigma2_zero(self):
         rng = np.random.default_rng(1)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(8))
         before = rng.bit_generator.state["state"]["state"]
-        select_codeword(np.array([np.ones(DIMS.n) @ ch.h_bar]), 1.0, [0.0, 0.0], rng)
+        select_codeword(np.array([np.ones(DIMS.n) @ ch.h_bar]), [0.0, 0.0], rng)
         assert rng.bit_generator.state["state"]["state"] == before
 
     def test_length_mismatch_rejected(self):
@@ -100,10 +146,10 @@ class TestReceivedSignal:
         for _ in range(50):
             ch = sample_near_field_channel(SCENE, rng)
             thetas = np.exp(2j * np.pi * rng.uniform(0, 1, (8, DIMS.n)))
-            [(_, amp)] = select_codeword(thetas @ ch.h_bar, 1.0, [0.0], rng)
+            [(_, amp)] = select_codeword(thetas @ ch.h_bar, [0.0], rng)
             assert amp <= DIMS.n * abs(ch.alpha) * (1 + 1e-12)
 
     def test_negative_noise_power_rejected(self):
         for bad in (-0.1, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="noise power"):
-                select_codeword(np.ones(3), 1.0, [0.5, bad], np.random.default_rng(0))
+                select_codeword(np.ones(3), [0.5, bad], np.random.default_rng(0))

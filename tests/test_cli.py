@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlris import codebook
-from xlris.channel import sample_near_field_channel
 from xlris.cli import main
 from xlris.config import (
     ConfigError,
@@ -19,8 +18,6 @@ from xlris.config import (
     parse_config,
     resolve_config_path,
 )
-from xlris.experiments import SCHEME_PERFECT_CSI, achievable_rate, snr_db_to_sigma2
-from xlris.training import perfect_csi_beamforming
 
 TINY = {
     "array": {"n1": 8, "n2": 2, "spacing_wavelengths": 0.5},
@@ -81,8 +78,8 @@ class TestParseConfig:
         assert cfg.scene.box_g.x == (-600.0, 600.0)
         assert cfg.scene.box_g.y == (5.0, 100.0)
         assert cfg.scene.box_g.z == (-200.0, 200.0)
-        assert cfg.scene.s_bar == 1.0 + 0.0j
-        assert cfg.bs_antennas == 64
+        # the file spells out every setting of the resolved form, and nothing else
+        assert set(json.loads(builtin_config_path("paper").read_text())) == set(config_to_dict(cfg))
 
     def test_shipped_desk_config_is_quarter_scale(self):
         cfg = parse_config(builtin_config_path("desk"))
@@ -139,10 +136,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="scatter_g_d.z"):
             parse_config(path)
 
-    def test_complex_symbol_forms(self):
-        cfg = config_from_dict({**TINY, "effective_symbol": [0.0, 1.0]})
-        assert cfg.scene.s_bar == 1j
-
     def test_defaults_resolved(self):
         raw = {k: v for k, v in TINY.items() if k in
                ("array", "scatter_g_d", "scatter_r_d", "sampling_step_d")}
@@ -169,7 +162,6 @@ class TestParseConfig:
             ({"schemes": ["sideways"]}, "schemes"),
             ({"trials": 0}, "trials"),
             ({"seed": -1}, "seed"),
-            ({"bs_antennas": 0}, "bs_antennas"),
         ],
     )
     def test_dataclass_range_check_names_the_key(self, overrides, path):
@@ -439,8 +431,6 @@ class TestCli:
             {"sampling_step_d": math.inf},
             {"snr_grid_db": [-5, math.nan]},
             {"snr_grid_db": [math.inf]},
-            {"effective_symbol": math.nan},
-            {"effective_symbol": [1.0, -math.inf]},
         ],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, overrides):
@@ -455,24 +445,76 @@ class TestCli:
         assert "schemes" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_literal_scaling_rates_use_theta_over_sqrt_n(self, tmp_path, capsys):
-        overrides = {"schemes": [SCHEME_PERFECT_CSI], "perfect_csi_literal_scaling": True}
-        cfg_path = write_config(tmp_path, overrides)
-        assert main(["sweep", "snr", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-        rows = (tmp_path / "snr_results.csv").read_text().strip().split("\n")[1:]
-        cfg = parse_config(cfg_path)
-        assert cfg.perfect_csi_literal_scaling
-        # independent recomputation from the per-trial construction
-        trial_seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
-        thetas, channels = [], []
-        for seeds in trial_seeds:
-            ch = sample_near_field_channel(cfg.scene, np.random.default_rng(seeds.spawn(2)[0]))
-            thetas.append(perfect_csi_beamforming(ch) / math.sqrt(cfg.scene.dims.n))
-            channels.append(ch)
-        assert len(rows) == len(cfg.snr_grid_db)
-        for row, snr in zip(rows, cfg.snr_grid_db):
-            sigma2 = snr_db_to_sigma2(snr)
-            rates = [
-                achievable_rate(t, ch, cfg.scene.s_bar, sigma2) for t, ch in zip(thetas, channels)
-            ]
-            assert float(row.split(",")[3]) == pytest.approx(np.mean(rates), rel=1e-12)
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("effective_symbol", 1.0),
+            ("effective_symbol", math.nan),
+            ("effective_symbol", [1.0, -math.inf]),
+            ("bs_antennas", 64),
+            ("perfect_csi_literal_scaling", False),
+        ],
+        ids=["effective_symbol", "effective_symbol-nan", "effective_symbol-inf", "bs_antennas",
+             "perfect_csi_literal_scaling"],
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, key, value):
+        # SNR is 1/sigma2 with a unit transmit symbol; the SNR grid is the one link-budget knob
+        cfg = write_config(tmp_path, {key: value})
+        assert main(["sweep", "snr", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"unknown key: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,command,key",
+        [
+            (
+                {"array": {"n1": 8, "n2": 2, "spacing_wavelengths": 2.0}, "sampling_step_d": 1e308},
+                ["codebook", "build"],
+                "sampling_step_d",
+            ),
+            (
+                {"array": {"n1": 8, "n2": 2, "spacing_wavelengths": 2.0}, "step_sweep_d": [1e308]},
+                ["sweep", "step"],
+                "step_sweep_d",
+            ),
+            (
+                {"hierarchical": {"step_multiplier": 1e308}},
+                ["train", "--scheme", "near-field-hierarchical"],
+                "hierarchical.step_multiplier",
+            ),
+            (
+                # finite at the sampling step, but not at the last step of the sweep
+                {"hierarchical": {"step_multiplier": 1e300}, "step_sweep_d": [8, 1e10]},
+                ["sweep", "step"],
+                "hierarchical.step_multiplier",
+            ),
+            (
+                {
+                    "array": {"n1": 128, "n2": 4, "spacing_wavelengths": 1e307},
+                    "scatter_g_d": {"x": [-3, 3], "y": [1, 5], "z": [-2, 2]},
+                    "scatter_r_d": {"x": [-3, 3], "y": [1, 5], "z": [-2, 2]},
+                },
+                ["sweep", "snr"],
+                "array.spacing_wavelengths",
+            ),
+            (
+                {"scatter_r_d": {"x": [-40, 40], "y": [4, 1e200], "z": [-16, 16]}},
+                ["sweep", "snr"],
+                "scatter_r_d",
+            ),
+        ],
+        ids=["sampling-step", "step-sweep", "hierarchy-step", "hierarchy-step-sweep",
+             "element-coordinates", "box-distances"],
+    )
+    def test_length_that_overflows_to_infinity_exits_2(
+        self, tmp_path, capsys, overrides, command, key
+    ):
+        # each number is finite in the file, but a length derived from it is not
+        cfg = write_config(tmp_path, overrides)
+        argv = [*command, "--config", str(cfg)]
+        if command[0] != "train":
+            argv += ["--out", str(tmp_path / "run"), "--cache", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "cache").exists()

@@ -131,6 +131,13 @@ class TestGridEnumeration:
         with pytest.raises(ValueError):
             SampleGrid(Box3((0, 1), (0, 1), (0, 1)), 0.0)
 
+    @pytest.mark.parametrize("step", [float("inf"), float("nan")])
+    def test_step_must_be_finite(self, step):
+        with pytest.raises(ValueError, match="finite"):
+            SampleGrid(Box3((0, 1), (0, 1), (0, 1)), step)
+        with pytest.raises(ValueError, match="finite"):
+            axis_samples(0.0, 1.0, step)
+
 
 class TestCanonicalKey:
     def test_constant_offset_shares_key(self):

@@ -65,31 +65,31 @@ def small_sweep_configs(draw):
 class TestAchievableRate:
     def test_unit_gain_unit_noise_is_one_bit(self):
         ch = planar_channel(0.0, 0.0, ArrayDims(1, 1, 0.5))
-        assert achievable_rate(np.ones(1), ch, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert achievable_rate(np.ones(1), ch, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_gain_is_zero(self):
         ch = planar_channel(0.5, 0.0, ArrayDims(2, 1, 0.5))  # h = [1, -1]
-        assert achievable_rate(np.array([1.0, 1.0]), ch, 1.0, 1.0) == pytest.approx(0.0, abs=1e-9)
+        assert achievable_rate(np.array([1.0, 1.0]), ch, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_full_scale_perfect_csi_formula(self):
         dims = ArrayDims(128, 4, 0.5)
         ch = near_field_channel(Point3(30.0, 12.0, -5.0), Point3(-80.0, 40.0, 9.0), dims)
-        rate = achievable_rate(perfect_csi_beamforming(ch), ch, 1.0, 1.0)
+        rate = achievable_rate(perfect_csi_beamforming(ch), ch, 1.0)
         assert rate == pytest.approx(math.log2(1 + 512.0**2), rel=1e-9)
 
     def test_sigma2_zero_rejected(self):
         ch = planar_channel(0.0, 0.0, ArrayDims(1, 1, 0.5))
         with pytest.raises(ValueError):
-            achievable_rate(np.ones(1), ch, 1.0, 0.0)
+            achievable_rate(np.ones(1), ch, 0.0)
 
     def test_overflowing_snr_falls_back_to_log_form(self):
         ch = planar_channel(0.0, 0.0, ArrayDims(4, 2, 0.5))  # gain 8 with theta = 1
         sigma2 = snr_db_to_sigma2(3200.0)  # subnormal: 64 / sigma2 overflows
         assert math.isinf(64.0 / sigma2)
-        rate = achievable_rate(np.ones(8), ch, 1.0, sigma2)
+        rate = achievable_rate(np.ones(8), ch, sigma2)
         assert rate == 6.0 - math.log2(sigma2)
         # where the ratio is finite the formula is unchanged
-        assert achievable_rate(np.ones(8), ch, 1.0, 1e-300) == math.log2(1.0 + 64.0 / 1e-300)
+        assert achievable_rate(np.ones(8), ch, 1e-300) == math.log2(1.0 + 64.0 / 1e-300)
 
     def test_snr_conversion(self):
         assert snr_db_to_sigma2(0.0) == 1.0
@@ -182,7 +182,7 @@ class TestSweepSnr:
             streams = trial_seeds[t].spawn(1 + len(MINI.schemes))
             ch = sample_near_field_channel(MINI.scene, np.random.default_rng(streams[0]))
             theta = perfect_csi_beamforming(ch)
-            rates.append(achievable_rate(theta, ch, MINI.scene.s_bar, 1.0))
+            rates.append(achievable_rate(theta, ch, 1.0))
         rates = np.asarray(rates)
         assert row.mean == pytest.approx(rates.mean(), rel=1e-12)
         assert row.stderr == pytest.approx(rates.std(ddof=1) / np.sqrt(MINI.trials), rel=1e-12)
@@ -271,7 +271,7 @@ class TestSweepOverhead:
         hcfg = cfg.hierarchical_config()
         ch = sample_near_field_channel(cfg.scene, np.random.default_rng(channel_seed))
         res = hierarchical_training(
-            hcfg, DIMS, ch, 1.0, snr_db_to_sigma2(snr_db), np.random.default_rng(noise_seed)
+            hcfg, DIMS, ch, snr_db_to_sigma2(snr_db), np.random.default_rng(noise_seed)
         )
         stage1 = build_near_field_codebook(*hcfg.stage1_grids(), DIMS)
         assert res.per_stage[0].codebook_size == stage1.size

@@ -41,6 +41,13 @@ class TestElementPosition:
         with pytest.raises(ValueError):
             ArrayDims(4, 4, 0.0)
 
+    def test_element_coordinates_must_be_finite(self):
+        ArrayDims(1, 1, 1e308)  # one element sits at the origin
+        with pytest.raises(ValueError, match="overflow"):
+            ArrayDims(128, 4, 1e307)
+        with pytest.raises(ValueError, match="overflow"):
+            ArrayDims(1, 10**400, 0.5)  # the count itself does not fit a float
+
 
 class TestDistances:
     def test_3_4_5_triangle(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from xlris import training
 from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
 from xlris.codebook import NearFieldCodebook, SampleGrid, axis_samples, build_near_field_codebook
-from xlris.geometry import ArrayDims, Box3, Point3, cascaded_distances
+from xlris.geometry import ArrayDims, Box3, FieldError, Point3, cascaded_distances
 from xlris.training import (
     _NOISE_CHUNK,
     HierarchicalConfig,
@@ -37,7 +37,7 @@ class TestExhaustive:
     def test_on_grid_channel_recovered_coherently(self):
         cb = build_near_field_codebook(GRID, GRID, DIMS)
         ch = on_grid_channel(3, 11)
-        res = exhaustive_training(cb, ch, 1.0, 0.0, np.random.default_rng(0))
+        res = exhaustive_training(cb, ch, 0.0, np.random.default_rng(0))
         want = codeword_key(cascaded_distances(*ch.pair, DIMS))
         assert int(cb.keys[res.best_index]) == want
         assert res.best_amplitude == pytest.approx(DIMS.n * abs(ch.alpha), rel=1e-12)
@@ -47,7 +47,7 @@ class TestExhaustive:
         grid = SampleGrid(Box3((2, 2), (5, 5), (0, 0)), 1)
         cb = build_near_field_codebook(grid, grid, DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(3))
-        res = exhaustive_training(cb, ch, 1.0, 5.0, np.random.default_rng(1))
+        res = exhaustive_training(cb, ch, 5.0, np.random.default_rng(1))
         assert res.best_index == 0  # indices are 0-based
         assert res.slots_used == 1
 
@@ -56,7 +56,7 @@ class TestExhaustive:
         rng = np.random.default_rng(77)
         for _ in range(5):
             ch = sample_near_field_channel(SCENE, rng)
-            res = exhaustive_training(cb, ch, 1.0, 0.0, np.random.default_rng(0))
+            res = exhaustive_training(cb, ch, 0.0, np.random.default_rng(0))
             # independent oracle: regenerate every codeword and scan sequentially
             amps = [abs(vector(cb, l) @ ch.h_bar) for l in range(cb.size)]
             assert res.best_index == int(np.argmax(amps))
@@ -65,26 +65,26 @@ class TestExhaustive:
         empty = NearFieldCodebook(DIMS, GRID, GRID, np.zeros((0, 2)), np.zeros(0, np.uint64))
         ch = sample_near_field_channel(SCENE, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            exhaustive_training(empty, ch, 1.0, 0.0, np.random.default_rng(0))
+            exhaustive_training(empty, ch, 0.0, np.random.default_rng(0))
 
     def test_duplicate_at_later_index_never_wins(self):
         base = build_near_field_codebook(GRID, GRID, DIMS)
         ch = on_grid_channel(5, 9)
-        res = exhaustive_training(base, ch, 1.0, 0.0, np.random.default_rng(0))
+        res = exhaustive_training(base, ch, 0.0, np.random.default_rng(0))
         dup = NearFieldCodebook(
             DIMS,
             *base.grids,
             np.vstack([base.pairs, base.pairs[res.best_index]]),
             np.concatenate([base.keys, [base.keys[res.best_index]]]),
         )
-        res_dup = exhaustive_training(dup, ch, 1.0, 0.0, np.random.default_rng(0))
+        res_dup = exhaustive_training(dup, ch, 0.0, np.random.default_rng(0))
         assert res_dup.best_index == res.best_index
 
     def test_fixed_seed_reproducible(self):
         cb = build_near_field_codebook(GRID, GRID, DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(10))
-        a = exhaustive_training(cb, ch, 1.0, 0.3, np.random.default_rng(42))
-        b = exhaustive_training(cb, ch, 1.0, 0.3, np.random.default_rng(42))
+        a = exhaustive_training(cb, ch, 0.3, np.random.default_rng(42))
+        b = exhaustive_training(cb, ch, 0.3, np.random.default_rng(42))
         assert a == b
 
 
@@ -98,13 +98,12 @@ class TestSelectCodeword:
     def test_one_call_equals_a_restarted_draw_per_noise_power(self, size, sigma2s, seed):
         data = np.random.default_rng(seed)
         responses = data.standard_normal(size) + 1j * data.standard_normal(size)
-        s_bar = complex(data.standard_normal(), data.standard_normal())
         rng = np.random.default_rng(seed)
-        picks = select_codeword(responses, s_bar, sigma2s, rng)
+        picks = select_codeword(responses, sigma2s, rng)
         want = []
         for sigma2 in sigma2s:
             noise_rng = np.random.default_rng(seed)  # restarted at every noise power
-            r = responses * s_bar
+            r = responses
             if sigma2 > 0:
                 r = r + complex_normal(noise_rng, size) * np.sqrt(sigma2)
             amps = np.abs(r)
@@ -157,8 +156,8 @@ class TestHierarchical:
         )
         cb1 = build_near_field_codebook(*hcfg.stage1_grids(), DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(21))
-        a = hierarchical_training(hcfg, DIMS, ch, 1.0, 0.4, np.random.default_rng(5))
-        b = exhaustive_training(cb1, ch, 1.0, 0.4, np.random.default_rng(5))
+        a = hierarchical_training(hcfg, DIMS, ch, 0.4, np.random.default_rng(5))
+        b = exhaustive_training(cb1, ch, 0.4, np.random.default_rng(5))
         assert (a.best_index, a.best_amplitude, a.slots_used) == (
             b.best_index,
             b.best_amplitude,
@@ -167,30 +166,30 @@ class TestHierarchical:
 
     def test_slots_equal_sum_of_stage_sizes(self):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(33))
-        res = hierarchical_training(self.HCFG, DIMS, ch, 1.0, 0.1, np.random.default_rng(2))
+        res = hierarchical_training(self.HCFG, DIMS, ch, 0.1, np.random.default_rng(2))
         assert res.per_stage is not None and len(res.per_stage) == 2
         assert res.slots_used == sum(s.codebook_size for s in res.per_stage)
 
     def test_stage2_boxes_respect_scene(self):
         # winners near the y floor must not push sampling behind the array
         ch = sample_near_field_channel(SCENE, np.random.default_rng(101))
-        res = hierarchical_training(self.HCFG, DIMS, ch, 1.0, 0.0, np.random.default_rng(0))
+        res = hierarchical_training(self.HCFG, DIMS, ch, 0.0, np.random.default_rng(0))
         pg, pr = res.best_codeword.pair
         assert box_contains(BOX, pg) and box_contains(BOX, pr)
 
     def test_prebuilt_stage1_codebook_matches(self):
         stage1 = build_near_field_codebook(*self.HCFG.stage1_grids(), DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(55))
-        a = hierarchical_training(self.HCFG, DIMS, ch, 1.0, 0.2, np.random.default_rng(9))
+        a = hierarchical_training(self.HCFG, DIMS, ch, 0.2, np.random.default_rng(9))
         memo = {self.HCFG.stage1_grids(): stage1}
-        b = hierarchical_training(self.HCFG, DIMS, ch, 1.0, 0.2, np.random.default_rng(9), memo)
+        b = hierarchical_training(self.HCFG, DIMS, ch, 0.2, np.random.default_rng(9), memo)
         assert a == b
 
     def test_memo_is_filled_then_read_instead_of_building(self, monkeypatch):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(56))
         hcfg = dataclasses.replace(self.HCFG, levels=3)
         memo = {}
-        a = hierarchical_training(hcfg, DIMS, ch, 1.0, 0.2, np.random.default_rng(9), memo)
+        a = hierarchical_training(hcfg, DIMS, ch, 0.2, np.random.default_rng(9), memo)
         assert len(memo) == 3 and hcfg.stage1_grids() in memo
         for (grid_g, grid_r), cb in memo.items():
             assert cb.size == build_near_field_codebook(grid_g, grid_r, DIMS).size
@@ -199,13 +198,13 @@ class TestHierarchical:
             raise AssertionError("a memoized level was rebuilt")
 
         monkeypatch.setattr(training, "build_near_field_codebook", no_build)
-        b = hierarchical_training(hcfg, DIMS, ch, 1.0, 0.2, np.random.default_rng(9), memo)
+        b = hierarchical_training(hcfg, DIMS, ch, 0.2, np.random.default_rng(9), memo)
         assert a == b and len(memo) == 3
 
     def test_fixed_seed_reproducible_with_trace(self):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(60))
-        a = hierarchical_training(self.HCFG, DIMS, ch, 1.0, 0.5, np.random.default_rng(13))
-        b = hierarchical_training(self.HCFG, DIMS, ch, 1.0, 0.5, np.random.default_rng(13))
+        a = hierarchical_training(self.HCFG, DIMS, ch, 0.5, np.random.default_rng(13))
+        b = hierarchical_training(self.HCFG, DIMS, ch, 0.5, np.random.default_rng(13))
         assert a == b and a.per_stage == b.per_stage
 
     def test_config_validation(self):
@@ -217,6 +216,15 @@ class TestHierarchical:
             HierarchicalConfig(2, BOX, BOX, 1.0, 4.0, 1.5)
         with pytest.raises(ValueError):
             HierarchicalConfig(2, BOX, BOX, 0.0, 4.0, 0.25)
+
+    @pytest.mark.parametrize(
+        "base_step,multiplier,field",
+        [(float("inf"), 4.0, "base_step"), (1e300, 1e10, "step_multiplier")],
+    )
+    def test_level_1_step_must_be_finite(self, base_step, multiplier, field):
+        with pytest.raises(FieldError, match="finite") as exc:
+            HierarchicalConfig(2, BOX, BOX, base_step, multiplier, 0.25)
+        assert exc.value.field == field
 
     def test_full_scale_stage_sizes_match_grid_counting(self):
         # independent oracle: level-1 grid is 25/4 x 2/4 x 9/4-style coarse,
@@ -241,7 +249,7 @@ class TestHierarchical:
 
         scene = SceneConfig(dims, box, box)
         ch = sample_near_field_channel(scene, np.random.default_rng(5150))
-        res = hierarchical_training(hcfg, dims, ch, 1.0, 0.0, np.random.default_rng(0))
+        res = hierarchical_training(hcfg, dims, ch, 0.0, np.random.default_rng(0))
         sizes = [s.codebook_size for s in res.per_stage]
         assert sizes[0] == 231
         assert sizes[1] <= 125 * 125
