@@ -162,7 +162,7 @@ def cmd_train(args) -> int:
         cb = far_field_codebook(dims)
         result = exhaustive_training(cb, ch, sigma2, rng)
     else:
-        result = hierarchical_training(cfg.hierarchical_config(), dims, ch, sigma2, rng)
+        result = hierarchical_training(cfg.hierarchy, cfg.scene, cfg.sampling_step, ch, sigma2, rng)
 
     theta = codeword_vector(result.best_codeword, dims)
     report = {

@@ -9,6 +9,7 @@ instead of silently falling back to defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ from .channel import SceneConfig
 from .codebook import key_algorithm
 from .experiments import ExperimentConfig
 from .geometry import ArrayDims, Box3, FieldError
+from .training import HierarchicalConfig
 
 
 class ConfigError(ValueError):
@@ -41,21 +43,18 @@ _ARRAY_KEYS = {"n1", "n2", "spacing_wavelengths"}
 _BOX_KEYS = {"x", "y", "z"}
 _HIER_KEYS = {"levels", "step_multiplier", "step_control"}
 
-# Key path of each dataclass field whose range check a key feeds. Fields
-# not listed, such as Box3 axes under their box's key, share the key's name.
+# Key path of each dataclass field whose range check a key feeds; a dotted
+# field maps its first part (box_g.y is scatter_g_d.y). Fields not listed,
+# such as Box3 axes under their box's key, share the key's name.
 _FIELD_PATHS = {
     "n1": "array.n1",
     "n2": "array.n2",
     "d": "array.spacing_wavelengths",
     "box_g": "scatter_g_d",
-    "box_g.y": "scatter_g_d.y",
     "box_r": "scatter_r_d",
-    "box_r.y": "scatter_r_d.y",
     "sampling_step": "sampling_step_d",
     "step_sweep": "step_sweep_d",
-    "levels": "hierarchical.levels",
-    "step_multiplier": "hierarchical.step_multiplier",
-    "step_control": "hierarchical.step_control",
+    "hierarchy": "hierarchical",
     "master_seed": "seed",
 }
 
@@ -88,8 +87,8 @@ def _checked(build, *args, path: str = "", **kwargs):
     try:
         return build(*args, **kwargs)
     except FieldError as exc:
-        key = _join(path, exc.field)
-        raise ConfigError(f"{_FIELD_PATHS.get(key, key)}: {exc}") from None
+        head, dot, rest = _join(path, exc.field).partition(".")
+        raise ConfigError(f"{_FIELD_PATHS.get(head, head)}{dot}{rest}: {exc}") from None
 
 
 def _as_int(value, path: str) -> int:
@@ -128,9 +127,9 @@ def _parse_box(value, path: str, d: float) -> Box3:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Load and validate a config file, resolving all defaults."""
+    """Load and validate a config file or `builtin_config_path`, resolving all defaults."""
     try:
-        text = Path(path).read_text()
+        text = (path if hasattr(path, "read_text") else Path(path)).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -168,11 +167,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     # Optional keys: a missing one takes the dataclass field's default.
     hier = _object(raw.get("hierarchical", {}), "hierarchical", _HIER_KEYS)
-    if "levels" in hier:
-        fields["levels"] = _as_int(hier["levels"], "hierarchical.levels")
-    for key in ("step_multiplier", "step_control"):
-        if key in hier:
-            fields[key] = _as_number(hier[key], f"hierarchical.{key}")
+    hier = {
+        key: (_as_int if key == "levels" else _as_number)(value, f"hierarchical.{key}")
+        for key, value in hier.items()
+    }
+    fields["hierarchy"] = _checked(HierarchicalConfig, path="hierarchical", **hier)
     for key, field in (("trials", "trials"), ("seed", "master_seed")):
         if key in raw:
             fields[field] = _as_int(raw[key], key)
@@ -200,11 +199,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "scatter_r_d": box_d(cfg.scene.box_r),
         "sampling_step_d": cfg.sampling_step / d,
         "step_sweep_d": [s / d for s in cfg.step_sweep],
-        "hierarchical": {
-            "levels": cfg.levels,
-            "step_multiplier": cfg.step_multiplier,
-            "step_control": cfg.step_control,
-        },
+        "hierarchical": dataclasses.asdict(cfg.hierarchy),
         "schemes": list(cfg.schemes),
         "snr_grid_db": list(cfg.snr_grid_db),
         "trials": cfg.trials,
@@ -236,17 +231,20 @@ def codebook_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def builtin_config_path(name: str) -> Path:
-    """Path of a shipped config ('paper' or 'desk', '.json' optional)."""
+def builtin_config_path(name: str):
+    """A shipped config ('paper' or 'desk', '.json' optional) as a package resource.
+
+    The resource is read in place, also from a zipped package, so it has
+    `read_text()` and `name` but need not be a filesystem path.
+    """
     fname = name if name.endswith(".json") else f"{name}.json"
-    candidate = resources.files("xlris").joinpath("configs", fname)
-    with resources.as_file(candidate) as p:
-        if not p.exists():
-            raise ConfigError(f"no builtin config named {name!r}")
-        return Path(p)
+    candidate = resources.files("xlris") / "configs" / fname
+    if not candidate.is_file():
+        raise ConfigError(f"no builtin config named {name!r}")
+    return candidate
 
 
-def resolve_config_path(name_or_path: str) -> Path:
+def resolve_config_path(name_or_path: str):
     """Interpret --config: an existing file path, else a builtin name."""
     p = Path(name_or_path)
     if p.exists():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -50,16 +51,18 @@ CSV_COLUMNS = ("scheme", "sweep_var", "sweep_value", "mean", "stderr", "trials",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs; lengths are wavelength-normalized here."""
+    """Everything a sweep needs; lengths are wavelength-normalized here.
+
+    `sampling_step` is the exhaustive codebook's step and the `hierarchy`'s
+    base step; `step_sweep` lists the base steps `sweep_overhead` visits.
+    """
 
     scene: SceneConfig
+    sampling_step: float
+    step_sweep: tuple[float, ...]
     schemes: tuple[str, ...] = ALL_SCHEMES
     snr_grid_db: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0)
-    sampling_step: float = 50.0
-    step_sweep: tuple[float, ...] = (25.0, 50.0, 75.0, 100.0)
-    levels: int = 2
-    step_multiplier: float = 4.0
-    step_control: float = 0.25
+    hierarchy: HierarchicalConfig = HierarchicalConfig()
     trials: int = 200
     master_seed: int = 0
 
@@ -96,24 +99,20 @@ class ExperimentConfig:
                 )
         if self.master_seed < 0:
             raise FieldError("master_seed", f"seed must be >= 0, got {self.master_seed}")
-        # levels, step multiplier and step control, at every step a sweep uses
-        for s in (self.sampling_step, *self.step_sweep):
-            self.hierarchical_config(s)
+        # level 1 can only overflow, deeper levels only underflow
+        for base in (self.sampling_step, *self.step_sweep):
+            for level, step in enumerate(self.hierarchy.steps(base), start=1):
+                if not 0 < step < math.inf:
+                    name = "hierarchy.step_multiplier" if level == 1 else "hierarchy.levels"
+                    raise FieldError(
+                        name,
+                        f"level {level} step at base step {base} is {step}, "
+                        "not a positive finite float",
+                    )
 
     def codebook_grids(self, sampling_step: float | None = None) -> tuple[SampleGrid, SampleGrid]:
         step = self.sampling_step if sampling_step is None else sampling_step
         return SampleGrid(self.scene.box_g, step), SampleGrid(self.scene.box_r, step)
-
-    def hierarchical_config(self, sampling_step: float | None = None) -> HierarchicalConfig:
-        step = self.sampling_step if sampling_step is None else sampling_step
-        return HierarchicalConfig(
-            levels=self.levels,
-            box_g=self.scene.box_g,
-            box_r=self.scene.box_r,
-            base_step=step,
-            step_multiplier=self.step_multiplier,
-            step_control=self.step_control,
-        )
 
 
 @dataclass(frozen=True)
@@ -189,16 +188,14 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
 
     near_cb = near_codebook
     far_cb = None
-    stage1_grids = stage1_cb = None
-    hcfg = None
+    stage1 = {}
     if SCHEME_EXHAUSTIVE in cfg.schemes and near_cb is None:
         near_cb = build_near_field_codebook(*cfg.codebook_grids(), dims, threads=threads)
     if SCHEME_FAR_FIELD in cfg.schemes:
         far_cb = far_field_codebook(dims)
     if SCHEME_HIERARCHICAL in cfg.schemes:
-        hcfg = cfg.hierarchical_config()
-        stage1_grids = hcfg.stage1_grids()
-        stage1_cb = build_near_field_codebook(*stage1_grids, dims)
+        grids = cfg.codebook_grids(next(cfg.hierarchy.steps(cfg.sampling_step)))
+        stage1 = {grids: build_near_field_codebook(*grids, dims)}
 
     rates = {scheme: np.zeros((len(sigma2s), cfg.trials)) for scheme in cfg.schemes}
     trial_seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
@@ -213,10 +210,12 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
                 for k, sigma2 in enumerate(sigma2s):
                     rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
             elif scheme == SCHEME_HIERARCHICAL:
-                codebooks = {stage1_grids: stage1_cb}  # this trial's memo, dropped with it
+                codebooks = dict(stage1)  # this trial's memo, dropped with it
                 for k, sigma2 in enumerate(sigma2s):
                     rng = np.random.default_rng(noise_seed)
-                    result = hierarchical_training(hcfg, dims, ch, sigma2, rng, codebooks)
+                    result = hierarchical_training(
+                        cfg.hierarchy, scene, cfg.sampling_step, ch, sigma2, rng, codebooks
+                    )
                     theta = codeword_vector(result.best_codeword, dims)
                     rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
             else:
@@ -254,10 +253,10 @@ def hierarchical_overhead(cfg: ExperimentConfig, sampling_step: float | None = N
     are counted at the worst case: full-width refinement windows, no
     clipping, no duplicate pairs.
     """
-    hcfg = cfg.hierarchical_config(sampling_step)
-    total = build_near_field_codebook(*hcfg.stage1_grids(), cfg.scene.dims).size
-    steps = hcfg.steps()
-    for step, next_step in zip(steps, steps[1:]):
+    base = cfg.sampling_step if sampling_step is None else sampling_step
+    grids = cfg.codebook_grids(next(cfg.hierarchy.steps(base)))
+    total = build_near_field_codebook(*grids, cfg.scene.dims).size
+    for step, next_step in pairwise(cfg.hierarchy.steps(base)):
         # three axes on each of the two sides
         total += len(axis_samples(0.0, step, next_step)) ** 6
     return total

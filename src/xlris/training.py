@@ -9,14 +9,14 @@ of the search loop.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, complex_normal
+from .channel import ChannelRealization, SceneConfig, complex_normal
 from .codebook import Codeword, NearFieldCodebook, SampleGrid, build_near_field_codebook
-from .geometry import ArrayDims, Box3, FieldError, Point3
+from .geometry import Box3, FieldError, Point3
 
 
 # Slots per pass when adding scaled noise: the noisy observations live in
@@ -44,20 +44,17 @@ class TrainingResult:
 
 @dataclass(frozen=True)
 class HierarchicalConfig:
-    """Multi-level search schedule.
+    """Multi-level search schedule, applied to a scene from a base step.
 
-    Level 1 sweeps `box_g` x `box_r` at step `step_multiplier * base_step`
+    Level 1 samples the scene's boxes at step `step_multiplier * base_step`
     on every axis; each later level re-centers the boxes on the previous
     winner with window widths equal to the previous step (then clipped back
-    into the initial boxes) and shrinks the step by `step_control`.
+    into the scene's boxes) and shrinks the step by `step_control`.
     """
 
-    levels: int
-    box_g: Box3
-    box_r: Box3
-    base_step: float
-    step_multiplier: float
-    step_control: float
+    levels: int = 2
+    step_multiplier: float = 4.0
+    step_control: float = 0.25
 
     def __post_init__(self) -> None:
         if self.levels < 1:
@@ -70,26 +67,13 @@ class HierarchicalConfig:
             raise FieldError(
                 "step_control", f"step control must lie in (0, 1), got {self.step_control}"
             )
-        if not 0 < self.base_step < math.inf:
-            raise FieldError(
-                "base_step", f"base step must be positive and finite, got {self.base_step}"
-            )
-        if not self.steps()[0] < math.inf:
-            raise FieldError(
-                "step_multiplier",
-                f"level 1 step {self.step_multiplier} * {self.base_step} is not a finite float",
-            )
 
-    def steps(self) -> list[float]:
-        """The sampling step of each level, level 1 first."""
-        steps = [self.step_multiplier * self.base_step]
-        for _ in range(1, self.levels):
-            steps.append(self.step_control * steps[-1])
-        return steps
-
-    def stage1_grids(self) -> tuple[SampleGrid, SampleGrid]:
-        step = self.steps()[0]
-        return SampleGrid(self.box_g, step), SampleGrid(self.box_r, step)
+    def steps(self, base_step: float) -> Iterator[float]:
+        """The sampling step of each level from `base_step`, level 1 first."""
+        step = self.step_multiplier * base_step
+        for _ in range(self.levels):
+            yield step
+            step = self.step_control * step
 
 
 def select_codeword(
@@ -167,46 +151,46 @@ def refine_ranges(opt_pair: tuple[Point3, Point3], step: float) -> tuple[Box3, B
 
 def hierarchical_training(
     hcfg: HierarchicalConfig,
-    dims: ArrayDims,
+    scene: SceneConfig,
+    base_step: float,
     ch: ChannelRealization,
     sigma2: float,
     rng: np.random.Generator,
     codebooks: dict[tuple[SampleGrid, SampleGrid], NearFieldCodebook] | None = None,
 ) -> TrainingResult:
-    """Coarse-to-fine search over `hcfg.levels` sub-codebooks.
+    """Coarse-to-fine search over `scene` at the steps `hcfg.steps(base_step)`.
 
-    Refined boxes are clipped back into the initial boxes so later levels
+    Refined boxes are clipped back into the scene's boxes so later levels
     never sample outside the scene (in particular never behind the array).
     `codebooks` is a memo the caller owns, from a level's (g-side, r-side)
-    grids to their codebook over `dims`: each level reads it before building
-    and stores what it builds. A codebook depends only on its grids and
-    dims, so a memo kept across calls (say, one per channel realization,
-    seeded with the level-1 codebook from `hcfg.stage1_grids()`) builds each
-    level's codebook once per distinct winner of the level before. Without
-    a memo every level is built.
+    grids to their codebook over `scene.dims`: each level reads it before
+    building and stores what it builds. A codebook depends only on its grids
+    and dims, so a memo kept across calls (say, one per channel realization,
+    seeded with the level-1 codebook) builds each level's codebook once per
+    distinct winner of the level before. Without a memo every level is built.
     """
     if codebooks is None:
         codebooks = {}
-    box_g, box_r = hcfg.box_g, hcfg.box_r
+    box_g, box_r = scene.box_g, scene.box_r
 
     slots = 0
     traces: list[StageResult] = []
     cb = None
     idx = -1
     amp = 0.0
-    for level, step in enumerate(hcfg.steps(), start=1):
+    for level, step in enumerate(hcfg.steps(base_step), start=1):
         grids = (SampleGrid(box_g, step), SampleGrid(box_r, step))
         cb = codebooks.get(grids)
         if cb is None:
-            cb = codebooks[grids] = build_near_field_codebook(*grids, dims)
+            cb = codebooks[grids] = build_near_field_codebook(*grids, scene.dims)
         [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), [sigma2], rng)
         slots += cb.size
         traces.append(StageResult(level=level, codebook_size=cb.size, best_index=idx))
         if level < hcfg.levels:
             ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
             try:
-                box_g = ref_g.clip(hcfg.box_g)
-                box_r = ref_r.clip(hcfg.box_r)
+                box_g = ref_g.clip(scene.box_g)
+                box_r = ref_r.clip(scene.box_r)
             except ValueError as exc:
                 raise ValueError(f"level {level + 1} sampling box is empty: {exc}") from exc
 

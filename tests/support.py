@@ -162,15 +162,15 @@ def reference_select(responses: np.ndarray, sigma2: float, rng) -> int:
     return int(np.argmax(np.abs(r)))
 
 
-def reference_hierarchical(hcfg, dims, ch, sigma2: float, rng):
+def reference_hierarchical(hcfg, scene, base_step: float, ch, sigma2: float, rng):
     """The winning codeword of a hierarchical search that builds every level afresh."""
-    box_g, box_r = hcfg.box_g, hcfg.box_r
-    for level, step in enumerate(hcfg.steps(), start=1):
-        cb = build_near_field_codebook(SampleGrid(box_g, step), SampleGrid(box_r, step), dims)
+    box_g, box_r = scene.box_g, scene.box_r
+    for level, step in enumerate(hcfg.steps(base_step), start=1):
+        cb = build_near_field_codebook(SampleGrid(box_g, step), SampleGrid(box_r, step), scene.dims)
         idx = reference_select(reference_responses(cb, ch.h_bar), sigma2, rng)
         if level < hcfg.levels:
             ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
-            box_g, box_r = ref_g.clip(hcfg.box_g), ref_r.clip(hcfg.box_r)
+            box_g, box_r = ref_g.clip(scene.box_g), ref_r.clip(scene.box_r)
     return cb.codeword(idx)
 
 
@@ -195,8 +195,8 @@ def reference_sweep_snr(cfg) -> ResultTable:
                 if scheme == SCHEME_PERFECT_CSI:
                     theta = perfect_csi_beamforming(ch)
                 elif scheme == SCHEME_HIERARCHICAL:
-                    hcfg = cfg.hierarchical_config()
-                    cw = reference_hierarchical(hcfg, dims, ch, sigma2, rng)
+                    hcfg, base = cfg.hierarchy, cfg.sampling_step
+                    cw = reference_hierarchical(hcfg, scene, base, ch, sigma2, rng)
                     theta = codeword_vector(cw, dims)
                 else:
                     cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_field_codebook(dims)

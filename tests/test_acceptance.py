@@ -170,9 +170,9 @@ def test_criterion_7_overhead_reproduction():
     with criterion(7, "full-scale overhead reproduction"):
         cfg = parse_config(builtin_config_path("paper"))
         assert cfg.sampling_step == 50.0  # 100 d
-        assert cfg.step_multiplier == 4.0
-        assert cfg.step_control == 0.25
-        assert cfg.levels == 2
+        assert cfg.hierarchy.step_multiplier == 4.0
+        assert cfg.hierarchy.step_control == 0.25
+        assert cfg.hierarchy.levels == 2
 
         full = build_near_field_codebook(*cfg.codebook_grids(), cfg.scene.dims)
         hier = hierarchical_overhead(cfg)

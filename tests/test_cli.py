@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xlris
 from xlris import codebook
 from xlris.cli import main
 from xlris.config import (
@@ -18,6 +25,7 @@ from xlris.config import (
     parse_config,
     resolve_config_path,
 )
+from xlris.training import HierarchicalConfig
 
 TINY = {
     "array": {"n1": 8, "n2": 2, "spacing_wavelengths": 0.5},
@@ -33,7 +41,7 @@ TINY = {
 
 @st.composite
 def raw_configs(draw):
-    """TINY with a random element spacing, scatter boxes, sampling step and step sweep."""
+    """TINY with random spacing, boxes, steps, and any subset of the hierarchy keys."""
     length = st.floats(1e-3, 1e3)
 
     def interval(lo_min):
@@ -42,7 +50,7 @@ def raw_configs(draw):
     def box():
         return {"x": interval(-1e3), "y": interval(1e-3), "z": interval(-1e3)}
 
-    return {
+    raw = {
         **TINY,
         "array": {"n1": 8, "n2": 2, "spacing_wavelengths": draw(length)},
         "scatter_g_d": box(),
@@ -50,6 +58,18 @@ def raw_configs(draw):
         "sampling_step_d": draw(length),
         "step_sweep_d": draw(st.lists(length, min_size=1, max_size=4)),
     }
+    hierarchical = st.fixed_dictionaries(
+        {},
+        optional={
+            "levels": st.integers(1, 3),
+            "step_multiplier": st.integers(1, 8) | st.floats(1.0, 8.0),
+            # strictly inside (0, 1), and large enough that no level step underflows
+            "step_control": st.floats(1e-3, 1.0, exclude_max=True),
+        },
+    )
+    if draw(st.booleans()):
+        raw["hierarchical"] = draw(hierarchical)
+    return raw
 
 
 def reject_constant(name):
@@ -72,9 +92,9 @@ class TestParseConfig:
         dims = cfg.scene.dims
         assert (dims.n1, dims.n2, dims.d) == (128, 4, 0.5)
         assert cfg.sampling_step == 100 * 0.5  # 100 d, in wavelengths
-        assert cfg.step_multiplier == 4.0
-        assert cfg.step_control == 0.25
-        assert cfg.levels == 2
+        assert cfg.hierarchy.step_multiplier == 4.0
+        assert cfg.hierarchy.step_control == 0.25
+        assert cfg.hierarchy.levels == 2
         assert cfg.scene.box_g.x == (-600.0, 600.0)
         assert cfg.scene.box_g.y == (5.0, 100.0)
         assert cfg.scene.box_g.z == (-200.0, 200.0)
@@ -144,6 +164,8 @@ class TestParseConfig:
         assert cfg.snr_grid_db == (-10.0, -5.0, 0.0, 5.0, 10.0)
         assert len(cfg.schemes) == 4
         assert cfg.master_seed == 0
+        assert cfg.hierarchy == HierarchicalConfig()
+        assert cfg.step_sweep == (25.0, 50.0, 75.0, 100.0)  # [50, 100, 150, 200] d at 0.5
 
     def test_empty_snr_grid_rejected(self):
         with pytest.raises(ConfigError, match="snr_grid_db"):
@@ -162,11 +184,23 @@ class TestParseConfig:
             ({"schemes": ["sideways"]}, "schemes"),
             ({"trials": 0}, "trials"),
             ({"seed": -1}, "seed"),
+            ({"hierarchical": {"levels": 600}}, "hierarchical.levels"),  # level 541 step is 0.0
         ],
     )
     def test_dataclass_range_check_names_the_key(self, overrides, path):
         with pytest.raises(ConfigError, match=f"^{path}: "):
             config_from_dict({**TINY, **overrides})
+
+    def test_deep_levels_are_checked_in_constant_memory(self):
+        # one list entry per level would take tens of MB at a million levels
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^hierarchical.levels: "):
+                config_from_dict({**TINY, "hierarchical": {"levels": 10**6}})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_resolve_builtin_and_missing(self, tmp_path):
         assert resolve_config_path("paper").name == "paper.json"
@@ -518,3 +552,36 @@ class TestCli:
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["train", "--scheme", "near-field-hierarchical"], ["sweep", "step"]],
+        ids=["train-hierarchical", "sweep-step"],
+    )
+    def test_level_step_that_underflows_exits_2(self, tmp_path, capsys, command):
+        # from a 16 d sampling step, the level-541 step underflows to 0.0
+        cfg = write_config(tmp_path, {"hierarchical": {"levels": 600}})
+        argv = [*command, "--config", str(cfg)]
+        if command[0] != "train":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert "config error: hierarchical.levels: level 541 step" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_builtin_config_loads_from_a_zipped_package(self, tmp_path):
+        package = Path(xlris.__file__).parent
+        archive = tmp_path / "xlris.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zf.write(path, Path("xlris", path.relative_to(package)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "xlris", "info", "--config", "paper"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(archive)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = config_digest(parse_config(resolve_config_path("paper")))
+        assert f"config_digest: {digest}\n" in proc.stdout

@@ -22,8 +22,8 @@ from xlris.experiments import (
     sweep_overhead,
     sweep_snr,
 )
-from xlris.geometry import ArrayDims, Box3, Point3
-from xlris.training import hierarchical_training, perfect_csi_beamforming
+from xlris.geometry import ArrayDims, Box3, FieldError, Point3
+from xlris.training import HierarchicalConfig, hierarchical_training, perfect_csi_beamforming
 
 from support import (
     find_row,
@@ -52,11 +52,13 @@ def small_sweep_configs(draw):
     box_g = Box3((-10.0, 10.0), (1.0, 6.0), (-3.0, 3.0))
     box_r = draw(st.sampled_from([box_g, Box3((-6.0, 12.0), (0.5, 8.0), (-2.0, 4.0))]))
     snrs = st.sampled_from([-10.0, -2.5, 0.0, 7.5, 20.0])
+    step = draw(st.sampled_from([2.5, 4.0]))
     return ExperimentConfig(
         scene=SceneConfig(dims, box_g, box_r),
         snr_grid_db=tuple(draw(st.lists(snrs, min_size=1, max_size=4, unique=True))),
-        sampling_step=draw(st.sampled_from([2.5, 4.0])),
-        levels=draw(st.integers(1, 3)),
+        sampling_step=step,
+        step_sweep=(step,),
+        hierarchy=HierarchicalConfig(levels=draw(st.integers(1, 3))),
         trials=draw(st.integers(1, 3)),
         master_seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -134,7 +136,7 @@ class TestSweepSnr:
         spy(training, "build_near_field_codebook", lambda a, out: stage2.append((a[:2], out)))
         spy(codebook, "phase_vector", lambda a, out: factor_shapes.append(np.shape(a[0])))
         spy(training, "complex_normal", lambda a, out: draws.append(np.size(out)))
-        stage1_grids = cfg.hierarchical_config().stage1_grids()
+        stage1_grids = cfg.codebook_grids(cfg.hierarchy.step_multiplier * cfg.sampling_step)
         stage1_size = build_near_field_codebook(*stage1_grids, dims).size
         spy(
             training,
@@ -156,7 +158,8 @@ class TestSweepSnr:
         assert sum(len(s) == 2 and s[1] == dims.n for s in factor_shapes) == sum(sides)
         # one noise draw per (trial, scheme) for the exhaustive and far-field schemes
         assert draws.count(near_cb.size) == 1 and draws.count(dims.n) == 1
-        assert len(draws) == 2 + 5 * cfg.levels  # hierarchical: one per level and SNR point
+        # hierarchical: one per level and SNR point
+        assert len(draws) == 2 + 5 * cfg.hierarchy.levels
 
     def test_perfect_csi_dominates_all_schemes(self):
         table = sweep_snr(MINI)
@@ -190,7 +193,12 @@ class TestSweepSnr:
     def test_empty_snr_grid_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
-                scene=MINI.scene, snr_grid_db=(), sampling_step=6.25, trials=2, master_seed=1
+                scene=MINI.scene,
+                snr_grid_db=(),
+                sampling_step=6.25,
+                step_sweep=(6.25,),
+                trials=2,
+                master_seed=1,
             )
 
     def test_csv_layout(self):
@@ -253,10 +261,11 @@ class TestSweepOverhead:
 
     def test_hierarchical_overhead_stage_arithmetic(self):
         # independent oracle: stage-1 dedup size plus the fixed worst-case window counts
+        hcfg = MINI.hierarchy
         stage1 = build_near_field_codebook(
-            *MINI.hierarchical_config().stage1_grids(), DIMS
+            *MINI.codebook_grids(hcfg.step_multiplier * MINI.sampling_step), DIMS
         ).size
-        per_axis = int(1 / MINI.step_control) + 1
+        per_axis = int(1 / hcfg.step_control) + 1
         assert hierarchical_overhead(MINI) == stage1 + (per_axis**3) ** 2
 
     @settings(max_examples=30, deadline=None)
@@ -267,13 +276,15 @@ class TestSweepOverhead:
         snr_db=st.sampled_from(MINI.snr_grid_db),
     )
     def test_training_stays_within_overhead_bound(self, levels, channel_seed, noise_seed, snr_db):
-        cfg = dataclasses.replace(MINI, levels=levels)
-        hcfg = cfg.hierarchical_config()
+        hcfg = HierarchicalConfig(levels=levels)
+        cfg = dataclasses.replace(MINI, hierarchy=hcfg)
         ch = sample_near_field_channel(cfg.scene, np.random.default_rng(channel_seed))
+        sigma2 = snr_db_to_sigma2(snr_db)
         res = hierarchical_training(
-            hcfg, DIMS, ch, snr_db_to_sigma2(snr_db), np.random.default_rng(noise_seed)
+            hcfg, cfg.scene, cfg.sampling_step, ch, sigma2, np.random.default_rng(noise_seed)
         )
-        stage1 = build_near_field_codebook(*hcfg.stage1_grids(), DIMS)
+        level1_step = hcfg.step_multiplier * cfg.sampling_step
+        stage1 = build_near_field_codebook(*cfg.codebook_grids(level1_step), DIMS)
         assert res.per_stage[0].codebook_size == stage1.size
         assert len(res.per_stage) == levels
         assert res.slots_used <= hierarchical_overhead(cfg)
@@ -304,12 +315,41 @@ class TestSummarizeRatio:
 class TestConfigValidation:
     def test_bad_scheme_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(scene=MINI.scene, schemes=("sideways",), sampling_step=1.0)
+            ExperimentConfig(
+                scene=MINI.scene, sampling_step=1.0, step_sweep=(1.0,), schemes=("sideways",)
+            )
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(scene=MINI.scene, sampling_step=1.0, trials=0)
+            ExperimentConfig(scene=MINI.scene, sampling_step=1.0, step_sweep=(1.0,), trials=0)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(scene=MINI.scene, sampling_step=-1.0)
+            ExperimentConfig(scene=MINI.scene, sampling_step=-1.0, step_sweep=(1.0,))
+
+    @pytest.mark.parametrize(
+        "base_step,multiplier,field",
+        [(float("inf"), 4.0, "sampling_step"), (1e300, 1e10, "hierarchy.step_multiplier")],
+        ids=["infinite-base", "overflow"],
+    )
+    def test_level_1_step_must_be_finite(self, base_step, multiplier, field):
+        hcfg = HierarchicalConfig(2, multiplier, 0.25)
+        with pytest.raises(FieldError, match="finite") as exc:
+            ExperimentConfig(
+                scene=MINI.scene, sampling_step=base_step, step_sweep=(1.0,), hierarchy=hcfg
+            )
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "sampling_step,step_sweep", [(1e-300, (6.25,)), (6.25, (6.25, 1e-300))]
+    )
+    def test_underflowing_level_step_names_levels(self, sampling_step, step_sweep):
+        # from base 6.25 all 100 level steps are positive floats; from 1e-300
+        # the level-42 step underflows to 0.0
+        hcfg = HierarchicalConfig(levels=100)
+        ExperimentConfig(scene=MINI.scene, sampling_step=6.25, step_sweep=(6.25,), hierarchy=hcfg)
+        with pytest.raises(FieldError, match="level 42 step at base step 1e-300 is 0.0") as exc:
+            ExperimentConfig(
+                scene=MINI.scene, sampling_step=sampling_step, step_sweep=step_sweep, hierarchy=hcfg
+            )
+        assert exc.value.field == "hierarchy.levels"

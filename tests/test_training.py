@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from xlris import training
 from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
 from xlris.codebook import NearFieldCodebook, SampleGrid, axis_samples, build_near_field_codebook
-from xlris.geometry import ArrayDims, Box3, FieldError, Point3, cascaded_distances
+from xlris.geometry import ArrayDims, Box3, Point3, cascaded_distances
 from xlris.training import (
     _NOISE_CHUNK,
     HierarchicalConfig,
@@ -136,27 +136,14 @@ class TestRefineRanges:
 
 
 class TestHierarchical:
-    HCFG = HierarchicalConfig(
-        levels=2,
-        box_g=BOX,
-        box_r=BOX,
-        base_step=4.0,
-        step_multiplier=4.0,
-        step_control=0.25,
-    )
+    HCFG = HierarchicalConfig(levels=2, step_multiplier=4.0, step_control=0.25)
+    BASE = 4.0  # level 1 samples at 4 * 4.0 = 16.0, the step of GRID
 
     def test_single_level_equals_exhaustive(self):
-        hcfg = HierarchicalConfig(
-            levels=1,
-            box_g=BOX,
-            box_r=BOX,
-            base_step=4.0,
-            step_multiplier=4.0,
-            step_control=0.25,
-        )
-        cb1 = build_near_field_codebook(*hcfg.stage1_grids(), DIMS)
+        hcfg = HierarchicalConfig(levels=1, step_multiplier=4.0, step_control=0.25)
+        cb1 = build_near_field_codebook(GRID, GRID, DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(21))
-        a = hierarchical_training(hcfg, DIMS, ch, 0.4, np.random.default_rng(5))
+        a = hierarchical_training(hcfg, SCENE, self.BASE, ch, 0.4, np.random.default_rng(5))
         b = exhaustive_training(cb1, ch, 0.4, np.random.default_rng(5))
         assert (a.best_index, a.best_amplitude, a.slots_used) == (
             b.best_index,
@@ -166,31 +153,33 @@ class TestHierarchical:
 
     def test_slots_equal_sum_of_stage_sizes(self):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(33))
-        res = hierarchical_training(self.HCFG, DIMS, ch, 0.1, np.random.default_rng(2))
+        res = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.1, np.random.default_rng(2))
         assert res.per_stage is not None and len(res.per_stage) == 2
         assert res.slots_used == sum(s.codebook_size for s in res.per_stage)
 
     def test_stage2_boxes_respect_scene(self):
         # winners near the y floor must not push sampling behind the array
         ch = sample_near_field_channel(SCENE, np.random.default_rng(101))
-        res = hierarchical_training(self.HCFG, DIMS, ch, 0.0, np.random.default_rng(0))
+        res = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.0, np.random.default_rng(0))
         pg, pr = res.best_codeword.pair
         assert box_contains(BOX, pg) and box_contains(BOX, pr)
 
     def test_prebuilt_stage1_codebook_matches(self):
-        stage1 = build_near_field_codebook(*self.HCFG.stage1_grids(), DIMS)
+        stage1 = build_near_field_codebook(GRID, GRID, DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(55))
-        a = hierarchical_training(self.HCFG, DIMS, ch, 0.2, np.random.default_rng(9))
-        memo = {self.HCFG.stage1_grids(): stage1}
-        b = hierarchical_training(self.HCFG, DIMS, ch, 0.2, np.random.default_rng(9), memo)
+        a = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.2, np.random.default_rng(9))
+        memo = {(GRID, GRID): stage1}
+        b = hierarchical_training(
+            self.HCFG, SCENE, self.BASE, ch, 0.2, np.random.default_rng(9), memo
+        )
         assert a == b
 
     def test_memo_is_filled_then_read_instead_of_building(self, monkeypatch):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(56))
         hcfg = dataclasses.replace(self.HCFG, levels=3)
         memo = {}
-        a = hierarchical_training(hcfg, DIMS, ch, 0.2, np.random.default_rng(9), memo)
-        assert len(memo) == 3 and hcfg.stage1_grids() in memo
+        a = hierarchical_training(hcfg, SCENE, self.BASE, ch, 0.2, np.random.default_rng(9), memo)
+        assert len(memo) == 3 and (GRID, GRID) in memo
         for (grid_g, grid_r), cb in memo.items():
             assert cb.size == build_near_field_codebook(grid_g, grid_r, DIMS).size
 
@@ -198,33 +187,31 @@ class TestHierarchical:
             raise AssertionError("a memoized level was rebuilt")
 
         monkeypatch.setattr(training, "build_near_field_codebook", no_build)
-        b = hierarchical_training(hcfg, DIMS, ch, 0.2, np.random.default_rng(9), memo)
+        b = hierarchical_training(hcfg, SCENE, self.BASE, ch, 0.2, np.random.default_rng(9), memo)
         assert a == b and len(memo) == 3
 
     def test_fixed_seed_reproducible_with_trace(self):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(60))
-        a = hierarchical_training(self.HCFG, DIMS, ch, 0.5, np.random.default_rng(13))
-        b = hierarchical_training(self.HCFG, DIMS, ch, 0.5, np.random.default_rng(13))
+        a = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.5, np.random.default_rng(13))
+        b = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.5, np.random.default_rng(13))
         assert a == b and a.per_stage == b.per_stage
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            HierarchicalConfig(0, BOX, BOX, 1.0, 4.0, 0.25)
+            HierarchicalConfig(0, 4.0, 0.25)
         with pytest.raises(ValueError):
-            HierarchicalConfig(2, BOX, BOX, 1.0, 0.5, 0.25)
+            HierarchicalConfig(2, 0.5, 0.25)
         with pytest.raises(ValueError):
-            HierarchicalConfig(2, BOX, BOX, 1.0, 4.0, 1.5)
-        with pytest.raises(ValueError):
-            HierarchicalConfig(2, BOX, BOX, 0.0, 4.0, 0.25)
+            HierarchicalConfig(2, 4.0, 1.5)
+        ch = sample_near_field_channel(SCENE, np.random.default_rng(1))
+        rng = np.random.default_rng(0)
+        for base_step in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                hierarchical_training(self.HCFG, SCENE, base_step, ch, 0.1, rng)
 
-    @pytest.mark.parametrize(
-        "base_step,multiplier,field",
-        [(float("inf"), 4.0, "base_step"), (1e300, 1e10, "step_multiplier")],
-    )
-    def test_level_1_step_must_be_finite(self, base_step, multiplier, field):
-        with pytest.raises(FieldError, match="finite") as exc:
-            HierarchicalConfig(2, BOX, BOX, base_step, multiplier, 0.25)
-        assert exc.value.field == field
+    def test_defaults_and_steps(self):
+        assert HierarchicalConfig() == HierarchicalConfig(2, 4.0, 0.25)
+        assert list(HierarchicalConfig(levels=3).steps(2.0)) == [8.0, 2.0, 0.5]
 
     def test_full_scale_stage_sizes_match_grid_counting(self):
         # independent oracle: level-1 grid is 25/4 x 2/4 x 9/4-style coarse,
@@ -232,16 +219,9 @@ class TestHierarchical:
         # hold at most 5 samples per axis at step control 1/4
         box = Box3((-600.0, 600.0), (5.0, 100.0), (-200.0, 200.0))
         dims = ArrayDims(128, 4, 0.5)
-        hcfg = HierarchicalConfig(
-            levels=2,
-            box_g=box,
-            box_r=box,
-            base_step=50.0,
-            step_multiplier=4.0,
-            step_control=0.25,
-        )
-        assert hcfg.steps() == [200.0, 50.0]
-        grid_g, grid_r = hcfg.stage1_grids()
+        hcfg = HierarchicalConfig(levels=2, step_multiplier=4.0, step_control=0.25)
+        assert list(hcfg.steps(50.0)) == [200.0, 50.0]
+        grid_g = grid_r = SampleGrid(box, 200.0)
         assert [len(axis_samples(lo, hi, 200.0)) for lo, hi in box.intervals()] == [7, 1, 3]
         assert grid_g.size == 21
         stage1 = build_near_field_codebook(grid_g, grid_r, dims)
@@ -249,7 +229,7 @@ class TestHierarchical:
 
         scene = SceneConfig(dims, box, box)
         ch = sample_near_field_channel(scene, np.random.default_rng(5150))
-        res = hierarchical_training(hcfg, dims, ch, 0.0, np.random.default_rng(0))
+        res = hierarchical_training(hcfg, scene, 50.0, ch, 0.0, np.random.default_rng(0))
         sizes = [s.codebook_size for s in res.per_stage]
         assert sizes[0] == 231
         assert sizes[1] <= 125 * 125
