@@ -10,13 +10,16 @@ earlier pair (i, j), so only the upper triangle i <= j is swept.
 
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
-nine decimals (integer nanocycles). Pairs are grouped by a 64-bit polynomial
-hash of that form, and the canonical forms of pairs sharing a hash are
-compared directly, so dedup is exact: a hash collision keeps both codewords.
+nine decimals (integer nanocycles). The form is elementwise once anchored,
+so the form of a fixed sketch of at most 16 elements, element 0 first, is
+the full form's sketch bit for bit. Pairs are grouped by a 64-bit
+polynomial hash of their sketch, and the full canonical forms of pairs
+sharing a key are compared directly, so dedup is exact: equal beams always
+share a key, and a key shared by distinct beams keeps both codewords.
 
 A near-field codebook is its two sample grids, the kept pairs as indices
-into the grids' points, and each kept pair's hash. The cache file stores
-exactly that; the points are regenerated from the grids on load.
+into the grids' points, and each kept pair's sketch key. The cache file
+stores exactly that; the points are regenerated from the grids on load.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ _CHECK_ELEMENTS = 1 << 21
 # Profile elements swept per chunk of a row: about 256 KB of float64, so the
 # chunk and the temporaries of its key stay in L2.
 _CHUNK_ELEMENTS = 1 << 15
+# Elements of each profile that the dedup key hashes.
+_SKETCH_ELEMENTS = 16
 
 _MAGIC = b"XLRC"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 # version, N1, N2, d, L, then per grid (g, r): x, y, z intervals and the step
 _HEADER = struct.Struct("<IIIdQ14d")
 
@@ -60,11 +65,11 @@ _HEADER = struct.Struct("<IIIdQ14d")
 def key_algorithm() -> list[int]:
     """Constants besides the scene that fix a cache file's bytes.
 
-    The format version, the key rounding resolution and the key multiplier.
-    Cache filenames hash them, so changing any one misses the cache instead
-    of reusing stale keys.
+    The format version, the key rounding resolution, the key multiplier and
+    the sketch size. Cache filenames hash them, so changing any one misses
+    the cache instead of reusing stale keys.
     """
-    return [_FORMAT_VERSION, _NANO, int(_KEY_MULTIPLIER)]
+    return [_FORMAT_VERSION, _NANO, int(_KEY_MULTIPLIER), _SKETCH_ELEMENTS]
 
 
 class CodebookFileError(ValueError):
@@ -110,6 +115,17 @@ def _key_powers(n: int) -> np.ndarray:
         acc = (acc * mult) & 0xFFFFFFFFFFFFFFFF
     powers.flags.writeable = False  # shared by every caller through the cache
     return powers
+
+
+def _sketch_elements(n: int) -> np.ndarray:
+    """The fixed element indices a dedup key hashes: element 0, then an even spread.
+
+    min(n, _SKETCH_ELEMENTS) indices, ascending, the last one n - 1 when
+    there are two or more. Because the first is 0, the canonical form of a
+    profile's sketch equals the sketch of its canonical form bit for bit.
+    """
+    # Samples at least 1 apart stay distinct under rint.
+    return np.rint(np.linspace(0, n - 1, min(n, _SKETCH_ELEMENTS))).astype(np.int64)
 
 
 def reduced_profile(profile) -> np.ndarray:
@@ -172,9 +188,10 @@ class NearFieldCodebook:
 
     A codebook is its sample grids ``grids = (grid_g, grid_r)``, the kept
     pairs as row indices into the grids' points, and each kept pair's dedup
-    key. Codeword ``l`` is defined by points ``(g_points[pairs[l, 0]],
-    r_points[pairs[l, 1]])``; its vector is the conjugated spherical-wave
-    phase profile of that pair, regenerated on demand by
+    key (the hash of its profile's sketch). Codeword ``l`` is defined by
+    points ``(g_points[pairs[l, 0]], r_points[pairs[l, 1]])``; its vector
+    is the conjugated spherical-wave phase profile of that pair,
+    regenerated on demand by
     ``codeword_vector(cb.codeword(l), dims)`` (the full-scale codebook held
     as dense vectors would be hundreds of MB). The per-point steering
     factors behind :meth:`responses` are computed on its first call and
@@ -297,31 +314,36 @@ def build_near_field_codebook(
     the first occurrence. When ``grid_g == grid_r`` row i sweeps only
     columns j >= i: float addition is commutative, so each skipped pair
     repeats the profile of its earlier swap bitwise and could never be
-    kept. Keys are a deterministic map over the swept pairs, so the result
-    is identical whether rows run serially or on `threads` workers.
+    kept. Each swept pair is keyed by the hash of its profile's sketch
+    (:func:`_sketch_elements`); pairs that share a key have their full
+    canonical forms compared. Keys are a deterministic map over the swept
+    pairs, so the result is identical whether rows run serially or on
+    `threads` workers.
     """
     pts_g = grid_g.points()
-    pts_r = grid_r.points()
+    pts_r = pts_g if grid_g == grid_r else grid_r.points()
     s_g, s_r = len(pts_g), len(pts_r)
     if s_g == 0 or s_r == 0:
         raise ValueError("sample grids must contain at least one point")
 
     dist_g = element_distances(pts_g, dims)
-    dist_r = element_distances(pts_r, dims)
+    dist_r = dist_g if pts_r is pts_g else element_distances(pts_r, dims)
+    sketch = _sketch_elements(dims.n)
+    sketch_g, sketch_r = dist_g[:, sketch], dist_r[:, sketch]
     # Row i of the sweep covers columns first_col[i]..s_r-1 and lands in
     # keys[offsets[i]:offsets[i + 1]], so the flat order is the sweep order.
     first_col = np.arange(s_g) if grid_g == grid_r else np.zeros(s_g, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(s_r - first_col)))
     keys = np.empty(offsets[-1], dtype=np.uint64)
 
-    chunk_rows = max(1, _CHUNK_ELEMENTS // dims.n)
+    chunk_rows = max(1, _CHUNK_ELEMENTS // len(sketch))
 
     def fill_block(i: int) -> None:
-        # Row i in chunks of chunk_rows columns, summed into one buffer.
-        block = np.empty((min(chunk_rows, s_r - first_col[i]), dims.n))
+        # Row i's sketches in chunks of chunk_rows columns, summed into one buffer.
+        block = np.empty((min(chunk_rows, s_r - first_col[i]), len(sketch)))
         for col in range(first_col[i], s_r, chunk_rows):
             part = block[: min(chunk_rows, s_r - col)]
-            np.add(dist_g[i], dist_r[col : col + len(part)], out=part)
+            np.add(sketch_g[i], sketch_r[col : col + len(part)], out=part)
             start = offsets[i] + (col - first_col[i])
             keys[start : start + len(part)] = _hash_reduced(reduced_profile(part))
 
@@ -348,21 +370,22 @@ def build_near_field_codebook(
 def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray:
     """Ascending positions of the first occurrence of each distinct profile.
 
-    `keys[k]` is the hash of the profile at sweep position k, and
-    `reduced_rows(positions)` returns those profiles' canonical forms. Keys
-    seen once need no check. The positions behind a repeated key have their
-    canonical forms compared directly, in batches of whole key groups of
-    about `batch_rows` rows, so true duplicates are dropped and hash
-    collisions keep every distinct profile.
+    `keys[k]` is the key of the profile at sweep position k, equal for equal
+    profiles, and `reduced_rows(positions)` returns those profiles' full
+    canonical forms. Keys seen once need no check. The positions behind a
+    repeated key have their canonical forms compared directly, in batches of
+    whole key groups of about `batch_rows` rows, so true duplicates are
+    dropped and key collisions keep every distinct profile.
     """
+    sorted_keys = np.sort(keys)
+    if not (sorted_keys[1:] == sorted_keys[:-1]).any():
+        return np.arange(len(keys))  # no key repeats, so no profile does
     order = np.argsort(keys, kind="stable")  # stable: a group lists positions ascending
     sorted_keys = keys[order]
     new_key = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:-1])
     kept = order[new_key[:-1]]
     shared = ~(new_key[:-1] & new_key[1:])  # in a group of two or more
-    if not shared.any():
-        return np.sort(kept)
     members = order[shared]
     group_starts = np.flatnonzero(new_key[:-1][shared])
     # Each batch starts at the last group start at or before a multiple of batch_rows.
@@ -377,7 +400,7 @@ def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarr
 
 
 def save_codebook(cb: NearFieldCodebook, path) -> None:
-    """Write the binary cache: a header, the pairs as int32, the keys as uint64, a CRC32.
+    """Write the binary cache: a header, the pairs as int32, the sketch keys as uint64, a CRC32.
 
     The header holds the format version, N1, N2, d, L and each grid's box
     and step, so points and vectors are regenerated on load. The bytes go to

@@ -10,6 +10,7 @@ from xlris.codebook import (
     SampleGrid,
     _NANO,
     _hash_reduced,
+    _sketch_elements,
     build_near_field_codebook,
     codeword_vector,
     far_field_codebook,
@@ -29,6 +30,7 @@ from xlris.geometry import (
     ArrayDims,
     Box3,
     Point3,
+    cascaded_distances,
     cascaded_steering,
     element_distances,
     far_field_steering,
@@ -90,8 +92,24 @@ def planar_channel(phi: float, psi: float, dims: ArrayDims) -> SimpleNamespace:
 
 
 def codeword_key(profile) -> int:
-    """The 64-bit dedup key a codebook stores for one distance profile."""
+    """The 64-bit polynomial hash of a whole distance profile's canonical form."""
     return int(_hash_reduced(reduced_profile(profile)))
+
+
+def sketch_key(profile) -> int:
+    """The 64-bit dedup key a codebook stores for one distance profile: its sketch's hash."""
+    p = np.asarray(profile, dtype=np.float64)
+    return codeword_key(p[_sketch_elements(len(p))])
+
+
+def is_beam_of(cb, l: int, profile) -> bool:
+    """Whether codeword l of a near-field codebook has the beam of `profile`.
+
+    Compares the full canonical forms of the two distance profiles, as
+    dedup does, so the answer does not rest on a hash.
+    """
+    own = cascaded_distances(*cb.source_pair(l), cb.dims)
+    return np.array_equal(reduced_profile(own), reduced_profile(profile))
 
 
 def reference_reduced_profile(profile) -> np.ndarray:
@@ -112,17 +130,20 @@ def reference_reduced_profile(profile) -> np.ndarray:
 def reference_keys(grid_g, grid_r, dims) -> tuple[np.ndarray, np.ndarray]:
     """Every pair the build sweeps, in sweep order, and its key, one whole row at a time.
 
-    Uses the masked-add canonical form. Returns (swept, keys): `swept[k]` is
-    the (g, r) index pair at sweep position k and `keys[k]` its key.
+    Takes the sketch columns of each whole profile's masked-add canonical
+    form, where the build takes the canonical form of each profile's sketch.
+    Returns (swept, keys): `swept[k]` is the (g, r) index pair at sweep
+    position k and `keys[k]` its key.
     """
     dist_g = element_distances(grid_g.points(), dims)
     dist_r = element_distances(grid_r.points(), dims)
+    sketch = _sketch_elements(dims.n)
     s_r = len(dist_r)
     swept, keys = [], []
     for i in range(len(dist_g)):
         first = i if grid_g == grid_r else 0
         block = dist_g[i, np.newaxis, :] + dist_r[first:]
-        keys.append(_hash_reduced(reference_reduced_profile(block)))
+        keys.append(_hash_reduced(reference_reduced_profile(block)[:, sketch]))
         swept.append(np.column_stack([np.full(s_r - first, i), np.arange(first, s_r)]))
     return np.concatenate(swept), np.concatenate(keys)
 

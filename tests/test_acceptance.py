@@ -36,8 +36,8 @@ from xlris.geometry import (
 )
 
 from support import (
-    codeword_key,
     find_row,
+    is_beam_of,
     near_field_channel,
     near_field_steering,
     summarize_ratio,
@@ -116,7 +116,7 @@ def test_criterion_4_noiseless_on_grid_recovery():
             ch = near_field_channel(pg, pr, dims, alpha)
             amps = np.abs(cb.responses(ch.h_bar))
             winner = int(np.argmax(amps))
-            hits += int(cb.keys[winner]) == codeword_key(cascaded_distances(pg, pr, dims))
+            hits += is_beam_of(cb, winner, cascaded_distances(pg, pr, dims))
         assert hits == trials
 
 
@@ -134,10 +134,10 @@ def test_criterion_5_perfect_csi_dominance():
             over = amps > csi_amp * (1 + 1e-9)
             violations += int(np.count_nonzero(over))
             near = np.flatnonzero(amps >= csi_amp * (1 - 1e-9))
-            channel_key = codeword_key(cascaded_distances(*ch.pair, dims))
-            for l in near:  # equality only on key match
-                violations += int(cb.keys[l]) != channel_key
-        # an on-grid channel really does reach the bound, through its matching key
+            channel_profile = cascaded_distances(*ch.pair, dims)
+            for l in near:  # equality only for the channel's own beam
+                violations += not is_beam_of(cb, l, channel_profile)
+        # an on-grid channel really does reach the bound, through its own beam
         points = cfg.codebook_grids()[0].points()
         pg = Point3.from_array(points[17])
         pr = Point3.from_array(points[230])
@@ -145,7 +145,7 @@ def test_criterion_5_perfect_csi_dominance():
         amps = np.abs(cb.responses(ch.h_bar))
         top = int(np.argmax(amps))
         assert amps[top] == pytest.approx(dims.n, rel=1e-9)
-        assert int(cb.keys[top]) == codeword_key(cascaded_distances(pg, pr, dims))
+        assert is_beam_of(cb, top, cascaded_distances(pg, pr, dims))
         assert violations == 0
 
 

@@ -432,7 +432,13 @@ class TestCli:
         assert files["mine"].read_bytes() == good
 
     @pytest.mark.parametrize(
-        "name,value", [("_FORMAT_VERSION", 3), ("_NANO", 10**8), ("_KEY_MULTIPLIER", np.uint64(3))]
+        "name,value",
+        [
+            ("_FORMAT_VERSION", 4),
+            ("_NANO", 10**8),
+            ("_KEY_MULTIPLIER", np.uint64(3)),
+            ("_SKETCH_ELEMENTS", 8),
+        ],
     )
     def test_key_algorithm_change_misses_the_cache(
         self, tmp_path, capsys, monkeypatch, name, value

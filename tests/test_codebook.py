@@ -36,10 +36,13 @@ from support import (
     reference_keys,
     reference_reduced_profile,
     reference_responses,
+    sketch_key,
     vector,
 )
 
 DIMS = ArrayDims(8, 2, 0.5)
+# N = 64, so the dedup key hashes a strict subset of each profile.
+DIMS64 = ArrayDims(16, 4, 0.5)
 # Multiples of 2**-10 below 2**10: sums of two of them, or of one and an
 # integer below 2**10, are exact in float64.
 DYADIC = st.integers(-(1 << 20) + 1, (1 << 20) - 1).map(lambda k: k / 1024.0)
@@ -67,10 +70,11 @@ def brute_force_distinct_beams(grid_g, grid_r, dims, tol=1e-6):
 
 
 def full_product_reference(grid_g, grid_r, dims):
-    """The build without the triangle: hash every ordered pair, keep first keys.
+    """The build without the triangle or the sketch: hash every ordered pair's
+    whole profile, keep first keys.
 
-    Returns (pairs, keys, pre_dedup_pairs) for the sweep over the whole
-    product, one pair at a time.
+    Returns (pairs, pre_dedup_pairs) for the sweep over the whole product,
+    one pair at a time.
     """
     pts_g, pts_r = grid_g.points(), grid_r.points()
     dist_g, dist_r = element_distances(pts_g, dims), element_distances(pts_r, dims)
@@ -80,7 +84,13 @@ def full_product_reference(grid_g, grid_r, dims):
     _, first = np.unique(keys, return_index=True)
     kept = np.sort(first)
     pairs = np.column_stack([kept // len(pts_r), kept % len(pts_r)])
-    return pairs, keys[kept], len(pts_g) * len(pts_r)
+    return pairs, len(pts_g) * len(pts_r)
+
+
+def stored_keys(cb):
+    """The key a codebook should store for each kept pair: the hash of its profile's sketch."""
+    profiles = (cascaded_distances(*cb.source_pair(l), cb.dims) for l in range(cb.size))
+    return np.array([sketch_key(p) for p in profiles], dtype=np.uint64)
 
 
 @st.composite
@@ -200,6 +210,19 @@ class TestCanonicalKey:
         same_form = np.array_equal(reduced_profile(a), reduced_profile(b))
         assert (codeword_key(a) == codeword_key(b)) == same_form
 
+    @given(
+        profile=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=80
+        ).map(np.array)
+    )
+    @example(profile=np.arange(64) * 0.37)
+    def test_sketch_of_the_form_is_the_form_of_the_sketch(self, profile):
+        n = len(profile)
+        sketch = codebook._sketch_elements(n)
+        assert len(sketch) == min(n, codebook._SKETCH_ELEMENTS)
+        assert sketch[0] == 0 and sketch[-1] == n - 1 and (np.diff(sketch) > 0).all()
+        assert np.array_equal(reduced_profile(profile[sketch]), reduced_profile(profile)[sketch])
+
     def test_key_powers_are_read_only(self):
         powers = codebook._key_powers(DIMS.n)
         with pytest.raises(ValueError, match="read-only"):
@@ -303,55 +326,62 @@ class TestNearFieldBuild:
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.keys, b.keys)
 
+    # At N = 16 the sketch is the whole profile; at N = 64 a strict subset.
     @settings(max_examples=40, deadline=None)
     @given(grid=small_grids())
     def test_equal_grids_match_full_product(self, grid):
-        ref_pairs, ref_keys, ref_pre = full_product_reference(grid, grid, DIMS)
-        for threads in (1, 2):
-            cb = build_near_field_codebook(grid, grid, DIMS, threads=threads)
-            assert np.array_equal(cb.pairs, ref_pairs)
-            assert np.array_equal(cb.keys, ref_keys)
-            assert cb.pre_dedup_pairs == ref_pre
+        for dims in (DIMS, DIMS64):
+            ref_pairs, ref_pre = full_product_reference(grid, grid, dims)
+            for threads in (1, 2):
+                cb = build_near_field_codebook(grid, grid, dims, threads=threads)
+                assert np.array_equal(cb.pairs, ref_pairs)
+                assert np.array_equal(cb.keys, stored_keys(cb))
+                assert cb.pre_dedup_pairs == ref_pre
 
     @settings(max_examples=20, deadline=None)
     @given(grid_g=small_grids(), grid_r=small_grids())
     def test_unequal_grids_match_full_product(self, grid_g, grid_r):
-        ref_pairs, ref_keys, ref_pre = full_product_reference(grid_g, grid_r, DIMS)
-        for threads in (1, 2):
-            cb = build_near_field_codebook(grid_g, grid_r, DIMS, threads=threads)
-            assert np.array_equal(cb.pairs, ref_pairs)
-            assert np.array_equal(cb.keys, ref_keys)
-            assert cb.pre_dedup_pairs == ref_pre
+        for dims in (DIMS, DIMS64):
+            ref_pairs, ref_pre = full_product_reference(grid_g, grid_r, dims)
+            for threads in (1, 2):
+                cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
+                assert np.array_equal(cb.pairs, ref_pairs)
+                assert np.array_equal(cb.keys, stored_keys(cb))
+                assert cb.pre_dedup_pairs == ref_pre
 
     @settings(max_examples=30, deadline=None)
     @given(grid_g=small_grids(), grid_r=small_grids(), square=st.booleans())
     def test_chunked_sweep_keeps_the_whole_row_keys(self, grid_g, grid_r, square):
         grid_r = grid_g if square else grid_r
-        swept, ref_keys = reference_keys(grid_g, grid_r, DIMS)
-        dist_g = element_distances(grid_g.points(), DIMS)
-        dist_r = element_distances(grid_r.points(), DIMS)
-        kept = codebook._first_distinct(
-            ref_keys,
-            lambda flat: reference_reduced_profile(dist_g[swept[flat, 0]] + dist_r[swept[flat, 1]]),
-            1,
-        )
-        # Chunks of 1 or 3 rows, so chunk edges fall inside rows.
-        for chunk in (DIMS.n, 3 * DIMS.n, 3 * DIMS.n + 1):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
-                for threads in (1, 2):
-                    cb = build_near_field_codebook(grid_g, grid_r, DIMS, threads=threads)
-                    assert np.array_equal(cb.pairs, swept[kept])
-                    assert np.array_equal(cb.keys, ref_keys[kept])
+        for dims in (DIMS, DIMS64):
+            swept, ref_keys = reference_keys(grid_g, grid_r, dims)
+            dist_g = element_distances(grid_g.points(), dims)
+            dist_r = element_distances(grid_r.points(), dims)
+            kept = codebook._first_distinct(
+                ref_keys,
+                lambda flat: reference_reduced_profile(
+                    dist_g[swept[flat, 0]] + dist_r[swept[flat, 1]]
+                ),
+                1,
+            )
+            # Chunks of 1 or 3 rows of sketches, so chunk edges fall inside rows.
+            k = len(codebook._sketch_elements(dims.n))
+            for chunk in (k, 3 * k, 3 * k + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
+                    for threads in (1, 2):
+                        cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
+                        assert np.array_equal(cb.pairs, swept[kept])
+                        assert np.array_equal(cb.keys, ref_keys[kept])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_paper_cache_file_bytes_are_pinned(self, tmp_path, capsys, threads):
         assert main(["codebook", "build", "--config", "paper", "--threads", str(threads),
                      "--cache", str(tmp_path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        path = tmp_path / "xlrc_720a8542c4419ec9.bin"
+        path = tmp_path / "xlrc_12a933570924790a.bin"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "a2e617bb2b9c7556f88134ae3d0a5d094f1bfc5672f24af75fc04ba498c43253"
+            "d00aad12ca9f7c2da71e8c4a1cfe78105f31ec126a45fab24b5046ff519403fd"
         )
 
     @pytest.mark.parametrize("square", [True, False])
@@ -393,6 +423,24 @@ class TestNearFieldBuild:
         bucketed = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
         assert np.array_equal(bucketed.pairs, real.pairs)
         assert np.array_equal(bucketed.keys, real.keys % np.uint64(64))
+
+    @pytest.mark.parametrize("x_r", [(0.0, 3.0), (1.0, 4.0)])
+    def test_one_element_sketch_keeps_the_full_profile_pairs(self, monkeypatch, x_r):
+        # A one-element sketch gives every pair the key 0, so one key group
+        # holds the whole sweep and only the full canonical forms tell beams
+        # apart. The overlapping unequal grids hold true duplicates (swapped
+        # pairs), which must still be dropped.
+        grid_g = SampleGrid(Box3((0.0, 3.0), (2.0, 3.0), (-1.0, 0.0)), 1.0)
+        grid_r = SampleGrid(Box3(x_r, (2.0, 3.0), (-1.0, 0.0)), 1.0)
+        real = build_near_field_codebook(grid_g, grid_r, DIMS64)
+        ref_pairs, pre = full_product_reference(grid_g, grid_r, DIMS64)
+        assert np.array_equal(real.pairs, ref_pairs) and real.size < pre
+        monkeypatch.setattr(codebook, "_SKETCH_ELEMENTS", 1)
+        monkeypatch.setattr(codebook, "_CHECK_ELEMENTS", 3 * DIMS64.n)
+        for threads in (1, 2):
+            colliding = build_near_field_codebook(grid_g, grid_r, DIMS64, threads=threads)
+            assert np.array_equal(colliding.pairs, real.pairs)
+            assert not colliding.keys.any()
 
     def test_vector_is_conjugated_distance_profile(self):
         grid = generic_line_grid(4)
