@@ -60,10 +60,21 @@ class ChannelRealization:
 
 
 def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray | complex:
-    """Circularly-symmetric complex Gaussian draw(s) with unit variance."""
+    """Circularly-symmetric complex Gaussian draw(s) with unit variance.
+
+    An array draw is bitwise ``(re + 1j * im) / np.sqrt(2.0)``: numpy divides
+    a complex by a real as a multiply by its reciprocal, so filling both
+    halves of one buffer and scaling it in place skips two temporaries.
+    """
     re = rng.standard_normal(size)
     im = rng.standard_normal(size)
-    return (re + 1j * im) / np.sqrt(2.0)
+    if size is None:
+        return (re + 1j * im) / np.sqrt(2.0)
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    out *= 1.0 / np.sqrt(2.0)
+    return out
 
 
 def _uniform_point(box: Box3, rng: np.random.Generator) -> Point3:

@@ -24,6 +24,7 @@ stores exactly that; the points are regenerated from the grids on load.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
@@ -50,8 +51,9 @@ _NANO = 1_000_000_000
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # Canonical-form elements compared per batch when checking shared keys.
 _CHECK_ELEMENTS = 1 << 21
-# Profile elements swept per chunk of a row: about 256 KB of float64, so the
-# chunk and the temporaries of its key stay in L2.
+# Sketch elements keyed per chunk of the flat pair sweep, which may span rows:
+# about 256 KB of float64, so the chunk and the temporaries of its key stay
+# in L2.
 _CHUNK_ELEMENTS = 1 << 15
 # Elements of each profile that the dedup key hashes.
 _SKETCH_ELEMENTS = 16
@@ -316,9 +318,11 @@ def build_near_field_codebook(
     repeats the profile of its earlier swap bitwise and could never be
     kept. Each swept pair is keyed by the hash of its profile's sketch
     (:func:`_sketch_elements`); pairs that share a key have their full
-    canonical forms compared. Keys are a deterministic map over the swept
-    pairs, so the result is identical whether rows run serially or on
-    `threads` workers.
+    canonical forms compared. The sweep is keyed in fixed chunks of the
+    flat pair order, a chunk spanning as many rows as it needs; keys are a
+    row-wise map over the swept pairs, so the result is identical whether
+    the chunks run serially or on `threads` workers. A sweep that fits in
+    one chunk starts no thread pool.
     """
     pts_g = grid_g.points()
     pts_r = pts_g if grid_g == grid_r else grid_r.points()
@@ -336,23 +340,32 @@ def build_near_field_codebook(
     offsets = np.concatenate(([0], np.cumsum(s_r - first_col)))
     keys = np.empty(offsets[-1], dtype=np.uint64)
 
-    chunk_rows = max(1, _CHUNK_ELEMENTS // len(sketch))
+    # Python ints, so a chunk's per-row bookkeeping makes no numpy calls.
+    row_offsets, row_first_col = offsets.tolist(), first_col.tolist()
+    chunk_pairs = max(1, _CHUNK_ELEMENTS // len(sketch))
+    starts = range(0, len(keys), chunk_pairs)
 
-    def fill_block(i: int) -> None:
-        # Row i's sketches in chunks of chunk_rows columns, summed into one buffer.
-        block = np.empty((min(chunk_rows, s_r - first_col[i]), len(sketch)))
-        for col in range(first_col[i], s_r, chunk_rows):
-            part = block[: min(chunk_rows, s_r - col)]
-            np.add(sketch_g[i], sketch_r[col : col + len(part)], out=part)
-            start = offsets[i] + (col - first_col[i])
-            keys[start : start + len(part)] = _hash_reduced(reduced_profile(part))
+    def fill_block(start: int) -> None:
+        # Pairs start..stop-1 of the flat order may span rows: each row's run
+        # of them is summed into one block, then the whole block is keyed.
+        stop = min(start + chunk_pairs, len(keys))
+        block = np.empty((stop - start, len(sketch)))
+        i = bisect.bisect_right(row_offsets, start) - 1
+        pos = start
+        while pos < stop:
+            end = min(row_offsets[i + 1], stop)
+            col = row_first_col[i] + pos - row_offsets[i]
+            run = block[pos - start : end - start]
+            np.add(sketch_g[i], sketch_r[col : col + len(run)], out=run)
+            pos, i = end, i + 1
+        keys[start:stop] = _hash_reduced(reduced_profile(block))
 
-    if threads > 1:
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_block, range(s_g)))
+            list(pool.map(fill_block, starts))
     else:
-        for i in range(s_g):
-            fill_block(i)
+        for start in starts:
+            fill_block(start)
 
     def locate(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.searchsorted(offsets, flat, side="right") - 1

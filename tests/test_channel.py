@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xlris.channel import SceneConfig, sample_near_field_channel
+from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
 from xlris.codebook import far_field_codebook
 from xlris.geometry import (
     ArrayDims,
@@ -104,6 +104,18 @@ class TestSampling:
             assert exc.field == "box_g" and not finite
         else:
             assert finite
+
+
+class TestComplexNormal:
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("size", [0, 1, 7, 101_475])
+    def test_array_draw_is_bitwise_the_complex_formula(self, seed, size):
+        rng = np.random.default_rng(seed)
+        re, im = rng.standard_normal(size), rng.standard_normal(size)
+        expected = (re + 1j * im) / np.sqrt(2.0)
+        got = complex_normal(np.random.default_rng(seed), size)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestReceivedSignal:

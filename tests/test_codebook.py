@@ -326,6 +326,23 @@ class TestNearFieldBuild:
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.keys, b.keys)
 
+    def test_single_chunk_build_starts_no_pool(self, monkeypatch):
+        # 36 swept pairs of 16 sketch elements fit in one chunk, so the sweep
+        # runs inline whatever the thread count; a sweep of more chunks pools.
+        grid = generic_line_grid(8)
+        serial = build_near_field_codebook(grid, grid, DIMS)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk sweep started a thread pool")
+
+        monkeypatch.setattr(codebook, "ThreadPoolExecutor", no_pool)
+        inline = build_near_field_codebook(grid, grid, DIMS, threads=4)
+        assert np.array_equal(inline.pairs, serial.pairs)
+        assert np.array_equal(inline.keys, serial.keys)
+        monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", 16 * 18)
+        with pytest.raises(AssertionError, match="thread pool"):
+            build_near_field_codebook(grid, grid, DIMS, threads=4)
+
     # At N = 16 the sketch is the whole profile; at N = 64 a strict subset.
     @settings(max_examples=40, deadline=None)
     @given(grid=small_grids())
@@ -364,12 +381,15 @@ class TestNearFieldBuild:
                 ),
                 1,
             )
-            # Chunks of 1 or 3 rows of sketches, so chunk edges fall inside rows.
+            # Chunks of 1, 3, or 2 * S_r + 1 pairs of the flat sweep order, so
+            # chunk edges cross row boundaries: a chunk may end inside a row,
+            # hold the end of one row and the start of the next, or hold
+            # several whole rows plus part of another.
             k = len(codebook._sketch_elements(dims.n))
-            for chunk in (k, 3 * k, 3 * k + 1):
+            for chunk in (k, 3 * k, 3 * k + 1, (2 * len(grid_r.points()) + 1) * k):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
-                    for threads in (1, 2):
+                    for threads in (1, 2, 3):
                         cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
                         assert np.array_equal(cb.pairs, swept[kept])
                         assert np.array_equal(cb.keys, ref_keys[kept])
