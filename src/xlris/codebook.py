@@ -321,8 +321,9 @@ def build_near_field_codebook(
     canonical forms compared. The sweep is keyed in fixed chunks of the
     flat pair order, a chunk spanning as many rows as it needs; keys are a
     row-wise map over the swept pairs, so the result is identical whether
-    the chunks run serially or on `threads` workers. A sweep that fits in
-    one chunk starts no thread pool.
+    the chunks run serially or on `threads` workers, each of which keys
+    one contiguous span of chunks. A sweep that fits in one chunk starts
+    no thread pool.
     """
     pts_g = grid_g.points()
     pts_r = pts_g if grid_g == grid_r else grid_r.points()
@@ -360,12 +361,21 @@ def build_near_field_codebook(
             pos, i = end, i + 1
         keys[start:stop] = _hash_reduced(reduced_profile(block))
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_block, starts))
-    else:
-        for start in starts:
+    def fill_span(span: range) -> None:
+        for start in span:
             fill_block(start)
+
+    if threads > 1 and len(starts) > 1:
+        # One task per worker, each a contiguous span of chunk starts: a task
+        # per chunk had the submitter wake for every one of hundreds of
+        # futures and contend for the GIL with the workers.
+        n = len(starts)
+        workers = min(threads, n)
+        spans = [starts[k * n // workers : (k + 1) * n // workers] for k in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill_span, spans))
+    else:
+        fill_span(starts)
 
     def locate(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.searchsorted(offsets, flat, side="right") - 1
