@@ -15,13 +15,11 @@ from .channel import (
     sample_near_field_channel,
 )
 from .codebook import (
-    Codeword,
     CodebookFileError,
     FarFieldCodebook,
     NearFieldCodebook,
     SampleGrid,
     build_near_field_codebook,
-    codeword_vector,
     far_field_codebook,
     load_codebook,
     reduced_profile,

@@ -24,7 +24,6 @@ from .codebook import (
     CodebookFileError,
     NearFieldCodebook,
     build_near_field_codebook,
-    codeword_vector,
     far_field_codebook,
     load_codebook,
     save_codebook,
@@ -149,7 +148,6 @@ def cmd_codebook_build(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    dims = cfg.scene.dims
     sigma2 = snr_db_to_sigma2(args.snr_db)
     channel_ss, noise_ss = np.random.SeedSequence(cfg.master_seed).spawn(2)
     ch = sample_near_field_channel(cfg.scene, np.random.default_rng(channel_ss))
@@ -159,12 +157,11 @@ def cmd_train(args) -> int:
         cb, _ = _near_codebook(cfg, _cache_file(_cache_dir(args), cfg))
         result = exhaustive_training(cb, ch, sigma2, rng)
     elif args.scheme == SCHEME_FAR_FIELD:
-        cb = far_field_codebook(dims)
+        cb = far_field_codebook(cfg.scene.dims)
         result = exhaustive_training(cb, ch, sigma2, rng)
     else:
         result = hierarchical_training(cfg.hierarchy, cfg.scene, cfg.sampling_step, ch, sigma2, rng)
 
-    theta = codeword_vector(result.best_codeword, dims)
     report = {
         "scheme": args.scheme,
         "snr_db": args.snr_db,
@@ -172,7 +169,7 @@ def cmd_train(args) -> int:
         "best_index": result.best_index,
         "best_amplitude": result.best_amplitude,
         "slots_used": result.slots_used,
-        "achievable_rate": achievable_rate(theta, ch, sigma2),
+        "achievable_rate": achievable_rate(result.theta, ch, sigma2),
     }
     if result.per_stage is not None:
         report["per_stage"] = [dataclasses.asdict(s) for s in result.per_stage]

@@ -163,38 +163,15 @@ def _hash_reduced(nano: np.ndarray) -> np.ndarray:
     return u.sum(axis=-1, dtype=np.uint64)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """The geometry that generates one reflecting vector.
-
-    Exactly one of `pair` (near-field scatter points) or `angles` (far-field
-    lattice angles) is set. The complex vector itself is regenerated on
-    demand by :func:`codeword_vector`.
-    """
-
-    pair: tuple[Point3, Point3] | None = None
-    angles: tuple[float, float] | None = None
-
-
-def codeword_vector(cw: Codeword, dims: ArrayDims) -> np.ndarray:
-    """Regenerate a codeword's complex vector from its stored geometry."""
-    if cw.pair is not None:
-        return phase_vector(cascaded_distances(cw.pair[0], cw.pair[1], dims), conjugate=True)
-    if cw.angles is not None:
-        return np.conj(far_field_steering(cw.angles[0], cw.angles[1], dims))
-    raise ValueError("codeword carries neither a point pair nor an angle pair")
-
-
 class NearFieldCodebook:
     """Ordered, deduplicated codewords indexed by scatter-point pairs.
 
     A codebook is its sample grids ``grids = (grid_g, grid_r)``, the kept
     pairs as row indices into the grids' points, and each kept pair's dedup
-    key (the hash of its profile's sketch). Codeword ``l`` is defined by
-    points ``(g_points[pairs[l, 0]], r_points[pairs[l, 1]])``; its vector
-    is the conjugated spherical-wave phase profile of that pair,
-    regenerated on demand by
-    ``codeword_vector(cb.codeword(l), dims)`` (the full-scale codebook held
+    key (the hash of its profile's sketch). The codeword at index ``l`` is
+    defined by points ``(g_points[pairs[l, 0]], r_points[pairs[l, 1]])``;
+    its vector is the conjugated spherical-wave phase profile of that pair,
+    regenerated on demand by :meth:`vector` (the full-scale codebook held
     as dense vectors would be hundreds of MB). The per-point steering
     factors behind :meth:`responses` are computed on its first call and
     kept, one (S, N) array per side, or one for both when the sides hold
@@ -236,8 +213,9 @@ class NearFieldCodebook:
         gi, ri = self.pairs[l]
         return Point3.from_array(self.g_points[gi]), Point3.from_array(self.r_points[ri])
 
-    def codeword(self, l: int) -> Codeword:
-        return Codeword(pair=self.source_pair(l))
+    def vector(self, l: int) -> np.ndarray:
+        """The reflecting vector of codeword l: conjugated phases of its pair's summed distances."""
+        return phase_vector(cascaded_distances(*self.source_pair(l), self.dims), conjugate=True)
 
     def _steering_factors(self) -> tuple[np.ndarray, np.ndarray]:
         # Locked so that threads sharing a codebook compute the factors once.
@@ -269,8 +247,8 @@ class NearFieldCodebook:
 class FarFieldCodebook:
     """The N1*N2-column DFT-style codebook on the planar-wave angle lattice.
 
-    Codeword ``l = n*N2 + m`` is the conjugated planar-wave steering vector
-    at (phis[n], psis[m]).
+    The codeword at index ``l = n*N2 + m`` is the conjugated planar-wave
+    steering vector at (phis[n], psis[m]).
     """
 
     def __init__(self, dims: ArrayDims, phis: np.ndarray, psis: np.ndarray):
@@ -286,8 +264,9 @@ class FarFieldCodebook:
         n, m = divmod(l, len(self.psis))
         return float(self.phis[n]), float(self.psis[m])
 
-    def codeword(self, l: int) -> Codeword:
-        return Codeword(angles=self.angles(l))
+    def vector(self, l: int) -> np.ndarray:
+        """The reflecting vector of codeword l: its conjugated planar-wave steering vector."""
+        return np.conj(far_field_steering(*self.angles(l), self.dims))
 
     def responses(self, h_bar: np.ndarray) -> np.ndarray:
         h = np.asarray(h_bar)

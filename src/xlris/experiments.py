@@ -21,7 +21,6 @@ from .codebook import (
     SampleGrid,
     axis_samples,
     build_near_field_codebook,
-    codeword_vector,
     far_field_codebook,
 )
 from .geometry import FieldError
@@ -216,15 +215,13 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
                     result = hierarchical_training(
                         cfg.hierarchy, scene, cfg.sampling_step, ch, sigma2, rng, codebooks
                     )
-                    theta = codeword_vector(result.best_codeword, dims)
-                    rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
+                    rates[scheme][k, t] = achievable_rate(result.theta, ch, sigma2)
             else:
                 cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_cb
                 rng = np.random.default_rng(noise_seed)
                 picks = select_codeword(cb.responses(ch.h_bar), sigma2s, rng)
                 for k, (sigma2, (idx, _)) in enumerate(zip(sigma2s, picks)):
-                    theta = codeword_vector(cb.codeword(idx), dims)
-                    rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
+                    rates[scheme][k, t] = achievable_rate(cb.vector(idx), ch, sigma2)
 
     table = ResultTable()
     for scheme in cfg.schemes:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelRealization, SceneConfig, complex_normal
-from .codebook import Codeword, NearFieldCodebook, SampleGrid, build_near_field_codebook
+from .codebook import NearFieldCodebook, SampleGrid, build_near_field_codebook
 from .geometry import Box3, FieldError, Point3
 
 
@@ -35,10 +35,17 @@ class StageResult:
 
 @dataclass(frozen=True)
 class TrainingResult:
+    """What one training run picked and what it cost.
+
+    `best_index` addresses the last codebook searched: the only one of an
+    exhaustive search, the last level's of a hierarchical one. `theta` is
+    that codeword's reflecting vector; as an array it takes no part in ``==``.
+    """
+
     best_index: int
     best_amplitude: float
     slots_used: int
-    best_codeword: Codeword
+    theta: np.ndarray = field(compare=False, repr=False)
     per_stage: tuple[StageResult, ...] | None = None
 
 
@@ -132,7 +139,7 @@ def exhaustive_training(
         best_index=idx,
         best_amplitude=amp,
         slots_used=cb.size,
-        best_codeword=cb.codeword(idx),
+        theta=cb.vector(idx),
     )
 
 
@@ -198,7 +205,7 @@ def hierarchical_training(
         best_index=idx,
         best_amplitude=amp,
         slots_used=slots,
-        best_codeword=cb.codeword(idx),
+        theta=cb.vector(idx),
         per_stage=tuple(traces),
     )
 

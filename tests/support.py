@@ -12,7 +12,6 @@ from xlris.codebook import (
     _hash_reduced,
     _sketch_elements,
     build_near_field_codebook,
-    codeword_vector,
     far_field_codebook,
     reduced_profile,
 )
@@ -162,8 +161,10 @@ def summarize_ratio(table, scheme_a: str, scheme_b: str, sweep_value: float) -> 
 
 
 def vector(cb, l: int) -> np.ndarray:
-    """Codeword l of a codebook as a complex vector."""
-    return codeword_vector(cb.codeword(l), cb.dims)
+    """The vector of codeword l, rebuilt from its pair or its angles, not by `cb.vector`."""
+    if isinstance(cb, NearFieldCodebook):
+        return phase_vector(cascaded_distances(*cb.source_pair(l), cb.dims), conjugate=True)
+    return np.conj(far_field_steering(*cb.angles(l), cb.dims))
 
 
 def reference_responses(cb, h_bar: np.ndarray) -> np.ndarray:
@@ -184,7 +185,7 @@ def reference_select(responses: np.ndarray, sigma2: float, rng) -> int:
 
 
 def reference_hierarchical(hcfg, scene, base_step: float, ch, sigma2: float, rng):
-    """The winning codeword of a hierarchical search that builds every level afresh."""
+    """The winning vector of a hierarchical search that builds every level afresh."""
     box_g, box_r = scene.box_g, scene.box_r
     for level, step in enumerate(hcfg.steps(base_step), start=1):
         cb = build_near_field_codebook(SampleGrid(box_g, step), SampleGrid(box_r, step), scene.dims)
@@ -192,7 +193,7 @@ def reference_hierarchical(hcfg, scene, base_step: float, ch, sigma2: float, rng
         if level < hcfg.levels:
             ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
             box_g, box_r = ref_g.clip(scene.box_g), ref_r.clip(scene.box_r)
-    return cb.codeword(idx)
+    return vector(cb, idx)
 
 
 def reference_sweep_snr(cfg) -> ResultTable:
@@ -217,13 +218,12 @@ def reference_sweep_snr(cfg) -> ResultTable:
                     theta = perfect_csi_beamforming(ch)
                 elif scheme == SCHEME_HIERARCHICAL:
                     hcfg, base = cfg.hierarchy, cfg.sampling_step
-                    cw = reference_hierarchical(hcfg, scene, base, ch, sigma2, rng)
-                    theta = codeword_vector(cw, dims)
+                    theta = reference_hierarchical(hcfg, scene, base, ch, sigma2, rng)
                 else:
                     cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_field_codebook(dims)
                     responses = reference_responses(cb, ch.h_bar)
                     idx = reference_select(responses, sigma2, rng)
-                    theta = codeword_vector(cb.codeword(idx), dims)
+                    theta = vector(cb, idx)
                 rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
     table = ResultTable()
     for scheme in cfg.schemes:

@@ -246,6 +246,7 @@ class TestFarFieldCodebook:
         for l in range(cb.size):
             phi, psi = cb.angles(l)
             assert np.array_equal(vector(cb, l), np.conj(far_field_steering(phi, psi, dims)))
+            assert np.array_equal(cb.vector(l), vector(cb, l))
 
     def test_lattice_order_matches_column_index(self):
         cb = far_field_codebook(ArrayDims(3, 2, 0.5))
@@ -465,11 +466,12 @@ class TestNearFieldBuild:
     def test_vector_is_conjugated_distance_profile(self):
         grid = generic_line_grid(4)
         cb = build_near_field_codebook(grid, grid, DIMS)
-        for l in range(0, cb.size, 3):
+        for l in range(cb.size):
             profile = cascaded_distances(*cb.source_pair(l), DIMS)
             oracle = np.exp(2j * np.pi * (profile % 1.0))
             assert np.abs(vector(cb, l) - oracle).max() < 1e-12
             assert np.abs(np.abs(vector(cb, l)) - 1.0).max() < 1e-12
+            assert np.array_equal(cb.vector(l), vector(cb, l))
 
     def test_responses_match_naive_loop(self):
         grid = generic_line_grid(5)
@@ -538,6 +540,7 @@ class TestPersistence:
     @settings(max_examples=40, deadline=None)
     @given(grid_g=small_grids(), grid_r=small_grids())
     @example(grid_g=generic_line_grid(6), grid_r=generic_line_grid(6))
+    @example(grid_g=generic_line_grid(6), grid_r=generic_line_grid(4, step=0.731))
     def test_round_trip(self, tmp_path_factory, grid_g, grid_r):
         built = build_near_field_codebook(grid_g, grid_r, DIMS)
         path = tmp_path_factory.mktemp("round_trip") / "cb.bin"
@@ -553,6 +556,8 @@ class TestPersistence:
         for l in range(built.size):
             assert loaded.source_pair(l) == built.source_pair(l)
             assert np.abs(vector(loaded, l) - vector(built, l)).max() <= 1e-12
+            assert np.array_equal(loaded.vector(l), vector(built, l))
+            assert np.array_equal(built.vector(l), vector(built, l))
 
     def test_dims_mismatch_rejected(self, built, tmp_path):
         path = tmp_path / "cb.bin"

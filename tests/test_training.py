@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from xlris import training
 from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
-from xlris.codebook import NearFieldCodebook, SampleGrid, axis_samples, build_near_field_codebook
+from xlris.codebook import (
+    NearFieldCodebook,
+    SampleGrid,
+    axis_samples,
+    build_near_field_codebook,
+    far_field_codebook,
+)
 from xlris.geometry import ArrayDims, Box3, Point3, cascaded_distances
 from xlris.training import (
     _NOISE_CHUNK,
@@ -85,6 +91,7 @@ class TestExhaustive:
         a = exhaustive_training(cb, ch, 0.3, np.random.default_rng(42))
         b = exhaustive_training(cb, ch, 0.3, np.random.default_rng(42))
         assert a == b
+        assert np.array_equal(a.theta, b.theta)
 
 
 class TestSelectCodeword:
@@ -149,6 +156,7 @@ class TestHierarchical:
             b.best_amplitude,
             b.slots_used,
         )
+        assert np.array_equal(a.theta, b.theta)
 
     def test_slots_equal_sum_of_stage_sizes(self):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(33))
@@ -159,9 +167,12 @@ class TestHierarchical:
     def test_stage2_boxes_respect_scene(self):
         # winners near the y floor must not push sampling behind the array
         ch = sample_near_field_channel(SCENE, np.random.default_rng(101))
-        res = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.0, np.random.default_rng(0))
-        pg, pr = res.best_codeword.pair
-        assert box_contains(BOX, pg) and box_contains(BOX, pr)
+        memo = {}
+        hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.0, np.random.default_rng(0), memo)
+        assert len(memo) == 2
+        for cb in memo.values():
+            for p in (*cb.g_points, *cb.r_points):
+                assert box_contains(BOX, Point3.from_array(p))
 
     def test_prebuilt_stage1_codebook_matches(self):
         stage1 = build_near_field_codebook(GRID, GRID, DIMS)
@@ -172,6 +183,7 @@ class TestHierarchical:
             self.HCFG, SCENE, self.BASE, ch, 0.2, np.random.default_rng(9), memo
         )
         assert a == b
+        assert np.array_equal(a.theta, b.theta)
 
     def test_memo_is_filled_then_read_instead_of_building(self, monkeypatch):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(56))
@@ -188,12 +200,14 @@ class TestHierarchical:
         monkeypatch.setattr(training, "build_near_field_codebook", no_build)
         b = hierarchical_training(hcfg, SCENE, self.BASE, ch, 0.2, np.random.default_rng(9), memo)
         assert a == b and len(memo) == 3
+        assert np.array_equal(a.theta, b.theta)
 
     def test_fixed_seed_reproducible_with_trace(self):
         ch = sample_near_field_channel(SCENE, np.random.default_rng(60))
         a = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.5, np.random.default_rng(13))
         b = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.5, np.random.default_rng(13))
         assert a == b and a.per_stage == b.per_stage
+        assert np.array_equal(a.theta, b.theta)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -233,6 +247,19 @@ class TestHierarchical:
         assert sizes[0] == 231
         assert sizes[1] <= 125 * 125
         assert res.slots_used == sum(sizes)
+
+
+def test_theta_is_the_winners_vector_in_the_last_codebook_searched():
+    ch = sample_near_field_channel(SCENE, np.random.default_rng(47))
+    for cb in (build_near_field_codebook(GRID, GRID, DIMS), far_field_codebook(DIMS)):
+        res = exhaustive_training(cb, ch, 0.3, np.random.default_rng(4))
+        assert np.array_equal(res.theta, cb.vector(res.best_index))
+    memo = {}
+    hcfg, base = TestHierarchical.HCFG, TestHierarchical.BASE
+    res = hierarchical_training(hcfg, SCENE, base, ch, 0.3, np.random.default_rng(4), memo)
+    last = list(memo.values())[-1]  # levels fill a fresh memo in order
+    assert len(memo) == hcfg.levels and last.size == res.per_stage[-1].codebook_size
+    assert np.array_equal(res.theta, last.vector(res.best_index))
 
 
 class TestPerfectCsi:
