@@ -44,7 +44,6 @@ from .geometry import (
     cascaded_distances,
     cascaded_steering,
     element_distances,
-    far_field_steering,
     phase_vector,
     rayleigh_distance,
 )

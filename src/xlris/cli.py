@@ -20,17 +20,9 @@ import numpy as np
 
 from . import __version__
 from .channel import sample_near_field_channel
-from .codebook import (
-    CodebookFileError,
-    NearFieldCodebook,
-    build_near_field_codebook,
-    far_field_codebook,
-    load_codebook,
-    save_codebook,
-)
+from .codebook import CodebookFileError, cached_near_field_codebook, far_field_codebook
 from .config import (
     ConfigError,
-    codebook_digest,
     config_digest,
     config_to_dict,
     parse_config,
@@ -64,37 +56,6 @@ def _cache_dir(args) -> Path | None:
         return Path(args.cache)
     env = os.environ.get(CACHE_ENV)
     return Path(env) if env else None
-
-
-def _cache_file(cache_dir: Path | None, cfg) -> Path | None:
-    if cache_dir is None:
-        return None
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    return cache_dir / f"xlrc_{codebook_digest(cfg)[:16]}.bin"
-
-
-def _near_codebook(cfg, path: Path | None, threads: int = 1) -> tuple[NearFieldCodebook, bool]:
-    """The config's full near-field codebook, and whether it was read from `path`.
-
-    With a cache file `path`, a readable file built over the config's grids
-    is loaded; a missing one is built and saved. A file that fails to load
-    (corrupt, truncated, or made for other dims, other grids or another
-    format) is reported on stderr, rebuilt and replaced. Without a `path`
-    the codebook is just built.
-    """
-    grids = cfg.codebook_grids()
-    if path is not None and path.exists():
-        try:
-            cb = load_codebook(path, cfg.scene.dims)
-            if cb.grids != grids:
-                raise CodebookFileError(f"codebook file {path} holds other sample grids")
-            return cb, True
-        except CodebookFileError as exc:
-            print(f"warning: rebuilding the cached codebook: {exc}", file=sys.stderr)
-    cb = build_near_field_codebook(*grids, cfg.scene.dims, threads=threads)
-    if path is not None:
-        save_codebook(cb, path)
-    return cb, False
 
 
 def _write_manifest(path: Path, cfg, command: str, outputs: list[Path]) -> None:
@@ -137,8 +98,9 @@ def cmd_codebook_build(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = _cache_file(_cache_dir(args) or out_dir, cfg)
-    cb, hit = _near_codebook(cfg, path, threads=args.threads)
+    cb, path, hit = cached_near_field_codebook(
+        *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args) or out_dir, args.threads
+    )
     print(f"cache hit: {path}" if hit else f"built and cached: {path}")
     print(f"pre_dedup_pairs: {cb.pre_dedup_pairs}")
     print(f"codebook_size_L: {cb.size}")
@@ -154,7 +116,9 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(noise_ss)
 
     if args.scheme == SCHEME_EXHAUSTIVE:
-        cb, _ = _near_codebook(cfg, _cache_file(_cache_dir(args), cfg))
+        cb, _, _ = cached_near_field_codebook(
+            *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args)
+        )
         result = exhaustive_training(cb, ch, sigma2, rng)
     elif args.scheme == SCHEME_FAR_FIELD:
         cb = far_field_codebook(cfg.scene.dims)
@@ -185,7 +149,9 @@ def cmd_sweep(args) -> int:
     if args.kind == "snr":
         near_cb = None
         if SCHEME_EXHAUSTIVE in cfg.schemes:
-            near_cb, _ = _near_codebook(cfg, _cache_file(_cache_dir(args), cfg), args.threads)
+            near_cb, _, _ = cached_near_field_codebook(
+                *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args), args.threads
+            )
         table = sweep_snr(cfg, near_codebook=near_cb)
         stem = "snr_results"
     else:
@@ -279,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_SEED, default=None)
         sp.add_argument("--threads", type=_THREADS, default=1)
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")
+        if kind == "snr":
+            sp.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")
         sp.set_defaults(func=cmd_sweep)
 
     return parser

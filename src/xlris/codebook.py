@@ -20,20 +20,27 @@ share a key, and a key shared by distinct beams keeps both codewords.
 A near-field codebook is its two sample grids, the kept pairs as indices
 into the grids' points, and each kept pair's sketch key. The cache file
 stores exactly that; the points are regenerated from the grids on load.
+:func:`cached_near_field_codebook` is the one load-or-build over a cache
+directory. It names each file by :func:`cache_file_name`: a hash of the
+file's own header identity (format version, dims, grids) followed by the
+key constants, so a file's name and its header cannot disagree.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
+import hashlib
 import math
 import os
 import struct
+import sys
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +50,6 @@ from .geometry import (
     Point3,
     cascaded_distances,
     element_distances,
-    far_field_steering,
     phase_vector,
 )
 
@@ -62,16 +68,6 @@ _MAGIC = b"XLRC"
 _FORMAT_VERSION = 3
 # version, N1, N2, d, L, then per grid (g, r): x, y, z intervals and the step
 _HEADER = struct.Struct("<IIIdQ14d")
-
-
-def key_algorithm() -> list[int]:
-    """Constants besides the scene that fix a cache file's bytes.
-
-    The format version, the key rounding resolution, the key multiplier and
-    the sketch size. Cache filenames hash them, so changing any one misses
-    the cache instead of reusing stale keys.
-    """
-    return [_FORMAT_VERSION, _NANO, int(_KEY_MULTIPLIER), _SKETCH_ELEMENTS]
 
 
 class CodebookFileError(ValueError):
@@ -248,13 +244,17 @@ class FarFieldCodebook:
     """The N1*N2-column DFT-style codebook on the planar-wave angle lattice.
 
     The codeword at index ``l = n*N2 + m`` is the conjugated planar-wave
-    steering vector at (phis[n], psis[m]).
+    steering vector at (phis[n], psis[m]): the Kronecker product of row n of
+    the conjugated n1 factors and row m of the conjugated n2 factors, both
+    computed once here.
     """
 
     def __init__(self, dims: ArrayDims, phis: np.ndarray, psis: np.ndarray):
         self.dims = dims
         self.phis = np.asarray(phis, dtype=np.float64)
         self.psis = np.asarray(psis, dtype=np.float64)
+        self._a1 = phase_vector(np.outer(self.phis, np.arange(dims.n1)), conjugate=True)
+        self._a2 = phase_vector(np.outer(self.psis, np.arange(dims.n2)), conjugate=True)
 
     @property
     def size(self) -> int:
@@ -266,15 +266,14 @@ class FarFieldCodebook:
 
     def vector(self, l: int) -> np.ndarray:
         """The reflecting vector of codeword l: its conjugated planar-wave steering vector."""
-        return np.conj(far_field_steering(*self.angles(l), self.dims))
+        n, m = divmod(l, len(self.psis))
+        return np.kron(self._a1[n], self._a2[m])
 
     def responses(self, h_bar: np.ndarray) -> np.ndarray:
         h = np.asarray(h_bar)
         if h.shape != (self.dims.n,):
             raise ValueError(f"channel vector length {h.shape} != N={self.dims.n}")
-        a1 = phase_vector(np.outer(self.phis, np.arange(self.dims.n1)), conjugate=True)
-        a2 = phase_vector(np.outer(self.psis, np.arange(self.dims.n2)), conjugate=True)
-        return (a1 @ h.reshape(self.dims.n1, self.dims.n2) @ a2.T).ravel()
+        return (self._a1 @ h.reshape(self.dims.n1, self.dims.n2) @ self._a2.T).ravel()
 
 
 def far_field_codebook(dims: ArrayDims) -> FarFieldCodebook:
@@ -401,6 +400,11 @@ def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarr
     return np.union1d(kept, np.concatenate(extra))
 
 
+def _header(dims: ArrayDims, grids: tuple[SampleGrid, SampleGrid], size: int) -> bytes:
+    grid_fields = [v for g in grids for v in (*g.box.x, *g.box.y, *g.box.z, g.step)]
+    return _HEADER.pack(_FORMAT_VERSION, dims.n1, dims.n2, dims.d, size, *grid_fields)
+
+
 def save_codebook(cb: NearFieldCodebook, path) -> None:
     """Write the binary cache: a header, the pairs as int32, the sketch keys as uint64, a CRC32.
 
@@ -411,9 +415,7 @@ def save_codebook(cb: NearFieldCodebook, path) -> None:
     """
     if not isinstance(cb, NearFieldCodebook):
         raise TypeError("only near-field codebooks are persisted (far-field is formulaic)")
-    grid_fields = [v for g in cb.grids for v in (*g.box.x, *g.box.y, *g.box.z, g.step)]
-    dims = cb.dims
-    payload = _HEADER.pack(_FORMAT_VERSION, dims.n1, dims.n2, dims.d, cb.size, *grid_fields)
+    payload = _header(cb.dims, cb.grids, cb.size)
     payload += cb.pairs.astype("<i4").tobytes() + cb.keys.astype("<u8").tobytes()
     tmp = f"{os.fspath(path)}.tmp-{os.getpid()}"
     try:
@@ -465,3 +467,48 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
         return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys)
     except ValueError as exc:
         raise CodebookFileError(f"invalid codebook file {path}: {exc}") from None
+
+
+def cache_file_name(grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims) -> str:
+    """The cache file name of the codebook over these grids and dims.
+
+    ``xlrc_<16 hex>.bin``, from the sha256 of the header the file would
+    carry (format version, dims, both grids, with size 0) followed by the
+    key constants (rounding resolution, hash multiplier, sketch size). A
+    change to any of them names another file, so it misses the cache
+    instead of reusing stale keys.
+    """
+    ident = _header(dims, (grid_g, grid_r), 0)
+    ident += struct.pack("<QQQ", _NANO, int(_KEY_MULTIPLIER), _SKETCH_ELEMENTS)
+    return f"xlrc_{hashlib.sha256(ident).hexdigest()[:16]}.bin"
+
+
+def cached_near_field_codebook(
+    grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims, cache_dir=None, threads: int = 1
+) -> tuple[NearFieldCodebook, Path | None, bool]:
+    """The near-field codebook over the grids, its cache file, and whether it was read from it.
+
+    With a `cache_dir` (made if missing), the file :func:`cache_file_name`
+    names there is loaded if it holds these grids; a missing one is built
+    and saved. A file that fails to load (corrupt, truncated, or made for
+    other dims, other grids or another format) is reported on stderr,
+    rebuilt and replaced. Without a `cache_dir` the codebook is just built
+    and the path is None.
+    """
+    path = None
+    if cache_dir is not None:
+        cache_dir = Path(cache_dir)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        path = cache_dir / cache_file_name(grid_g, grid_r, dims)
+        if path.exists():
+            try:
+                cb = load_codebook(path, dims)
+                if cb.grids != (grid_g, grid_r):
+                    raise CodebookFileError(f"codebook file {path} holds other sample grids")
+                return cb, path, True
+            except CodebookFileError as exc:
+                print(f"warning: rebuilding the cached codebook: {exc}", file=sys.stderr)
+    cb = build_near_field_codebook(grid_g, grid_r, dims, threads)
+    if path is not None:
+        save_codebook(cb, path)
+    return cb, path, False

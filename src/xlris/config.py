@@ -17,7 +17,6 @@ from importlib import resources
 from pathlib import Path
 
 from .channel import SceneConfig
-from .codebook import key_algorithm
 from .experiments import ExperimentConfig
 from .geometry import ArrayDims, Box3, FieldError
 from .training import HierarchicalConfig
@@ -210,24 +209,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_digest(cfg: ExperimentConfig) -> str:
     """Stable hash of the canonicalized config; equal configs hash equal."""
     canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def codebook_digest(cfg: ExperimentConfig) -> str:
-    """Hash of just the inputs that determine the full near-field codebook file.
-
-    Besides the scene, that is the cache format and key algorithm, so a
-    change to either gives a new digest.
-    """
-    full = config_to_dict(cfg)
-    ident = {
-        "array": full["array"],
-        "scatter_g_d": full["scatter_g_d"],
-        "scatter_r_d": full["scatter_r_d"],
-        "sampling_step_d": full["sampling_step_d"],
-        "key_algorithm": key_algorithm(),
-    }
-    canon = json.dumps(ident, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

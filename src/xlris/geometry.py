@@ -145,18 +145,6 @@ def phase_vector(cycles, conjugate: bool = False) -> np.ndarray:
     return np.exp(sign * TWO_PI * 1j * frac)
 
 
-def far_field_steering(phi: float, psi: float, dims: ArrayDims) -> np.ndarray:
-    """Planar-wave steering vector for spatial angles (phi, psi).
-
-    Entry for element (n1_idx, n2_idx) is
-    exp(-j*2*pi*(phi*(n1_idx-1) + psi*(n2_idx-1))); the Kronecker structure
-    puts the n1 factor first, matching the global n1-major layout.
-    """
-    a1 = phase_vector(phi * np.arange(dims.n1))
-    a2 = phase_vector(psi * np.arange(dims.n2))
-    return np.kron(a1, a2)
-
-
 def cascaded_distances(p_g: Point3, p_r: Point3, dims: ArrayDims) -> np.ndarray:
     """Per-element sum of distances to the two scatter points, shape (N,).
 

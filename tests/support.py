@@ -32,7 +32,6 @@ from xlris.geometry import (
     cascaded_distances,
     cascaded_steering,
     element_distances,
-    far_field_steering,
     phase_vector,
 )
 from xlris.training import perfect_csi_beamforming, refine_ranges
@@ -56,6 +55,18 @@ def point_to_element_distance(p: Point3, n1_idx: int, n2_idx: int, dims: ArrayDi
     element_position(n1_idx, n2_idx, dims)  # index validation
     flat = (n1_idx - 1) * dims.n2 + (n2_idx - 1)
     return float(element_distances(p.as_array(), dims)[flat])
+
+
+def far_field_steering(phi: float, psi: float, dims: ArrayDims) -> np.ndarray:
+    """Planar-wave steering vector for spatial angles (phi, psi).
+
+    Entry for element (n1_idx, n2_idx) is
+    exp(-j*2*pi*(phi*(n1_idx-1) + psi*(n2_idx-1))); the Kronecker structure
+    puts the n1 factor first, matching the global n1-major layout.
+    """
+    a1 = phase_vector(phi * np.arange(dims.n1))
+    a2 = phase_vector(psi * np.arange(dims.n2))
+    return np.kron(a1, a2)
 
 
 def near_field_steering(p: Point3, dims: ArrayDims) -> np.ndarray:

@@ -13,11 +13,10 @@ from xlris.geometry import (
     FieldError,
     Point3,
     element_distances,
-    far_field_steering,
 )
 from xlris.training import select_codeword
 
-from support import box_contains
+from support import box_contains, far_field_steering
 
 DIMS = ArrayDims(8, 2, 0.5)
 BOX = Box3((-40, 40), (4, 40), (-16, 16))

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import xlris
 from xlris import codebook
 from xlris.cli import main
+from xlris.codebook import SampleGrid, cache_file_name
 from xlris.config import (
     ConfigError,
     builtin_config_path,
-    codebook_digest,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -70,6 +70,10 @@ def raw_configs(draw):
     if draw(st.booleans()):
         raw["hierarchical"] = draw(hierarchical)
     return raw
+
+
+def cache_name(cfg) -> str:
+    return cache_file_name(*cfg.codebook_grids(), cfg.scene.dims)
 
 
 def reject_constant(name):
@@ -216,19 +220,26 @@ class TestDigests:
         cfg = config_from_dict(raw)
         again = config_from_dict(config_to_dict(cfg))
         assert config_digest(cfg) == config_digest(again)
-        assert codebook_digest(cfg) == codebook_digest(again)
+        assert cache_name(cfg) == cache_name(again)
 
     def test_digest_tracks_seed(self):
         a = config_from_dict(TINY)
         b = config_from_dict({**TINY, "seed": 12})
         assert config_digest(a) != config_digest(b)
 
-    def test_codebook_digest_ignores_seed_and_trials(self):
+    def test_cache_file_name_ignores_seed_and_trials(self):
         a = config_from_dict(TINY)
         b = config_from_dict({**TINY, "seed": 99, "trials": 50})
-        assert codebook_digest(a) == codebook_digest(b)
+        assert cache_name(a) == cache_name(b)
         c = config_from_dict({**TINY, "sampling_step_d": 8})
-        assert codebook_digest(a) != codebook_digest(c)
+        assert cache_name(a) != cache_name(c)
+
+    def test_cache_file_name_tracks_the_second_grids_step(self):
+        cfg = config_from_dict(TINY)
+        grid_g, grid_r = cfg.codebook_grids()
+        other_r = SampleGrid(grid_r.box, grid_r.step * 1.5)
+        assert cache_name(cfg) != cache_file_name(grid_g, other_r, cfg.scene.dims)
+        assert cache_name(cfg).startswith("xlrc_") and cache_name(cfg).endswith(".bin")
 
 
 class TestCli:
@@ -297,6 +308,17 @@ class TestCli:
         capsys.readouterr()
         lines = (out / "step_results.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2  # two schemes x two sweep values
+
+    def test_sweep_step_has_no_cache_option(self, tmp_path, capsys):
+        # each step's codebook is built in the sweep, so a cache could not be read
+        cfg = write_config(tmp_path)
+        argv = ["sweep", "step", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                "--cache", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -553,7 +575,9 @@ class TestCli:
         cfg = write_config(tmp_path, overrides)
         argv = [*command, "--config", str(cfg)]
         if command[0] != "train":
-            argv += ["--out", str(tmp_path / "run"), "--cache", str(tmp_path / "cache")]
+            argv += ["--out", str(tmp_path / "run")]
+        if command in (["codebook", "build"], ["sweep", "snr"]):  # the commands with --cache
+            argv += ["--cache", str(tmp_path / "cache")]
         assert main(argv) == 2
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()

@@ -17,6 +17,8 @@ from xlris.codebook import (
     SampleGrid,
     axis_samples,
     build_near_field_codebook,
+    cache_file_name,
+    cached_near_field_codebook,
     far_field_codebook,
     load_codebook,
     reduced_profile,
@@ -28,11 +30,11 @@ from xlris.geometry import (
     Point3,
     cascaded_distances,
     element_distances,
-    far_field_steering,
 )
 
 from support import (
     codeword_key,
+    far_field_steering,
     reference_keys,
     reference_reduced_profile,
     reference_responses,
@@ -241,12 +243,13 @@ class TestFarFieldCodebook:
         assert far_field_codebook(ArrayDims(128, 4, 0.5)).size == 512
 
     def test_columns_are_conjugated_steering_vectors(self):
-        dims = ArrayDims(5, 3, 0.5)
-        cb = far_field_codebook(dims)
-        for l in range(cb.size):
-            phi, psi = cb.angles(l)
-            assert np.array_equal(vector(cb, l), np.conj(far_field_steering(phi, psi, dims)))
-            assert np.array_equal(cb.vector(l), vector(cb, l))
+        for n1, n2 in [(5, 3), (128, 4), (32, 4), (4, 4), (7, 3), (1, 5), (16, 1)]:
+            dims = ArrayDims(n1, n2, 0.5)
+            cb = far_field_codebook(dims)
+            for l in range(cb.size):
+                phi, psi = cb.angles(l)
+                assert np.array_equal(vector(cb, l), np.conj(far_field_steering(phi, psi, dims)))
+                assert np.array_equal(cb.vector(l), vector(cb, l))
 
     def test_lattice_order_matches_column_index(self):
         cb = far_field_codebook(ArrayDims(3, 2, 0.5))
@@ -400,7 +403,7 @@ class TestNearFieldBuild:
         assert main(["codebook", "build", "--config", "paper", "--threads", str(threads),
                      "--cache", str(tmp_path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        path = tmp_path / "xlrc_12a933570924790a.bin"
+        path = tmp_path / "xlrc_c7e12882fd9e02dd.bin"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "d00aad12ca9f7c2da71e8c4a1cfe78105f31ec126a45fab24b5046ff519403fd"
         )
@@ -638,6 +641,37 @@ class TestPersistence:
         save_codebook(built, path)
         assert load_codebook(path, DIMS).size == built.size
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_cached_build_misses_then_hits(self, tmp_path, capsys):
+        grid_g, grid_r = generic_line_grid(6), generic_line_grid(4, step=0.731)
+        cache = tmp_path / "made" / "cache"
+        built, path, hit = cached_near_field_codebook(grid_g, grid_r, DIMS, cache)
+        assert not hit
+        assert path == cache / cache_file_name(grid_g, grid_r, DIMS)
+        assert list(cache.iterdir()) == [path]
+        # the name hashes the header the file carries, with L zeroed, then the key constants
+        header = list(codebook._HEADER.unpack_from(path.read_bytes(), len(codebook._MAGIC)))
+        header[4] = 0
+        ident = codebook._HEADER.pack(*header) + struct.pack(
+            "<QQQ", codebook._NANO, int(codebook._KEY_MULTIPLIER), codebook._SKETCH_ELEMENTS
+        )
+        assert path.name == f"xlrc_{hashlib.sha256(ident).hexdigest()[:16]}.bin"
+        loaded, again, hit = cached_near_field_codebook(grid_g, grid_r, DIMS, cache, threads=2)
+        assert hit and again == path
+        assert loaded.grids == built.grids == (grid_g, grid_r)
+        assert np.array_equal(loaded.pairs, built.pairs)
+        assert np.array_equal(loaded.keys, built.keys)
+        assert list(cache.iterdir()) == [path]
+        assert capsys.readouterr().err == ""
+
+    def test_cached_build_without_a_directory_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        grid = generic_line_grid(6)
+        cb, path, hit = cached_near_field_codebook(grid, grid, DIMS)
+        assert (path, hit) == (None, False)
+        fresh = build_near_field_codebook(grid, grid, DIMS)
+        assert np.array_equal(cb.pairs, fresh.pairs) and np.array_equal(cb.keys, fresh.keys)
+        assert list(tmp_path.iterdir()) == []
 
     def test_far_field_codebook_not_persistable(self, tmp_path):
         with pytest.raises(TypeError):

@@ -8,12 +8,16 @@ from xlris.geometry import (
     cascaded_distances,
     cascaded_steering,
     element_distances,
-    far_field_steering,
     phase_vector,
     rayleigh_distance,
 )
 
-from support import element_position, near_field_steering, point_to_element_distance
+from support import (
+    element_position,
+    far_field_steering,
+    near_field_steering,
+    point_to_element_distance,
+)
 
 
 def random_point(rng, y_min=0.5):
