@@ -64,15 +64,15 @@ def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray | complex:
 
     An array draw is bitwise ``(re + 1j * im) / np.sqrt(2.0)``: numpy divides
     a complex by a real as a multiply by its reciprocal, so filling both
-    halves of one buffer and scaling it in place skips two temporaries.
+    halves of one buffer and scaling it in place skips two temporaries. Each
+    half is copied in before the next is drawn, so at most one real draw
+    lives beside the buffer.
     """
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
     if size is None:
-        return (re + 1j * im) / np.sqrt(2.0)
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real = re
-    out.imag = im
+        return (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
+    out = np.empty(size, dtype=np.complex128)
+    out.real = rng.standard_normal(size)
+    out.imag = rng.standard_normal(size)
     out *= 1.0 / np.sqrt(2.0)
     return out
 

@@ -191,9 +191,9 @@ class NearFieldCodebook:
         if len(self.keys) != len(self.pairs):
             raise ValueError("pairs and keys must have equal length")
         sizes = (len(self.g_points), len(self.r_points))
-        if self.pairs.size and (self.pairs.min() < 0 or (self.pairs.max(axis=0) >= sizes).any()):
+        if self.pairs.size and any(c.min() < 0 or c.max() >= n for c, n in zip(self.pairs.T, sizes)):
             raise ValueError(f"pair indices must lie within the grids' {sizes} points")
-        self._factors: tuple[np.ndarray, np.ndarray] | None = None
+        self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._factors_lock = threading.Lock()
 
     @property
@@ -213,8 +213,9 @@ class NearFieldCodebook:
         """The reflecting vector of codeword l: conjugated phases of its pair's summed distances."""
         return phase_vector(cascaded_distances(*self.source_pair(l), self.dims), conjugate=True)
 
-    def _steering_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        # Locked so that threads sharing a codebook compute the factors once.
+    def _steering_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Locked so that threads sharing a codebook compute the factors, and
+        # each pair's flat index into the (Sg, Sr) cross product, once.
         with self._factors_lock:
             if self._factors is None:
                 u_g = phase_vector(element_distances(self.g_points, self.dims), conjugate=True)
@@ -222,7 +223,9 @@ class NearFieldCodebook:
                     u_r = u_g
                 else:
                     u_r = phase_vector(element_distances(self.r_points, self.dims), conjugate=True)
-                self._factors = (u_g, u_r)
+                flat = self.pairs[:, 0] * len(self.r_points)
+                flat += self.pairs[:, 1]  # in place: one L-long array, not two
+                self._factors = (u_g, u_r, flat)
             return self._factors
 
     def responses(self, h_bar: np.ndarray) -> np.ndarray:
@@ -235,9 +238,9 @@ class NearFieldCodebook:
         h = np.asarray(h_bar)
         if h.shape != (self.dims.n,):
             raise ValueError(f"channel vector length {h.shape} != N={self.dims.n}")
-        u_g, u_r = self._steering_factors()
+        u_g, u_r, flat = self._steering_factors()
         cross = (u_g * h[np.newaxis, :]) @ u_r.T
-        return cross[self.pairs[:, 0], self.pairs[:, 1]]
+        return cross.ravel().take(flat)
 
 
 class FarFieldCodebook:
@@ -312,7 +315,9 @@ def build_near_field_codebook(
     dist_g = element_distances(pts_g, dims)
     dist_r = dist_g if pts_r is pts_g else element_distances(pts_r, dims)
     sketch = _sketch_elements(dims.n)
-    sketch_g, sketch_r = dist_g[:, sketch], dist_r[:, sketch]
+    # Sketch-major: a chunk is a (len(sketch), pairs) buffer, so each pass of
+    # the key runs along the chunk's pairs, not along the short sketch axis.
+    sketch_g, sketch_rt = dist_g[:, sketch], np.ascontiguousarray(dist_r[:, sketch].T)
     # Row i of the sweep covers columns first_col[i]..s_r-1 and lands in
     # keys[offsets[i]:offsets[i + 1]], so the flat order is the sweep order.
     first_col = np.arange(s_g) if grid_g == grid_r else np.zeros(s_g, dtype=np.int64)
@@ -326,18 +331,19 @@ def build_near_field_codebook(
 
     def fill_block(start: int) -> None:
         # Pairs start..stop-1 of the flat order may span rows: each row's run
-        # of them is summed into one block, then the whole block is keyed.
+        # of them is summed into columns of one block, then the whole block is
+        # keyed through its (pairs, len(sketch)) transpose.
         stop = min(start + chunk_pairs, len(keys))
-        block = np.empty((stop - start, len(sketch)))
+        block = np.empty((len(sketch), stop - start))
         i = bisect.bisect_right(row_offsets, start) - 1
         pos = start
         while pos < stop:
             end = min(row_offsets[i + 1], stop)
             col = row_first_col[i] + pos - row_offsets[i]
-            run = block[pos - start : end - start]
-            np.add(sketch_g[i], sketch_r[col : col + len(run)], out=run)
+            run = block[:, pos - start : end - start]
+            np.add(sketch_g[i][:, None], sketch_rt[:, col : col + run.shape[1]], out=run)
             pos, i = end, i + 1
-        keys[start:stop] = _hash_reduced(reduced_profile(block))
+        keys[start:stop] = _hash_reduced(reduced_profile(block.T))
 
     def fill_span(span: range) -> None:
         for start in span:
@@ -364,7 +370,11 @@ def build_near_field_codebook(
         return reduced_profile(dist_g[rows] + dist_r[cols])
 
     kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
-    pairs = np.column_stack(locate(kept))
+    # kept is ascending, so each row's kept pairs are one run of it.
+    per_row = np.diff(np.searchsorted(kept, offsets))
+    pairs = np.empty((len(kept), 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(np.arange(s_g), per_row)
+    np.subtract(kept, np.repeat(offsets[:-1] - first_col, per_row), out=pairs[:, 1])
     return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys[kept])
 
 

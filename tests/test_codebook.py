@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xlris import codebook
 from xlris.cli import main
@@ -225,6 +226,27 @@ class TestCanonicalKey:
         assert sketch[0] == 0 and sketch[-1] == n - 1 and (np.diff(sketch) > 0).all()
         assert np.array_equal(reduced_profile(profile[sketch]), reduced_profile(profile)[sketch])
 
+    @given(
+        block=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 20), st.integers(1, 40)),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        )
+    )
+    # The first profile (column 0) holds a delta that rounds to a full cycle,
+    # which must read as zero.
+    @example(block=np.array([[0.0, 3.0], [-(2.0**-40), -7.0], [1.0 - 2.0**-40, 12.0]]))
+    def test_transposed_view_keys_like_its_contiguous_copy(self, block):
+        # The build keys (sketch, pairs) buffers through their F-order transpose.
+        view = block.T
+        copy = np.ascontiguousarray(view)
+        form = reduced_profile(view)
+        assert np.array_equal(form, reduced_profile(copy))
+        assert np.array_equal(
+            codebook._hash_reduced(form), codebook._hash_reduced(reduced_profile(copy))
+        )
+        assert np.array_equal(block, copy.T)  # reduced_profile wrote to neither input
+
     def test_key_powers_are_read_only(self):
         powers = codebook._key_powers(DIMS.n)
         with pytest.raises(ValueError, match="read-only"):
@@ -397,6 +419,50 @@ class TestNearFieldBuild:
                         cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
                         assert np.array_equal(cb.pairs, swept[kept])
                         assert np.array_equal(cb.keys, ref_keys[kept])
+
+    # Examples: a triangle sweep, a full product, and unequal overlapping grids
+    # whose sweep holds true duplicates (swapped pairs).
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid_g=small_grids(),
+        grid_r=small_grids(),
+        square=st.booleans(),
+        keep=st.lists(st.booleans(), min_size=1, max_size=50),
+    )
+    @example(grid_g=generic_line_grid(6), grid_r=generic_line_grid(6), square=True, keep=[True])
+    @example(
+        grid_g=generic_line_grid(5),
+        grid_r=generic_line_grid(3, step=0.731),
+        square=False,
+        keep=[False, True, True],
+    )
+    @example(
+        grid_g=SampleGrid(Box3((0.0, 3.0), (2.0, 3.0), (-1.0, 0.0)), 1.0),
+        grid_r=SampleGrid(Box3((1.0, 4.0), (2.0, 3.0), (-1.0, 0.0)), 1.0),
+        square=False,
+        keep=[True, False],
+    )
+    def test_pairs_from_row_runs_equal_the_located_positions(self, grid_g, grid_r, square, keep):
+        # The build assembles its pairs from the ascending kept positions row
+        # run by row run; the reference locates each position on its own.
+        grid_r = grid_g if square else grid_r
+        swept, _ = reference_keys(grid_g, grid_r, DIMS)
+        dedup = codebook._first_distinct
+        positions = []
+
+        def spy(keys, reduced_rows, batch_rows):
+            positions.append(dedup(keys, reduced_rows, batch_rows))
+            return positions[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codebook, "_first_distinct", spy)
+            cb = build_near_field_codebook(grid_g, grid_r, DIMS)
+            assert np.array_equal(cb.pairs, swept[positions[-1]])
+            # An arbitrary ascending subset, which may leave rows with no pair.
+            subset = np.flatnonzero(np.resize(keep, len(swept)))
+            mp.setattr(codebook, "_first_distinct", lambda keys, reduced_rows, batch_rows: subset)
+            cb = build_near_field_codebook(grid_g, grid_r, DIMS)
+            assert np.array_equal(cb.pairs, swept[subset].reshape(-1, 2))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_paper_cache_file_bytes_are_pinned(self, tmp_path, capsys, threads):
@@ -581,18 +647,39 @@ class TestPersistence:
 
     @pytest.mark.parametrize("column,past_end", [(0, False), (1, True)], ids=["negative", "past-grid"])
     def test_pair_index_outside_its_grid_rejected(self, built, tmp_path, column, past_end):
-        # a file with a valid checksum whose last pair points outside a grid
-        path = tmp_path / "cb.bin"
+        index = built.grids[column].size if past_end else -1
+        path = self.with_last_pair_index(built, tmp_path / "cb.bin", column, index)
+        with pytest.raises(CodebookFileError, match="pair indices"):
+            load_codebook(path, DIMS)
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["g-side", "r-side"])
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_pair_index_past_its_own_smaller_grid_rejected(self, tmp_path, column, edge):
+        # The index is past its own grid but inside the other, larger one, so
+        # only a check of each column against its own grid rejects it.
+        small, large = generic_line_grid(4, step=0.731), generic_line_grid(6)
+        grids = (small, large) if column == 0 else (large, small)
+        built = build_near_field_codebook(*grids, DIMS)
+        index = small.size if edge == "first" else large.size - 1
+        path = self.with_last_pair_index(built, tmp_path / "cb.bin", column, index)
+        with pytest.raises(CodebookFileError, match="pair indices"):
+            load_codebook(path, DIMS)
+        # The same index in the other column lies within its grid.
+        path = self.with_last_pair_index(built, tmp_path / "ok.bin", 1 - column, index)
+        assert load_codebook(path, DIMS).pairs[-1, 1 - column] == index
+
+    @staticmethod
+    def with_last_pair_index(built, path, column, index):
+        """Save `built` with its last pair's `column` set to `index`, under a valid checksum."""
         save_codebook(built, path)
         blob = bytearray(path.read_bytes())
         start = len(codebook._MAGIC) + codebook._HEADER.size
         pairs = np.frombuffer(blob, "<i4", count=2 * built.size, offset=start).reshape(-1, 2).copy()
-        pairs[-1, column] = built.grids[column].size if past_end else -1
+        pairs[-1, column] = index
         blob[start : start + pairs.nbytes] = pairs.tobytes()
         blob[-4:] = struct.pack("<I", zlib.crc32(blob[len(codebook._MAGIC) : -4]))
         path.write_bytes(bytes(blob))
-        with pytest.raises(CodebookFileError, match="pair indices"):
-            load_codebook(path, DIMS)
+        return path
 
     def test_truncated_file_rejected(self, built, tmp_path):
         path = tmp_path / "cb.bin"
