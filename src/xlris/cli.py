@@ -115,16 +115,16 @@ def cmd_train(args) -> int:
     ch = sample_near_field_channel(cfg.scene, np.random.default_rng(channel_ss))
     rng = np.random.default_rng(noise_ss)
 
-    if args.scheme == SCHEME_EXHAUSTIVE:
-        cb, _, _ = cached_near_field_codebook(
-            *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args)
-        )
-        result = exhaustive_training(cb, ch, sigma2, rng)
-    elif args.scheme == SCHEME_FAR_FIELD:
-        cb = far_field_codebook(cfg.scene.dims)
-        result = exhaustive_training(cb, ch, sigma2, rng)
-    else:
+    if args.scheme == SCHEME_HIERARCHICAL:
         result = hierarchical_training(cfg.hierarchy, cfg.scene, cfg.sampling_step, ch, sigma2, rng)
+    else:
+        if args.scheme == SCHEME_EXHAUSTIVE:
+            cb, _, _ = cached_near_field_codebook(
+                *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args)
+            )
+        else:
+            cb = far_field_codebook(cfg.scene.dims)
+        [result] = exhaustive_training(cb, ch, [sigma2], rng)
 
     report = {
         "scheme": args.scheme,

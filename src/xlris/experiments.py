@@ -26,9 +26,9 @@ from .codebook import (
 from .geometry import FieldError
 from .training import (
     HierarchicalConfig,
+    exhaustive_training,
     hierarchical_training,
     perfect_csi_beamforming,
-    select_codeword,
 )
 
 SCHEME_FAR_FIELD = "far-field"
@@ -174,12 +174,12 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     Per trial, every scheme trains on the same channel realization. Per
     (trial, scheme), one unit noise draw is scaled by each SNR point's sigma,
     which pairs the curves across the sweep axis: the exhaustive and
-    far-field schemes observe it in one `select_codeword` call over all
-    sigma2 values, and the hierarchical scheme restarts its noise stream at
-    each SNR point and shares one codebook memo across them, so each
-    stage-2 codebook is built once per distinct stage-1 winner. Trials run
-    one after another; `threads` workers build the exhaustive codebook, and
-    a prebuilt `near_codebook` (e.g. loaded from the cache) skips that build.
+    far-field schemes train once over all sigma2 values, and the
+    hierarchical scheme restarts its noise stream at each SNR point and
+    shares one codebook memo across them, so each stage-2 codebook is built
+    once per distinct stage-1 winner. Trials run one after another;
+    `threads` workers build the exhaustive codebook, and a prebuilt
+    `near_codebook` (e.g. loaded from the cache) skips that build.
     """
     scene = cfg.scene
     dims = scene.dims
@@ -202,26 +202,24 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     for t in range(cfg.trials):
         streams = trial_seeds[t].spawn(1 + len(cfg.schemes))
         ch = sample_near_field_channel(scene, np.random.default_rng(streams[0]))
-        for si, scheme in enumerate(cfg.schemes):
-            noise_seed = streams[1 + si]
+        for scheme, noise_seed in zip(cfg.schemes, streams[1:]):
             if scheme == SCHEME_PERFECT_CSI:
-                theta = perfect_csi_beamforming(ch)
-                for k, sigma2 in enumerate(sigma2s):
-                    rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
+                thetas = [perfect_csi_beamforming(ch)] * len(sigma2s)
             elif scheme == SCHEME_HIERARCHICAL:
                 codebooks = dict(stage1)  # this trial's memo, dropped with it
-                for k, sigma2 in enumerate(sigma2s):
+                thetas = []
+                for sigma2 in sigma2s:
                     rng = np.random.default_rng(noise_seed)
                     result = hierarchical_training(
                         cfg.hierarchy, scene, cfg.sampling_step, ch, sigma2, rng, codebooks
                     )
-                    rates[scheme][k, t] = achievable_rate(result.theta, ch, sigma2)
+                    thetas.append(result.theta)
             else:
                 cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_cb
-                rng = np.random.default_rng(noise_seed)
-                picks = select_codeword(cb.responses(ch.h_bar), sigma2s, rng)
-                for k, (sigma2, (idx, _)) in enumerate(zip(sigma2s, picks)):
-                    rates[scheme][k, t] = achievable_rate(cb.vector(idx), ch, sigma2)
+                results = exhaustive_training(cb, ch, sigma2s, np.random.default_rng(noise_seed))
+                thetas = [result.theta for result in results]
+            for k, (theta, sigma2) in enumerate(zip(thetas, sigma2s)):
+                rates[scheme][k, t] = achievable_rate(theta, ch, sigma2)
 
     table = ResultTable()
     for scheme in cfg.schemes:

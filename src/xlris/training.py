@@ -23,6 +23,8 @@ from .geometry import Box3, FieldError, Point3
 # one buffer of this size instead of a second full-length vector.
 _NOISE_CHUNK = 1 << 14
 
+MAX_LEVELS = 1024  # deepest schedule accepted: a chosen bound, far past any useful depth
+
 
 @dataclass(frozen=True)
 class StageResult:
@@ -64,8 +66,8 @@ class HierarchicalConfig:
     step_control: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.levels < 1:
-            raise FieldError("levels", f"levels must be >= 1, got {self.levels}")
+        if not 1 <= self.levels <= MAX_LEVELS:
+            raise FieldError("levels", f"levels must lie in [1, {MAX_LEVELS}], got {self.levels}")
         if self.step_multiplier < 1:
             raise FieldError(
                 "step_multiplier", f"step multiplier must be >= 1, got {self.step_multiplier}"
@@ -130,17 +132,18 @@ def select_codeword(
 def exhaustive_training(
     cb,
     ch: ChannelRealization,
-    sigma2: float,
+    sigma2s: Sequence[float],
     rng: np.random.Generator,
-) -> TrainingResult:
-    """Measure every codeword once and return the loudest slot."""
-    [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), [sigma2], rng)
-    return TrainingResult(
-        best_index=idx,
-        best_amplitude=amp,
-        slots_used=cb.size,
-        theta=cb.vector(idx),
-    )
+) -> list[TrainingResult]:
+    """Measure every codeword once per noise power; one loudest slot per sigma2.
+
+    One unit noise draw serves every sigma2 (see `select_codeword`), so
+    result k equals a call with ``[sigma2s[k]]`` from the same `rng` state.
+    """
+    return [
+        TrainingResult(best_index=idx, best_amplitude=amp, slots_used=cb.size, theta=cb.vector(idx))
+        for idx, amp in select_codeword(cb.responses(ch.h_bar), sigma2s, rng)
+    ]
 
 
 def refine_ranges(opt_pair: tuple[Point3, Point3], step: float) -> tuple[Box3, Box3]:

@@ -189,6 +189,7 @@ class TestParseConfig:
             ({"trials": 0}, "trials"),
             ({"seed": -1}, "seed"),
             ({"hierarchical": {"levels": 600}}, "hierarchical.levels"),  # level 541 step is 0.0
+            ({"hierarchical": {"levels": 1025, "step_control": 0.999}}, "hierarchical.levels"),
         ],
     )
     def test_dataclass_range_check_names_the_key(self, overrides, path):
@@ -597,6 +598,21 @@ class TestCli:
         assert main(argv) == 2
         assert "config error: hierarchical.levels: level 541 step" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["info"], ["train", "--scheme", "near-field-hierarchical"]],
+        ids=["info", "train-hierarchical"],
+    )
+    def test_schedule_deeper_than_the_level_cap_exits_2(self, tmp_path, capsys, command):
+        # every level step of this desk schedule is positive and finite; only its depth is wrong
+        raw = json.loads(builtin_config_path("desk").read_text())
+        raw["hierarchical"] = {"levels": 10**7, "step_control": 0.9999999}
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([*command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: hierarchical.levels: levels must lie in [1, 1024], got 10000000" in err
 
     def test_builtin_config_loads_from_a_zipped_package(self, tmp_path):
         package = Path(xlris.__file__).parent

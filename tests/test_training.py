@@ -14,7 +14,7 @@ from xlris.codebook import (
     build_near_field_codebook,
     far_field_codebook,
 )
-from xlris.geometry import ArrayDims, Box3, Point3, cascaded_distances
+from xlris.geometry import ArrayDims, Box3, FieldError, Point3, cascaded_distances
 from xlris.training import (
     _NOISE_CHUNK,
     HierarchicalConfig,
@@ -43,7 +43,7 @@ class TestExhaustive:
     def test_on_grid_channel_recovered_coherently(self):
         cb = build_near_field_codebook(GRID, GRID, DIMS)
         ch = on_grid_channel(3, 11)
-        res = exhaustive_training(cb, ch, 0.0, np.random.default_rng(0))
+        [res] = exhaustive_training(cb, ch, [0.0], np.random.default_rng(0))
         assert is_beam_of(cb, res.best_index, cascaded_distances(*ch.pair, DIMS))
         assert res.best_amplitude == pytest.approx(DIMS.n * abs(ch.alpha), rel=1e-12)
         assert res.slots_used == cb.size
@@ -52,7 +52,7 @@ class TestExhaustive:
         grid = SampleGrid(Box3((2, 2), (5, 5), (0, 0)), 1)
         cb = build_near_field_codebook(grid, grid, DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(3))
-        res = exhaustive_training(cb, ch, 5.0, np.random.default_rng(1))
+        [res] = exhaustive_training(cb, ch, [5.0], np.random.default_rng(1))
         assert res.best_index == 0  # indices are 0-based
         assert res.slots_used == 1
 
@@ -61,7 +61,7 @@ class TestExhaustive:
         rng = np.random.default_rng(77)
         for _ in range(5):
             ch = sample_near_field_channel(SCENE, rng)
-            res = exhaustive_training(cb, ch, 0.0, np.random.default_rng(0))
+            [res] = exhaustive_training(cb, ch, [0.0], np.random.default_rng(0))
             # independent oracle: regenerate every codeword and scan sequentially
             amps = [abs(vector(cb, l) @ ch.h_bar) for l in range(cb.size)]
             assert res.best_index == int(np.argmax(amps))
@@ -70,28 +70,48 @@ class TestExhaustive:
         empty = NearFieldCodebook(DIMS, GRID, GRID, np.zeros((0, 2)), np.zeros(0, np.uint64))
         ch = sample_near_field_channel(SCENE, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            exhaustive_training(empty, ch, 0.0, np.random.default_rng(0))
+            exhaustive_training(empty, ch, [0.0], np.random.default_rng(0))
 
     def test_duplicate_at_later_index_never_wins(self):
         base = build_near_field_codebook(GRID, GRID, DIMS)
         ch = on_grid_channel(5, 9)
-        res = exhaustive_training(base, ch, 0.0, np.random.default_rng(0))
+        [res] = exhaustive_training(base, ch, [0.0], np.random.default_rng(0))
         dup = NearFieldCodebook(
             DIMS,
             *base.grids,
             np.vstack([base.pairs, base.pairs[res.best_index]]),
             np.concatenate([base.keys, [base.keys[res.best_index]]]),
         )
-        res_dup = exhaustive_training(dup, ch, 0.0, np.random.default_rng(0))
+        [res_dup] = exhaustive_training(dup, ch, [0.0], np.random.default_rng(0))
         assert res_dup.best_index == res.best_index
 
     def test_fixed_seed_reproducible(self):
         cb = build_near_field_codebook(GRID, GRID, DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(10))
-        a = exhaustive_training(cb, ch, 0.3, np.random.default_rng(42))
-        b = exhaustive_training(cb, ch, 0.3, np.random.default_rng(42))
+        [a] = exhaustive_training(cb, ch, [0.3], np.random.default_rng(42))
+        [b] = exhaustive_training(cb, ch, [0.3], np.random.default_rng(42))
         assert a == b
         assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["near-field", "far-field"])
+    def test_one_result_per_noise_power_as_if_trained_alone(self, kind, count):
+        if kind == "near-field":
+            cb = build_near_field_codebook(GRID, GRID, DIMS)
+        else:
+            cb = far_field_codebook(DIMS)
+        ch = sample_near_field_channel(SCENE, np.random.default_rng(12))
+        sigma2s = [2.0, 0.0, 0.3, 8.0, 1e-3][:count]
+        results = exhaustive_training(cb, ch, sigma2s, np.random.default_rng(17))
+        assert len(results) == len(sigma2s)
+        for sigma2, res in zip(sigma2s, results):
+            [alone] = exhaustive_training(cb, ch, [sigma2], np.random.default_rng(17))
+            assert (res.best_index, res.best_amplitude, res.slots_used) == (
+                alone.best_index,
+                alone.best_amplitude,
+                alone.slots_used,
+            )
+            assert np.array_equal(res.theta, alone.theta)
 
 
 class TestSelectCodeword:
@@ -150,7 +170,7 @@ class TestHierarchical:
         cb1 = build_near_field_codebook(GRID, GRID, DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(21))
         a = hierarchical_training(hcfg, SCENE, self.BASE, ch, 0.4, np.random.default_rng(5))
-        b = exhaustive_training(cb1, ch, 0.4, np.random.default_rng(5))
+        [b] = exhaustive_training(cb1, ch, [0.4], np.random.default_rng(5))
         assert (a.best_index, a.best_amplitude, a.slots_used) == (
             b.best_index,
             b.best_amplitude,
@@ -216,6 +236,10 @@ class TestHierarchical:
             HierarchicalConfig(2, 0.5, 0.25)
         with pytest.raises(ValueError):
             HierarchicalConfig(2, 4.0, 1.5)
+        assert HierarchicalConfig(training.MAX_LEVELS).levels == 1024
+        with pytest.raises(FieldError, match=r"\[1, 1024\], got 1025$") as exc:
+            HierarchicalConfig(training.MAX_LEVELS + 1)
+        assert exc.value.field == "levels"
         ch = sample_near_field_channel(SCENE, np.random.default_rng(1))
         rng = np.random.default_rng(0)
         for base_step in (0.0, float("inf"), float("nan")):
@@ -252,7 +276,7 @@ class TestHierarchical:
 def test_theta_is_the_winners_vector_in_the_last_codebook_searched():
     ch = sample_near_field_channel(SCENE, np.random.default_rng(47))
     for cb in (build_near_field_codebook(GRID, GRID, DIMS), far_field_codebook(DIMS)):
-        res = exhaustive_training(cb, ch, 0.3, np.random.default_rng(4))
+        [res] = exhaustive_training(cb, ch, [0.3], np.random.default_rng(4))
         assert np.array_equal(res.theta, cb.vector(res.best_index))
     memo = {}
     hcfg, base = TestHierarchical.HCFG, TestHierarchical.BASE
