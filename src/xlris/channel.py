@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayDims, Box3, FieldError, Point3, cascaded_steering
+from .geometry import ArrayDims, Box3, FieldError, cascaded_steering
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,12 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Cascaded channel vector h_bar = alpha * cascaded_steering(*pair, dims)."""
+    """Cascaded channel vector h_bar = alpha * cascaded_steering(*pair, dims); points are (3,)."""
 
     h_bar: np.ndarray
     alpha: complex
     dims: ArrayDims
-    pair: tuple[Point3, Point3]
+    pair: tuple[np.ndarray, np.ndarray]
 
     def steering_part(self) -> np.ndarray:
         """Unit-modulus steering vector regenerated from the scatter pair."""
@@ -77,12 +77,8 @@ def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray | complex:
     return out
 
 
-def _uniform_point(box: Box3, rng: np.random.Generator) -> Point3:
-    return Point3(
-        rng.uniform(*box.x),
-        rng.uniform(*box.y),
-        rng.uniform(*box.z),
-    )
+def _uniform_point(box: Box3, rng: np.random.Generator) -> np.ndarray:
+    return np.array([rng.uniform(*box.x), rng.uniform(*box.y), rng.uniform(*box.z)])
 
 
 def sample_near_field_channel(scene: SceneConfig, rng: np.random.Generator) -> ChannelRealization:

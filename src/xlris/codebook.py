@@ -47,7 +47,6 @@ import numpy as np
 from .geometry import (
     ArrayDims,
     Box3,
-    Point3,
     cascaded_distances,
     element_distances,
     phase_vector,
@@ -186,6 +185,8 @@ class NearFieldCodebook:
         self.grids = (grid_g, grid_r)
         self.g_points = grid_g.points()
         self.r_points = self.g_points if grid_g == grid_r else grid_r.points()
+        # source_pair hands out rows of these, so nobody may write through them
+        self.g_points.flags.writeable = self.r_points.flags.writeable = False
         self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
         if len(self.keys) != len(self.pairs):
@@ -205,24 +206,24 @@ class NearFieldCodebook:
     def size(self) -> int:
         return len(self.pairs)
 
-    def source_pair(self, l: int) -> tuple[Point3, Point3]:
+    def source_pair(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         gi, ri = self.pairs[l]
-        return Point3.from_array(self.g_points[gi]), Point3.from_array(self.r_points[ri])
+        return self.g_points[gi], self.r_points[ri]
 
     def vector(self, l: int) -> np.ndarray:
         """The reflecting vector of codeword l: conjugated phases of its pair's summed distances."""
-        return phase_vector(cascaded_distances(*self.source_pair(l), self.dims), conjugate=True)
+        return phase_vector(cascaded_distances(*self.source_pair(l), self.dims))
 
     def _steering_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Locked so that threads sharing a codebook compute the factors, and
         # each pair's flat index into the (Sg, Sr) cross product, once.
         with self._factors_lock:
             if self._factors is None:
-                u_g = phase_vector(element_distances(self.g_points, self.dims), conjugate=True)
+                u_g = phase_vector(element_distances(self.g_points, self.dims))
                 if np.array_equal(self.g_points, self.r_points):
                     u_r = u_g
                 else:
-                    u_r = phase_vector(element_distances(self.r_points, self.dims), conjugate=True)
+                    u_r = phase_vector(element_distances(self.r_points, self.dims))
                 flat = self.pairs[:, 0] * len(self.r_points)
                 flat += self.pairs[:, 1]  # in place: one L-long array, not two
                 self._factors = (u_g, u_r, flat)
@@ -256,16 +257,12 @@ class FarFieldCodebook:
         self.dims = dims
         self.phis = np.asarray(phis, dtype=np.float64)
         self.psis = np.asarray(psis, dtype=np.float64)
-        self._a1 = phase_vector(np.outer(self.phis, np.arange(dims.n1)), conjugate=True)
-        self._a2 = phase_vector(np.outer(self.psis, np.arange(dims.n2)), conjugate=True)
+        self._a1 = phase_vector(np.outer(self.phis, np.arange(dims.n1)))
+        self._a2 = phase_vector(np.outer(self.psis, np.arange(dims.n2)))
 
     @property
     def size(self) -> int:
         return len(self.phis) * len(self.psis)
-
-    def angles(self, l: int) -> tuple[float, float]:
-        n, m = divmod(l, len(self.psis))
-        return float(self.phis[n]), float(self.psis[m])
 
     def vector(self, l: int) -> np.ndarray:
         """The reflecting vector of codeword l: its conjugated planar-wave steering vector."""
@@ -420,14 +417,15 @@ def save_codebook(cb: NearFieldCodebook, path) -> None:
 
     The header holds the format version, N1, N2, d, L and each grid's box
     and step, so points and vectors are regenerated on load. The bytes go to
-    ``<path>.tmp-<pid>`` in the same directory, which is then renamed onto
-    `path`, so a crash or a failed write never leaves a partial cache file.
+    ``<path>.tmp-<pid>-<thread id>`` in the same directory, which is then
+    renamed onto `path`, so a crash or a failed write never leaves a partial
+    cache file, and concurrent saves to one path never share a temporary.
     """
     if not isinstance(cb, NearFieldCodebook):
         raise TypeError("only near-field codebooks are persisted (far-field is formulaic)")
     payload = _header(cb.dims, cb.grids, cb.size)
     payload += cb.pairs.astype("<i4").tobytes() + cb.keys.astype("<u8").tobytes()
-    tmp = f"{os.fspath(path)}.tmp-{os.getpid()}"
+    tmp = f"{os.fspath(path)}.tmp-{os.getpid()}-{threading.get_ident()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)

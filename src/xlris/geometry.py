@@ -7,6 +7,7 @@ wavelength-normalized; only :func:`rayleigh_distance` works in meters.
 Steering vectors and codewords are flat complex vectors of length N = N1*N2
 in n1-major order: entry ``(n1_idx - 1) * N2 + (n2_idx - 1)`` belongs to
 element ``(n1_idx, n2_idx)``. Every function here keeps that convention.
+A point, such as a scatter position, is a (3,) float64 array (x, y, z).
 """
 
 from __future__ import annotations
@@ -64,26 +65,6 @@ class ArrayDims:
 
 
 @dataclass(frozen=True)
-class Point3:
-    """A wavelength-normalized coordinate, typically a scatter position."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise ValueError(f"coordinates must be finite, got {(self.x, self.y, self.z)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-    @staticmethod
-    def from_array(a) -> "Point3":
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
 class Box3:
     """Axis-aligned box given as closed intervals per axis, wavelength units."""
 
@@ -134,35 +115,34 @@ def element_distances(points, dims: ArrayDims) -> np.ndarray:
     return out[0] if single else out
 
 
-def phase_vector(cycles, conjugate: bool = False) -> np.ndarray:
-    """exp(-j*2*pi*cycles), elementwise; exp(+j*2*pi*cycles) when conjugate.
+def phase_vector(cycles) -> np.ndarray:
+    """exp(+j*2*pi*cycles), elementwise: the conjugated (reflecting) phases.
 
     `cycles` is reduced modulo 1 before the trigonometric evaluation so that
     phases stay accurate for distances of thousands of wavelengths.
     """
     frac = np.mod(np.asarray(cycles, dtype=np.float64), 1.0)
-    sign = 1.0 if conjugate else -1.0
-    return np.exp(sign * TWO_PI * 1j * frac)
+    return np.exp(TWO_PI * 1j * frac)
 
 
-def cascaded_distances(p_g: Point3, p_r: Point3, dims: ArrayDims) -> np.ndarray:
-    """Per-element sum of distances to the two scatter points, shape (N,).
+def cascaded_distances(p_g, p_r, dims: ArrayDims) -> np.ndarray:
+    """Per-element sum of distances to the two (3,) scatter points, shape (N,).
 
     This is the effective distance profile that defines cascaded steering
     vectors and near-field codewords.
     """
-    return element_distances(p_g.as_array(), dims) + element_distances(p_r.as_array(), dims)
+    return element_distances(p_g, dims) + element_distances(p_r, dims)
 
 
-def cascaded_steering(p_g: Point3, p_r: Point3, dims: ArrayDims) -> np.ndarray:
-    """Steering vector of the two-hop reflected path through scatters p_g, p_r.
+def cascaded_steering(p_g, p_r, dims: ArrayDims) -> np.ndarray:
+    """Steering vector of the two-hop reflected path through (3,) scatters p_g, p_r.
 
     Equals the element-wise product of the two single-point spherical-wave
     vectors. Each distance is reduced modulo 1 before the (commutative)
     addition, which makes the p_g/p_r swap symmetry exact in floating point.
     """
-    fg = np.mod(element_distances(p_g.as_array(), dims), 1.0)
-    fr = np.mod(element_distances(p_r.as_array(), dims), 1.0)
+    fg = np.mod(element_distances(p_g, dims), 1.0)
+    fr = np.mod(element_distances(p_r, dims), 1.0)
     return np.exp(-TWO_PI * 1j * (fg + fr))
 
 

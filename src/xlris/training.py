@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SceneConfig, complex_normal
 from .codebook import NearFieldCodebook, SampleGrid, build_near_field_codebook
-from .geometry import Box3, FieldError, Point3
+from .geometry import Box3, FieldError
 
 
 # Slots per pass when adding scaled noise: the noisy observations live in
@@ -146,14 +146,14 @@ def exhaustive_training(
     ]
 
 
-def refine_ranges(opt_pair: tuple[Point3, Point3], step: float) -> tuple[Box3, Box3]:
-    """Next-level boxes: each axis interval is winner coordinate +- step/2."""
+def refine_ranges(opt_pair: tuple[np.ndarray, np.ndarray], step: float) -> tuple[Box3, Box3]:
+    """Next-level boxes around the (3,) winners: each axis is coordinate +- step/2, as floats."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     half = step / 2.0
 
-    def window(p: Point3) -> Box3:
-        return Box3((p.x - half, p.x + half), (p.y - half, p.y + half), (p.z - half, p.z + half))
+    def window(p: np.ndarray) -> Box3:
+        return Box3(*((c - half, c + half) for c in p.tolist()))
 
     p_g, p_r = opt_pair
     return window(p_g), window(p_r)

@@ -28,7 +28,6 @@ from xlris.experiments import (
 from xlris.geometry import (
     ArrayDims,
     Box3,
-    Point3,
     cascaded_distances,
     cascaded_steering,
     element_distances,
@@ -37,24 +36,22 @@ from xlris.geometry import (
 from xlris.training import perfect_csi_beamforming, refine_ranges
 
 
-def element_position(n1_idx: int, n2_idx: int, dims: ArrayDims) -> Point3:
-    """Position of element (n1_idx, n2_idx), 1-based indices."""
+def element_position(n1_idx: int, n2_idx: int, dims: ArrayDims) -> np.ndarray:
+    """Position (3,) of element (n1_idx, n2_idx), 1-based indices."""
     if not 1 <= n1_idx <= dims.n1:
         raise ValueError(f"n1_idx out of range [1, {dims.n1}]: {n1_idx}")
     if not 1 <= n2_idx <= dims.n2:
         raise ValueError(f"n2_idx out of range [1, {dims.n2}]: {n2_idx}")
-    return Point3(
-        (n1_idx - (dims.n1 + 1) / 2.0) * dims.d,
-        0.0,
-        (n2_idx - (dims.n2 + 1) / 2.0) * dims.d,
+    return np.array(
+        [(n1_idx - (dims.n1 + 1) / 2.0) * dims.d, 0.0, (n2_idx - (dims.n2 + 1) / 2.0) * dims.d]
     )
 
 
-def point_to_element_distance(p: Point3, n1_idx: int, n2_idx: int, dims: ArrayDims) -> float:
+def point_to_element_distance(p, n1_idx: int, n2_idx: int, dims: ArrayDims) -> float:
     """Euclidean distance from p to element (n1_idx, n2_idx), wavelengths."""
     element_position(n1_idx, n2_idx, dims)  # index validation
     flat = (n1_idx - 1) * dims.n2 + (n2_idx - 1)
-    return float(element_distances(p.as_array(), dims)[flat])
+    return float(element_distances(p, dims)[flat])
 
 
 def far_field_steering(phi: float, psi: float, dims: ArrayDims) -> np.ndarray:
@@ -64,26 +61,22 @@ def far_field_steering(phi: float, psi: float, dims: ArrayDims) -> np.ndarray:
     exp(-j*2*pi*(phi*(n1_idx-1) + psi*(n2_idx-1))); the Kronecker structure
     puts the n1 factor first, matching the global n1-major layout.
     """
-    a1 = phase_vector(phi * np.arange(dims.n1))
-    a2 = phase_vector(psi * np.arange(dims.n2))
+    a1 = np.conj(phase_vector(phi * np.arange(dims.n1)))
+    a2 = np.conj(phase_vector(psi * np.arange(dims.n2)))
     return np.kron(a1, a2)
 
 
-def near_field_steering(p: Point3, dims: ArrayDims) -> np.ndarray:
-    """Spherical-wave steering vector for a source/scatter at p."""
-    return phase_vector(element_distances(p.as_array(), dims))
+def near_field_steering(p, dims: ArrayDims) -> np.ndarray:
+    """Spherical-wave steering vector for a source/scatter at the (3,) point p."""
+    return np.conj(phase_vector(element_distances(p, dims)))
 
 
-def box_contains(box: Box3, p: Point3) -> bool:
-    return (
-        box.x[0] <= p.x <= box.x[1]
-        and box.y[0] <= p.y <= box.y[1]
-        and box.z[0] <= p.z <= box.z[1]
-    )
+def box_contains(box: Box3, p) -> bool:
+    return all(lo <= c <= hi for c, (lo, hi) in zip(p, box.intervals()))
 
 
 def near_field_channel(
-    p_g: Point3, p_r: Point3, dims: ArrayDims, alpha: complex = 1.0 + 0j
+    p_g: np.ndarray, p_r: np.ndarray, dims: ArrayDims, alpha: complex = 1.0 + 0j
 ) -> ChannelRealization:
     """The realization a scatter pair (p_g, p_r) and hop gain alpha produce."""
     return ChannelRealization(
@@ -171,19 +164,25 @@ def summarize_ratio(table, scheme_a: str, scheme_b: str, sweep_value: float) -> 
     return find_row(table, scheme_a, sweep_value).mean / find_row(table, scheme_b, sweep_value).mean
 
 
+def angles(cb, l: int) -> tuple[float, float]:
+    """The lattice angles (phi, psi) of far-field codeword l = n*N2 + m."""
+    n, m = divmod(l, len(cb.psis))
+    return float(cb.phis[n]), float(cb.psis[m])
+
+
 def vector(cb, l: int) -> np.ndarray:
     """The vector of codeword l, rebuilt from its pair or its angles, not by `cb.vector`."""
     if isinstance(cb, NearFieldCodebook):
-        return phase_vector(cascaded_distances(*cb.source_pair(l), cb.dims), conjugate=True)
-    return np.conj(far_field_steering(*cb.angles(l), cb.dims))
+        return phase_vector(cascaded_distances(*cb.source_pair(l), cb.dims))
+    return np.conj(far_field_steering(*angles(cb, l), cb.dims))
 
 
 def reference_responses(cb, h_bar: np.ndarray) -> np.ndarray:
     """theta_l^T h_bar for every codeword, the near-field factors rebuilt on every call."""
     if not isinstance(cb, NearFieldCodebook):
         return cb.responses(h_bar)
-    u_g = phase_vector(element_distances(cb.g_points, cb.dims), conjugate=True)
-    u_r = phase_vector(element_distances(cb.r_points, cb.dims), conjugate=True)
+    u_g = phase_vector(element_distances(cb.g_points, cb.dims))
+    u_r = phase_vector(element_distances(cb.r_points, cb.dims))
     return ((u_g * h_bar[np.newaxis, :]) @ u_r.T)[cb.pairs[:, 0], cb.pairs[:, 1]]
 
 

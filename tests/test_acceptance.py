@@ -29,7 +29,6 @@ from xlris.experiments import (
 )
 from xlris.geometry import (
     ArrayDims,
-    Point3,
     cascaded_distances,
     cascaded_steering,
     rayleigh_distance,
@@ -70,8 +69,8 @@ def test_criterion_2_steering_factorization():
             if n1 * n2 > 256:
                 n2 = max(1, 256 // n1)
             dims = ArrayDims(n1, n2, 0.5)
-            pg = Point3(rng.uniform(-600, 600), rng.uniform(0.5, 2400), rng.uniform(-200, 200))
-            pr = Point3(rng.uniform(-600, 600), rng.uniform(0.5, 2400), rng.uniform(-200, 200))
+            pg = np.array([rng.uniform(-600, 600), rng.uniform(0.5, 2400), rng.uniform(-200, 200)])
+            pr = np.array([rng.uniform(-600, 600), rng.uniform(0.5, 2400), rng.uniform(-200, 200)])
             product = near_field_steering(pg, dims) * near_field_steering(pr, dims)
             err = np.abs(cascaded_steering(pg, pr, dims) - product).max()
             assert err <= 1e-12
@@ -110,8 +109,8 @@ def test_criterion_4_noiseless_on_grid_recovery():
         hits = 0
         trials = 500
         for _ in range(trials):
-            pg = Point3.from_array(points[rng.integers(len(points))])
-            pr = Point3.from_array(points[rng.integers(len(points))])
+            pg = points[rng.integers(len(points))]
+            pr = points[rng.integers(len(points))]
             alpha = complex(*rng.standard_normal(2)) / np.sqrt(2)
             ch = near_field_channel(pg, pr, dims, alpha)
             amps = np.abs(cb.responses(ch.h_bar))
@@ -139,8 +138,7 @@ def test_criterion_5_perfect_csi_dominance():
                 violations += not is_beam_of(cb, l, channel_profile)
         # an on-grid channel really does reach the bound, through its own beam
         points = cfg.codebook_grids()[0].points()
-        pg = Point3.from_array(points[17])
-        pr = Point3.from_array(points[230])
+        pg, pr = points[17], points[230]
         ch = near_field_channel(pg, pr, dims)
         amps = np.abs(cb.responses(ch.h_bar))
         top = int(np.argmax(amps))

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import sys
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -28,12 +29,12 @@ from xlris.codebook import (
 from xlris.geometry import (
     ArrayDims,
     Box3,
-    Point3,
     cascaded_distances,
     element_distances,
 )
 
 from support import (
+    angles,
     codeword_key,
     far_field_steering,
     reference_keys,
@@ -62,7 +63,7 @@ def brute_force_distinct_beams(grid_g, grid_r, dims, tol=1e-6):
     vectors = []
     for pg in pts_g:
         for pr in pts_r:
-            profile = cascaded_distances(Point3.from_array(pg), Point3.from_array(pr), dims)
+            profile = cascaded_distances(pg, pr, dims)
             vec = np.exp(2j * np.pi * (profile % 1.0))
             vectors.append(vec / vec[0])  # remove global phase
     kept = []
@@ -269,15 +270,17 @@ class TestFarFieldCodebook:
             dims = ArrayDims(n1, n2, 0.5)
             cb = far_field_codebook(dims)
             for l in range(cb.size):
-                phi, psi = cb.angles(l)
+                phi, psi = angles(cb, l)
                 assert np.array_equal(vector(cb, l), np.conj(far_field_steering(phi, psi, dims)))
                 assert np.array_equal(cb.vector(l), vector(cb, l))
 
     def test_lattice_order_matches_column_index(self):
+        # n-major: codeword l = n*N2 + m steers at (phis[n], psis[m])
         cb = far_field_codebook(ArrayDims(3, 2, 0.5))
-        assert cb.angles(0) == (cb.phis[0], cb.psis[0])
-        assert cb.angles(1) == (cb.phis[0], cb.psis[1])
-        assert cb.angles(2) == (cb.phis[1], cb.psis[0])
+        for l, (n, m) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]):
+            assert angles(cb, l) == (cb.phis[n], cb.psis[m])
+            want = np.conj(far_field_steering(cb.phis[n], cb.psis[m], cb.dims))
+            assert np.array_equal(cb.vector(l), want)
 
     def test_pairwise_distinct_on_odd_dims(self):
         # pairwise comparison oracle; odd counts avoid the aliased half-lattice
@@ -542,6 +545,14 @@ class TestNearFieldBuild:
             assert np.abs(np.abs(vector(cb, l)) - 1.0).max() < 1e-12
             assert np.array_equal(cb.vector(l), vector(cb, l))
 
+    @pytest.mark.parametrize("other", [None, generic_line_grid(3, step=0.91)])
+    def test_source_pair_rows_are_read_only(self, other):
+        grid = generic_line_grid(4)
+        cb = build_near_field_codebook(grid, other or grid, DIMS)
+        for point in cb.source_pair(cb.size - 1):
+            with pytest.raises(ValueError, match="read-only"):
+                point[0] = 0.0
+
     def test_responses_match_naive_loop(self):
         grid = generic_line_grid(5)
         cb = build_near_field_codebook(grid, grid, DIMS)
@@ -560,10 +571,10 @@ def counting_phase_vector(monkeypatch, delay_s=0.0) -> list:
     calls = []
     real = codebook.phase_vector
 
-    def counted(cycles, conjugate=False):
+    def counted(cycles):
         calls.append(np.shape(cycles))
         time.sleep(delay_s)
-        return real(cycles, conjugate)
+        return real(cycles)
 
     monkeypatch.setattr(codebook, "phase_vector", counted)
     return calls
@@ -623,7 +634,7 @@ class TestPersistence:
         assert np.array_equal(loaded.keys, built.keys)
         assert loaded.pre_dedup_pairs == built.pre_dedup_pairs == grid_g.size * grid_r.size
         for l in range(built.size):
-            assert loaded.source_pair(l) == built.source_pair(l)
+            assert np.array_equal(loaded.source_pair(l), built.source_pair(l))
             assert np.abs(vector(loaded, l) - vector(built, l)).max() <= 1e-12
             assert np.array_equal(loaded.vector(l), vector(built, l))
             assert np.array_equal(built.vector(l), vector(built, l))
@@ -728,6 +739,20 @@ class TestPersistence:
         save_codebook(built, path)
         assert load_codebook(path, DIMS).size == built.size
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_threads_saving_one_path_do_not_collide(self, built, tmp_path):
+        path = tmp_path / "cb.bin"
+        for _ in range(100):  # threads sharing a temporary name collide in only some trials
+            barrier = threading.Barrier(2)
+
+            def save(_):
+                barrier.wait(timeout=60)
+                save_codebook(built, path)
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                list(pool.map(save, range(2), timeout=60))
+            assert load_codebook(path, DIMS).size == built.size
+            assert list(tmp_path.iterdir()) == [path]
 
     def test_cached_build_misses_then_hits(self, tmp_path, capsys):
         grid_g, grid_r = generic_line_grid(6), generic_line_grid(4, step=0.731)

@@ -22,7 +22,7 @@ from xlris.experiments import (
     sweep_overhead,
     sweep_snr,
 )
-from xlris.geometry import ArrayDims, Box3, FieldError, Point3
+from xlris.geometry import ArrayDims, Box3, FieldError
 from xlris.training import HierarchicalConfig, hierarchical_training, perfect_csi_beamforming
 
 from support import (
@@ -75,7 +75,7 @@ class TestAchievableRate:
 
     def test_full_scale_perfect_csi_formula(self):
         dims = ArrayDims(128, 4, 0.5)
-        ch = near_field_channel(Point3(30.0, 12.0, -5.0), Point3(-80.0, 40.0, 9.0), dims)
+        ch = near_field_channel(np.array([30.0, 12.0, -5.0]), np.array([-80.0, 40.0, 9.0]), dims)
         rate = achievable_rate(perfect_csi_beamforming(ch), ch, 1.0)
         assert rate == pytest.approx(math.log2(1 + 512.0**2), rel=1e-9)
 

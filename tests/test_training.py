@@ -14,7 +14,7 @@ from xlris.codebook import (
     build_near_field_codebook,
     far_field_codebook,
 )
-from xlris.geometry import ArrayDims, Box3, FieldError, Point3, cascaded_distances
+from xlris.geometry import ArrayDims, Box3, FieldError, cascaded_distances
 from xlris.training import (
     _NOISE_CHUNK,
     HierarchicalConfig,
@@ -35,8 +35,7 @@ GRID = SampleGrid(BOX, 16.0)
 
 def on_grid_channel(g_index, r_index, alpha=0.6 + 0.8j):
     pts = GRID.points()
-    pg, pr = Point3.from_array(pts[g_index]), Point3.from_array(pts[r_index])
-    return near_field_channel(pg, pr, DIMS, alpha)
+    return near_field_channel(pts[g_index], pts[r_index], DIMS, alpha)
 
 
 class TestExhaustive:
@@ -144,21 +143,24 @@ class TestSelectCodeword:
 
 class TestRefineRanges:
     def test_window_centers_on_winner(self):
-        box_g, box_r = refine_ranges((Point3(50.0, 10.0, -3.0), Point3(-20.0, 5.0, 8.0)), 8.0)
+        winners = (np.array([50.0, 10.0, -3.0]), np.array([-20.0, 5.0, 8.0]))
+        box_g, box_r = refine_ranges(winners, 8.0)
         assert box_g == Box3((46.0, 54.0), (6.0, 14.0), (-7.0, 1.0))
         assert box_r == Box3((-24.0, -16.0), (1.0, 9.0), (4.0, 12.0))
+        # Python-float bounds, as in a config-built box, not np.float64
+        assert repr(box_r) == "Box3(x=(-24.0, -16.0), y=(1.0, 9.0), z=(4.0, 12.0))"
 
     def test_window_width_equals_step(self):
-        box_g, box_r = refine_ranges((Point3(1, 2, 3), Point3(0, 1, 0)), 7.0)
+        box_g, box_r = refine_ranges((np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0])), 7.0)
         for lo, hi in (*box_g.intervals(), *box_r.intervals()):
             assert hi - lo == pytest.approx(7.0, rel=1e-12)
 
     def test_vanishing_step_collapses_to_point(self):
-        box_g, _ = refine_ranges((Point3(4, 5, 6), Point3(0, 1, 0)), 1e-12)
+        box_g, _ = refine_ranges((np.array([4.0, 5.0, 6.0]), np.array([0.0, 1.0, 0.0])), 1e-12)
         assert box_g.x[0] == pytest.approx(4.0, abs=1e-9)
         assert box_g.x[1] == pytest.approx(4.0, abs=1e-9)
         with pytest.raises(ValueError):
-            refine_ranges((Point3(4, 5, 6), Point3(0, 1, 0)), 0.0)
+            refine_ranges((np.array([4.0, 5.0, 6.0]), np.array([0.0, 1.0, 0.0])), 0.0)
 
 
 class TestHierarchical:
@@ -192,7 +194,7 @@ class TestHierarchical:
         assert len(memo) == 2
         for cb in memo.values():
             for p in (*cb.g_points, *cb.r_points):
-                assert box_contains(BOX, Point3.from_array(p))
+                assert box_contains(BOX, p)
 
     def test_prebuilt_stage1_codebook_matches(self):
         stage1 = build_near_field_codebook(GRID, GRID, DIMS)
