@@ -232,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[SCHEME_EXHAUSTIVE, SCHEME_HIERARCHICAL, SCHEME_FAR_FIELD],
     )
     train.add_argument("--snr-db", type=_snr_db, default=10.0)
+    train.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")
     train.set_defaults(func=cmd_train)
 
     sweep = sub.add_parser("sweep", help="Monte Carlo sweeps")

@@ -11,11 +11,13 @@ earlier pair (i, j), so only the upper triangle i <= j is swept.
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
 nine decimals (integer nanocycles). The form is elementwise once anchored,
-so the form of a fixed sketch of at most 16 elements, element 0 first, is
-the full form's sketch bit for bit. Pairs are grouped by a 64-bit
-polynomial hash of their sketch, and the full canonical forms of pairs
-sharing a key are compared directly, so dedup is exact: equal beams always
-share a key, and a key shared by distinct beams keeps both codewords.
+so the form of a fixed sketch of 4 elements (all of them when N < 4),
+element 0 first, is the full form's sketch bit for bit. Pairs are grouped
+by a 64-bit polynomial hash of their sketch, and the full canonical forms
+of pairs sharing a key are compared directly, so dedup is exact: equal
+beams always share a key, and a key shared by distinct beams keeps both
+codewords. The build computes only the sketch columns of each point's
+distances; full profiles are computed for the pairs behind a shared key.
 
 A near-field codebook is its two sample grids, the kept pairs as indices
 into the grids' points, and each kept pair's sketch key. The cache file
@@ -57,11 +59,13 @@ _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # Canonical-form elements compared per batch when checking shared keys.
 _CHECK_ELEMENTS = 1 << 21
 # Sketch elements keyed per chunk of the flat pair sweep, which may span rows:
-# about 256 KB of float64, so the chunk and the temporaries of its key stay
-# in L2.
+# about 256 KB of float64 (8 192 pairs of 4 elements), so the chunk and the
+# temporaries of its key stay in L2.
 _CHUNK_ELEMENTS = 1 << 15
-# Elements of each profile that the dedup key hashes.
-_SKETCH_ELEMENTS = 16
+# Elements of each profile that the dedup key hashes. No key repeats among
+# the swept pairs of any shipped full-grid sweep at 3, 4, 8 or 16 elements;
+# at 2, hundreds do, and each repeat costs a full-profile check.
+_SKETCH_ELEMENTS = 4
 
 _MAGIC = b"XLRC"
 _FORMAT_VERSION = 3
@@ -295,13 +299,15 @@ def build_near_field_codebook(
     columns j >= i: float addition is commutative, so each skipped pair
     repeats the profile of its earlier swap bitwise and could never be
     kept. Each swept pair is keyed by the hash of its profile's sketch
-    (:func:`_sketch_elements`); pairs that share a key have their full
-    canonical forms compared. The sweep is keyed in fixed chunks of the
-    flat pair order, a chunk spanning as many rows as it needs; keys are a
-    row-wise map over the swept pairs, so the result is identical whether
-    the chunks run serially or on `threads` workers, each of which keys
-    one contiguous span of chunks. A sweep that fits in one chunk starts
-    no thread pool.
+    (:func:`_sketch_elements`), summed from the sketch columns of the two
+    points' distances; pairs that share a key have their full canonical
+    forms compared, from full profiles computed for them alone. When no key
+    repeats, the pairs are filled straight from the sweep's row layout.
+    The sweep is keyed in fixed chunks of the flat pair order, a chunk
+    spanning as many rows as it needs; keys are a row-wise map over the
+    swept pairs, so the result is identical whether the chunks run
+    serially or on `threads` workers, each of which keys one contiguous
+    span of chunks. A sweep that fits in one chunk starts no thread pool.
     """
     pts_g = grid_g.points()
     pts_r = pts_g if grid_g == grid_r else grid_r.points()
@@ -309,12 +315,12 @@ def build_near_field_codebook(
     if s_g == 0 or s_r == 0:
         raise ValueError("sample grids must contain at least one point")
 
-    dist_g = element_distances(pts_g, dims)
-    dist_r = dist_g if pts_r is pts_g else element_distances(pts_r, dims)
     sketch = _sketch_elements(dims.n)
+    sketch_g = element_distances(pts_g, dims, sketch)
+    sketch_r = sketch_g if pts_r is pts_g else element_distances(pts_r, dims, sketch)
     # Sketch-major: a chunk is a (len(sketch), pairs) buffer, so each pass of
     # the key runs along the chunk's pairs, not along the short sketch axis.
-    sketch_g, sketch_rt = dist_g[:, sketch], np.ascontiguousarray(dist_r[:, sketch].T)
+    sketch_rt = np.ascontiguousarray(sketch_r.T)
     # Row i of the sweep covers columns first_col[i]..s_r-1 and lands in
     # keys[offsets[i]:offsets[i + 1]], so the flat order is the sweep order.
     first_col = np.arange(s_g) if grid_g == grid_r else np.zeros(s_g, dtype=np.int64)
@@ -364,9 +370,23 @@ def build_near_field_codebook(
 
     def reduced_rows(flat: np.ndarray) -> np.ndarray:
         rows, cols = locate(flat)
-        return reduced_profile(dist_g[rows] + dist_r[cols])
+        profiles = element_distances(pts_g[rows], dims)
+        profiles += element_distances(pts_r[cols], dims)
+        return reduced_profile(profiles)
 
     kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
+    if isinstance(kept, slice):
+        # Every swept pair is kept: row i holds columns first_col[i]..s_r-1.
+        # Both columns are running sums of their steps, summed in place: a
+        # row start steps the row by 1 and the column back to first_col[i],
+        # and every other pair steps the column by 1.
+        pairs = np.zeros((len(keys), 2), dtype=np.int64)
+        pairs[1:, 1] = 1
+        pairs[offsets[1:-1], 0] = 1
+        pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
+        pairs[0, 1] = first_col[0]
+        np.cumsum(pairs, axis=0, out=pairs)
+        return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys)
     # kept is ascending, so each row's kept pairs are one run of it.
     per_row = np.diff(np.searchsorted(kept, offsets))
     pairs = np.empty((len(kept), 2), dtype=np.int64)
@@ -375,7 +395,7 @@ def build_near_field_codebook(
     return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys[kept])
 
 
-def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray:
+def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray | slice:
     """Ascending positions of the first occurrence of each distinct profile.
 
     `keys[k]` is the key of the profile at sweep position k, equal for equal
@@ -383,11 +403,13 @@ def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarr
     canonical forms. Keys seen once need no check. The positions behind a
     repeated key have their canonical forms compared directly, in batches of
     whole key groups of about `batch_rows` rows, so true duplicates are
-    dropped and key collisions keep every distinct profile.
+    dropped and key collisions keep every distinct profile. When no key
+    repeats, every position is kept and ``slice(None)`` stands for them all,
+    so no array as long as the sweep is made.
     """
     sorted_keys = np.sort(keys)
     if not (sorted_keys[1:] == sorted_keys[:-1]).any():
-        return np.arange(len(keys))  # no key repeats, so no profile does
+        return slice(None)  # no key repeats, so no profile does
     order = np.argsort(keys, kind="stable")  # stable: a group lists positions ascending
     sorted_keys = keys[order]
     new_key = np.ones(len(keys) + 1, dtype=bool)
@@ -402,7 +424,11 @@ def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarr
     extra = []
     for lo, hi in zip(cuts, [*cuts[1:], len(members)]):
         batch = members[lo:hi]
-        _, first = np.unique(reduced_rows(batch), axis=0, return_index=True)
+        forms = np.ascontiguousarray(reduced_rows(batch))
+        # Each form as one opaque item of its bytes: equal int64 rows are equal
+        # bytes, and unique on them skips the axis=0 form's per-call dtype checks.
+        rows = forms.view(np.dtype((np.void, forms.itemsize * forms.shape[1]))).ravel()
+        _, first = np.unique(rows, return_index=True)
         extra.append(batch[first])
     return np.union1d(kept, np.concatenate(extra))
 

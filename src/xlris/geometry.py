@@ -93,12 +93,15 @@ class Box3:
         return Box3(*axes)
 
 
-def element_distances(points, dims: ArrayDims) -> np.ndarray:
+def element_distances(points, dims: ArrayDims, elements=None) -> np.ndarray:
     """Distances from one point (3,) or a batch (S, 3) to every array element.
 
     Returns shape (N,) for a single point or (S, N) for a batch, n1-major.
+    With `elements`, a 1-D array of n1-major element indices in [0, N),
+    only those columns are computed, in that order: shape (K,) or (S, K).
     This is the single float pipeline all steering/codeword phases flow
-    through, so batch rows and single-point results are bitwise identical.
+    through, so batch rows and single-point results are bitwise identical,
+    and so are the selected columns and the same columns of the full table.
     """
     pts = np.asarray(points, dtype=np.float64)
     single = pts.ndim == 1
@@ -106,12 +109,15 @@ def element_distances(points, dims: ArrayDims) -> np.ndarray:
         pts = pts[np.newaxis, :]
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected shape (3,) or (S, 3), got {pts.shape}")
-    xe = dims.x_coords()
-    ze = dims.z_coords()
-    dx = pts[:, 0, np.newaxis, np.newaxis] - xe[np.newaxis, :, np.newaxis]
-    dz = pts[:, 2, np.newaxis, np.newaxis] - ze[np.newaxis, np.newaxis, :]
-    d2 = dx * dx + (pts[:, 1, np.newaxis, np.newaxis]) ** 2 + dz * dz
-    out = np.sqrt(d2).reshape(pts.shape[0], dims.n)
+    # (n1, 1) against (n2,) for the whole array, or (K,) against (K,) for
+    # selected elements; either way each distance is one sum of three squares.
+    xe, ze, width = dims.x_coords()[:, np.newaxis], dims.z_coords(), dims.n
+    if elements is not None:
+        n1_idx, n2_idx = np.divmod(np.asarray(elements, dtype=np.int64), dims.n2)
+        xe, ze, width = xe[n1_idx, 0], ze[n2_idx], len(n1_idx)
+    x, y, z = pts.T.reshape(3, len(pts), *(1,) * xe.ndim)
+    dx, dz = x - xe, z - ze
+    out = np.sqrt(dx * dx + y**2 + dz * dz).reshape(len(pts), width)
     return out[0] if single else out
 
 

@@ -487,6 +487,25 @@ class TestCli:
             assert capsys.readouterr().out == uncached
             assert len(list(cache.glob("xlrc_*.bin"))) == 1
 
+    def test_train_cache_flag_writes_then_hits(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        cache = tmp_path / "cache"
+        builds = []
+        real_build = codebook.build_near_field_codebook
+        monkeypatch.setattr(
+            codebook,
+            "build_near_field_codebook",
+            lambda *args, **kwargs: builds.append(args) or real_build(*args, **kwargs),
+        )
+        runs = []
+        for _ in range(2):  # a miss that writes the file, then a hit that reads it
+            assert main(["train", "--config", str(cfg), "--cache", str(cache)]) == 0
+            runs.append(capsys.readouterr())
+        assert len(builds) == 1
+        assert [p.name for p in cache.iterdir()] == [cache_name(parse_config(cfg))]
+        assert runs[0].out == runs[1].out
+        assert not runs[0].err and not runs[1].err
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from xlris import codebook
 from xlris.cli import main
+from xlris.config import parse_config, resolve_config_path
 from xlris.codebook import (
     CodebookFileError,
     SampleGrid,
@@ -45,6 +46,8 @@ from support import (
 )
 
 DIMS = ArrayDims(8, 2, 0.5)
+# N = 4, so the dedup key hashes each whole profile.
+DIMS4 = ArrayDims(2, 2, 0.5)
 # N = 64, so the dedup key hashes a strict subset of each profile.
 DIMS64 = ArrayDims(16, 4, 0.5)
 # Multiples of 2**-10 below 2**10: sums of two of them, or of one and an
@@ -356,8 +359,8 @@ class TestNearFieldBuild:
         assert np.array_equal(a.keys, b.keys)
 
     def test_single_chunk_build_starts_no_pool(self, monkeypatch):
-        # 36 swept pairs of 16 sketch elements fit in one chunk, so the sweep
-        # runs inline whatever the thread count; a sweep of more chunks pools.
+        # 36 swept pairs fit in one chunk, so the sweep runs inline whatever
+        # the thread count; a sweep of more chunks pools.
         grid = generic_line_grid(8)
         serial = build_near_field_codebook(grid, grid, DIMS)
 
@@ -368,15 +371,16 @@ class TestNearFieldBuild:
         inline = build_near_field_codebook(grid, grid, DIMS, threads=4)
         assert np.array_equal(inline.pairs, serial.pairs)
         assert np.array_equal(inline.keys, serial.keys)
-        monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", 16 * 18)
+        chunk = len(codebook._sketch_elements(DIMS.n)) * 18  # two chunks of 18 pairs
+        monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
         with pytest.raises(AssertionError, match="thread pool"):
             build_near_field_codebook(grid, grid, DIMS, threads=4)
 
-    # At N = 16 the sketch is the whole profile; at N = 64 a strict subset.
+    # At N = 4 the sketch is the whole profile; at N = 64 a strict subset.
     @settings(max_examples=40, deadline=None)
     @given(grid=small_grids())
     def test_equal_grids_match_full_product(self, grid):
-        for dims in (DIMS, DIMS64):
+        for dims in (DIMS4, DIMS64):
             ref_pairs, ref_pre = full_product_reference(grid, grid, dims)
             for threads in (1, 2):
                 cb = build_near_field_codebook(grid, grid, dims, threads=threads)
@@ -387,7 +391,7 @@ class TestNearFieldBuild:
     @settings(max_examples=20, deadline=None)
     @given(grid_g=small_grids(), grid_r=small_grids())
     def test_unequal_grids_match_full_product(self, grid_g, grid_r):
-        for dims in (DIMS, DIMS64):
+        for dims in (DIMS4, DIMS64):
             ref_pairs, ref_pre = full_product_reference(grid_g, grid_r, dims)
             for threads in (1, 2):
                 cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
@@ -399,7 +403,7 @@ class TestNearFieldBuild:
     @given(grid_g=small_grids(), grid_r=small_grids(), square=st.booleans())
     def test_chunked_sweep_keeps_the_whole_row_keys(self, grid_g, grid_r, square):
         grid_r = grid_g if square else grid_r
-        for dims in (DIMS, DIMS64):
+        for dims in (DIMS4, DIMS64):
             swept, ref_keys = reference_keys(grid_g, grid_r, dims)
             dist_g = element_distances(grid_g.points(), dims)
             dist_r = element_distances(grid_r.points(), dims)
@@ -472,10 +476,24 @@ class TestNearFieldBuild:
         assert main(["codebook", "build", "--config", "paper", "--threads", str(threads),
                      "--cache", str(tmp_path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        path = tmp_path / "xlrc_c7e12882fd9e02dd.bin"
+        path = tmp_path / "xlrc_6a40ab2082e12fb8.bin"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "d00aad12ca9f7c2da71e8c4a1cfe78105f31ec126a45fab24b5046ff519403fd"
+            "976d33606521bceee265bb476565921dcb05d0c335145771ae9ed95c7caab58d"
         )
+
+    @pytest.mark.parametrize("name,step_d", [("desk", 25), ("paper", 100)])
+    def test_shipped_level1_sweeps_repeat_no_key(self, monkeypatch, name, step_d):
+        # Every swept pair of these triangle sweeps is a distinct beam, and the
+        # sketch keeps their keys distinct too. A 2-element sketch repeats
+        # hundreds of keys on the same sweeps, so the check can tell them apart.
+        cfg = parse_config(resolve_config_path(name))
+        grids = cfg.codebook_grids(step_d * cfg.scene.dims.d)
+        s = grids[0].size
+        for sketch, repeats in ((codebook._SKETCH_ELEMENTS, False), (2, True)):
+            monkeypatch.setattr(codebook, "_SKETCH_ELEMENTS", sketch)
+            cb = build_near_field_codebook(*grids, cfg.scene.dims)
+            assert cb.size == s * (s + 1) // 2
+            assert (len(np.unique(cb.keys)) < cb.size) == repeats
 
     @pytest.mark.parametrize("square", [True, False])
     def test_equal_grids_hash_only_the_upper_triangle(self, monkeypatch, square):
@@ -516,6 +534,26 @@ class TestNearFieldBuild:
         bucketed = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
         assert np.array_equal(bucketed.pairs, real.pairs)
         assert np.array_equal(bucketed.keys, real.keys % np.uint64(64))
+
+    @settings(deadline=None)
+    @given(
+        forms=arrays(
+            np.int64, st.tuples(st.integers(1, 60), st.integers(1, 8)), elements=st.integers(-2, 2)
+        ),
+        buckets=st.integers(1, 4),
+        batch_rows=st.integers(1, 70),
+    )
+    def test_shared_key_check_keeps_the_first_of_each_distinct_row(
+        self, forms, buckets, batch_rows
+    ):
+        # Small entries repeat rows often. Keys from one column, bucketed, are
+        # equal for equal rows and shared by distinct ones, so each batch holds
+        # both true duplicates and collisions; numpy's row-wise unique is the
+        # reference for the first occurrence of every distinct row.
+        keys = (forms[:, 0] % buckets).astype(np.uint64)
+        kept = codebook._first_distinct(keys, lambda positions: forms[positions], batch_rows)
+        _, first = np.unique(forms, axis=0, return_index=True)
+        assert np.array_equal(np.arange(len(forms))[kept], np.sort(first))
 
     @pytest.mark.parametrize("x_r", [(0.0, 3.0), (1.0, 4.0)])
     def test_one_element_sketch_keeps_the_full_profile_pairs(self, monkeypatch, x_r):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xlris.geometry import (
     ArrayDims,
@@ -82,6 +85,29 @@ class TestDistances:
         batch = element_distances(pts, dims)
         for i in range(10):
             assert np.array_equal(batch[i], element_distances(pts[i], dims))
+
+    @given(
+        n1=st.integers(1, 9),
+        n2=st.integers(1, 9),
+        d=st.floats(1e-3, 1e3),
+        pts=arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.just(3)),
+            elements=st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False),
+        ),
+        picks=st.lists(st.floats(0, 1, exclude_max=True), max_size=12),
+    )
+    def test_selected_elements_are_the_full_tables_columns_bitwise(self, n1, n2, d, pts, picks):
+        # The codebook keys pairs on a few columns and compares full profiles
+        # of the same pairs, so both must come out of one float pipeline.
+        dims = ArrayDims(n1, n2, d)
+        elements = np.array([int(u * dims.n) for u in picks], dtype=np.int64)  # any order, repeats
+        full = element_distances(pts, dims)
+        picked = element_distances(pts, dims, elements)
+        assert picked.shape == (len(pts), len(elements))
+        assert np.array_equal(picked, full[:, elements])
+        for p, row in zip(pts, full):
+            assert np.array_equal(element_distances(p, dims, elements), row[elements])
 
 
 class TestFarFieldSteering:
