@@ -301,8 +301,8 @@ def build_near_field_codebook(
     kept. Each swept pair is keyed by the hash of its profile's sketch
     (:func:`_sketch_elements`), summed from the sketch columns of the two
     points' distances; pairs that share a key have their full canonical
-    forms compared, from full profiles computed for them alone. When no key
-    repeats, the pairs are filled straight from the sweep's row layout.
+    forms compared, from full profiles computed for them alone. The kept
+    pairs are taken from a layout of every swept pair in sweep order.
     The sweep is keyed in fixed chunks of the flat pair order, a chunk
     spanning as many rows as it needs; keys are a row-wise map over the
     swept pairs, so the result is identical whether the chunks run
@@ -375,24 +375,18 @@ def build_near_field_codebook(
         return reduced_profile(profiles)
 
     kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
-    if isinstance(kept, slice):
-        # Every swept pair is kept: row i holds columns first_col[i]..s_r-1.
-        # Both columns are running sums of their steps, summed in place: a
-        # row start steps the row by 1 and the column back to first_col[i],
-        # and every other pair steps the column by 1.
-        pairs = np.zeros((len(keys), 2), dtype=np.int64)
-        pairs[1:, 1] = 1
-        pairs[offsets[1:-1], 0] = 1
-        pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
-        pairs[0, 1] = first_col[0]
-        np.cumsum(pairs, axis=0, out=pairs)
-        return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys)
-    # kept is ascending, so each row's kept pairs are one run of it.
-    per_row = np.diff(np.searchsorted(kept, offsets))
-    pairs = np.empty((len(kept), 2), dtype=np.int64)
-    pairs[:, 0] = np.repeat(np.arange(s_g), per_row)
-    np.subtract(kept, np.repeat(offsets[:-1] - first_col, per_row), out=pairs[:, 1])
-    return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys[kept])
+    # Every swept pair in sweep order: row i holds columns first_col[i]..s_r-1.
+    # Both columns are running sums of their steps, summed in place: a row
+    # start steps the row by 1 and the column back to first_col[i], and every
+    # other pair steps the column by 1.
+    pairs = np.zeros((len(keys), 2), dtype=np.int64)
+    pairs[1:, 1] = 1
+    pairs[offsets[1:-1], 0] = 1
+    pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
+    pairs[0, 1] = first_col[0]
+    np.cumsum(pairs, axis=0, out=pairs)
+    # A view of both when every pair is kept, a gather otherwise.
+    return NearFieldCodebook(dims, grid_g, grid_r, pairs[kept], keys[kept])
 
 
 def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray | slice:

@@ -450,8 +450,8 @@ class TestNearFieldBuild:
         keep=[True, False],
     )
     def test_pairs_from_row_runs_equal_the_located_positions(self, grid_g, grid_r, square, keep):
-        # The build assembles its pairs from the ascending kept positions row
-        # run by row run; the reference locates each position on its own.
+        # The build takes its pairs at the kept positions of a layout of all
+        # swept pairs; the reference locates each position on its own.
         grid_r = grid_g if square else grid_r
         swept, _ = reference_keys(grid_g, grid_r, DIMS)
         dedup = codebook._first_distinct
