@@ -6,7 +6,10 @@ every sampled scatter point on the BS side with every sampled point on the
 user side, derives each codeword from the summed distance profile of the
 pair, and drops pairs whose beam duplicates an earlier one. When both sides
 use the same grid, pair (j, i) with j > i has the same summed profile as the
-earlier pair (i, j), so only the upper triangle i <= j is swept.
+earlier pair (i, j), so only the upper triangle i <= j is swept. The swept
+pairs are laid out once, in sweep order, as an (L, 2) int32 array of point
+indices; the keys, the shared-key check and the kept pairs all read that
+one layout, so a sample grid holds at most ``MAX_GRID_POINTS`` points.
 
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
@@ -17,11 +20,13 @@ by a 64-bit polynomial hash of their sketch, and the full canonical forms
 of pairs sharing a key are compared directly, so dedup is exact: equal
 beams always share a key, and a key shared by distinct beams keeps both
 codewords. The build computes only the sketch columns of each point's
-distances; full profiles are computed for the pairs behind a shared key.
+distances and gathers them through the layout; full profiles are computed
+for the pairs behind a shared key.
 
-A near-field codebook is its two sample grids, the kept pairs as indices
-into the grids' points, and each kept pair's sketch key. The cache file
-stores exactly that; the points are regenerated from the grids on load.
+A near-field codebook is its two sample grids, the kept pairs as int32
+indices into the grids' points, and each kept pair's sketch key. The cache
+file stores exactly that, and a load wraps the file's pair section without
+a copy; the points are regenerated from the grids on load.
 :func:`cached_near_field_codebook` is the one load-or-build over a cache
 directory. It names each file by :func:`cache_file_name`: a hash of the
 file's own header identity (format version, dims, grids) followed by the
@@ -30,7 +35,6 @@ key constants, so a file's name and its header cannot disagree.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import hashlib
 import math
@@ -67,6 +71,9 @@ _CHUNK_ELEMENTS = 1 << 15
 # at 2, hundreds do, and each repeat costs a full-profile check.
 _SKETCH_ELEMENTS = 4
 
+# Pairs hold point indices as int32, so no grid may hold more points.
+MAX_GRID_POINTS = 2**31 - 1
+
 _MAGIC = b"XLRC"
 _FORMAT_VERSION = 3
 # version, N1, N2, d, L, then per grid (g, r): x, y, z intervals and the step
@@ -79,7 +86,11 @@ class CodebookFileError(ValueError):
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """A box swept on every axis at one step: min, min+step, ... up to <= max."""
+    """A box swept on every axis at one step: min, min+step, ... up to <= max.
+
+    A grid holds at most ``MAX_GRID_POINTS`` points, counted without
+    sampling them, so that int32 pairs index every point.
+    """
 
     box: Box3
     step: float
@@ -87,6 +98,8 @@ class SampleGrid:
     def __post_init__(self) -> None:
         if not 0 < self.step < math.inf:
             raise ValueError(f"grid step must be positive and finite, got {self.step}")
+        if (size := self.size) > MAX_GRID_POINTS:
+            raise ValueError(f"a sample grid holds {size} points, more than {MAX_GRID_POINTS}")
 
     def points(self) -> np.ndarray:
         """All grid points as an (S, 3) array, x-major, then y, then z."""
@@ -95,15 +108,22 @@ class SampleGrid:
 
     @property
     def size(self) -> int:
-        return math.prod(len(axis_samples(lo, hi, self.step)) for lo, hi in self.box.intervals())
+        return math.prod(axis_count(lo, hi, self.step) for lo, hi in self.box.intervals())
+
+
+def axis_count(lo: float, hi: float, step: float) -> int:
+    """How many samples :func:`axis_samples` takes, counted without making them."""
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    span = (hi - lo) / step + 1e-9
+    if span == math.inf:
+        raise ValueError(f"step {step} is too small to count the samples of [{lo}, {hi}]")
+    return math.floor(span) + 1
 
 
 def axis_samples(lo: float, hi: float, step: float) -> np.ndarray:
     """Samples lo, lo+step, ... not exceeding hi (small float slop tolerated)."""
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    return lo + step * np.arange(axis_count(lo, hi, step))
 
 
 @lru_cache(maxsize=8)
@@ -166,8 +186,8 @@ class NearFieldCodebook:
     """Ordered, deduplicated codewords indexed by scatter-point pairs.
 
     A codebook is its sample grids ``grids = (grid_g, grid_r)``, the kept
-    pairs as row indices into the grids' points, and each kept pair's dedup
-    key (the hash of its profile's sketch). The codeword at index ``l`` is
+    pairs as int32 row indices into the grids' points, and each kept pair's
+    dedup key (the hash of its profile's sketch). The codeword at index ``l`` is
     defined by points ``(g_points[pairs[l, 0]], r_points[pairs[l, 1]])``;
     its vector is the conjugated spherical-wave phase profile of that pair,
     regenerated on demand by :meth:`vector` (the full-scale codebook held
@@ -191,13 +211,10 @@ class NearFieldCodebook:
         self.r_points = self.g_points if grid_g == grid_r else grid_r.points()
         # source_pair hands out rows of these, so nobody may write through them
         self.g_points.flags.writeable = self.r_points.flags.writeable = False
-        self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        self.pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
         self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
         if len(self.keys) != len(self.pairs):
             raise ValueError("pairs and keys must have equal length")
-        sizes = (len(self.g_points), len(self.r_points))
-        if self.pairs.size and any(c.min() < 0 or c.max() >= n for c, n in zip(self.pairs.T, sizes)):
-            raise ValueError(f"pair indices must lie within the grids' {sizes} points")
         self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._factors_lock = threading.Lock()
 
@@ -228,7 +245,8 @@ class NearFieldCodebook:
                     u_r = u_g
                 else:
                     u_r = phase_vector(element_distances(self.r_points, self.dims))
-                flat = self.pairs[:, 0] * len(self.r_points)
+                # int64, as Sg * Sr may pass the int32 range of the pairs
+                flat = self.pairs[:, 0].astype(np.int64) * len(self.r_points)
                 flat += self.pairs[:, 1]  # in place: one L-long array, not two
                 self._factors = (u_g, u_r, flat)
             return self._factors
@@ -298,55 +316,51 @@ def build_near_field_codebook(
     the first occurrence. When ``grid_g == grid_r`` row i sweeps only
     columns j >= i: float addition is commutative, so each skipped pair
     repeats the profile of its earlier swap bitwise and could never be
-    kept. Each swept pair is keyed by the hash of its profile's sketch
-    (:func:`_sketch_elements`), summed from the sketch columns of the two
-    points' distances; pairs that share a key have their full canonical
-    forms compared, from full profiles computed for them alone. The kept
-    pairs are taken from a layout of every swept pair in sweep order.
-    The sweep is keyed in fixed chunks of the flat pair order, a chunk
-    spanning as many rows as it needs; keys are a row-wise map over the
-    swept pairs, so the result is identical whether the chunks run
-    serially or on `threads` workers, each of which keys one contiguous
-    span of chunks. A sweep that fits in one chunk starts no thread pool.
+    kept. Every swept pair is laid out first, in sweep order, as one
+    (L, 2) int32 array of point indices, and that layout drives the rest:
+    a pair's key hashes its profile's sketch (:func:`_sketch_elements`),
+    summed from its two points' sketch columns gathered through the
+    layout; pairs that share a key have their full canonical forms
+    compared, computed for their layout rows alone; the kept pairs are the
+    layout's rows at the kept positions. Keys are a row-wise map over the
+    layout, keyed in fixed chunks, so the result is identical whether the
+    chunks run serially or on `threads` workers, each keying one
+    contiguous span of chunks. A sweep of one chunk starts no thread pool.
     """
     pts_g = grid_g.points()
     pts_r = pts_g if grid_g == grid_r else grid_r.points()
     s_g, s_r = len(pts_g), len(pts_r)
-    if s_g == 0 or s_r == 0:
-        raise ValueError("sample grids must contain at least one point")
 
-    sketch = _sketch_elements(dims.n)
-    sketch_g = element_distances(pts_g, dims, sketch)
-    sketch_r = sketch_g if pts_r is pts_g else element_distances(pts_r, dims, sketch)
-    # Sketch-major: a chunk is a (len(sketch), pairs) buffer, so each pass of
-    # the key runs along the chunk's pairs, not along the short sketch axis.
-    sketch_rt = np.ascontiguousarray(sketch_r.T)
-    # Row i of the sweep covers columns first_col[i]..s_r-1 and lands in
-    # keys[offsets[i]:offsets[i + 1]], so the flat order is the sweep order.
+    # Row i of the sweep covers columns first_col[i]..s_r-1 and starts at
+    # offsets[i]. Both columns are running sums of their steps, summed in
+    # place: a row start steps the row by 1 and the column back to
+    # first_col[i], and every other pair steps the column by 1.
     first_col = np.arange(s_g) if grid_g == grid_r else np.zeros(s_g, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(s_r - first_col)))
-    keys = np.empty(offsets[-1], dtype=np.uint64)
+    pairs = np.zeros((offsets[-1], 2), dtype=np.int32)
+    pairs[1:, 1] = 1
+    pairs[offsets[1:-1], 0] = 1
+    pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
+    pairs[0, 1] = first_col[0]
+    np.cumsum(pairs, axis=0, dtype=np.int32, out=pairs)
 
-    # Python ints, so a chunk's per-row bookkeeping makes no numpy calls.
-    row_offsets, row_first_col = offsets.tolist(), first_col.tolist()
+    sketch = _sketch_elements(dims.n)
+    # Sketch-major (len(sketch), S) tables gather into a block of the same
+    # shape per chunk, so each pass of the key runs along the chunk's pairs.
+    sketch_gt = np.ascontiguousarray(element_distances(pts_g, dims, sketch).T)
+    sketch_rt = sketch_gt if pts_r is pts_g else np.ascontiguousarray(
+        element_distances(pts_r, dims, sketch).T
+    )
+    keys = np.empty(len(pairs), dtype=np.uint64)
     chunk_pairs = max(1, _CHUNK_ELEMENTS // len(sketch))
-    starts = range(0, len(keys), chunk_pairs)
+    starts = range(0, len(pairs), chunk_pairs)
 
     def fill_block(start: int) -> None:
-        # Pairs start..stop-1 of the flat order may span rows: each row's run
-        # of them is summed into columns of one block, then the whole block is
-        # keyed through its (pairs, len(sketch)) transpose.
-        stop = min(start + chunk_pairs, len(keys))
-        block = np.empty((len(sketch), stop - start))
-        i = bisect.bisect_right(row_offsets, start) - 1
-        pos = start
-        while pos < stop:
-            end = min(row_offsets[i + 1], stop)
-            col = row_first_col[i] + pos - row_offsets[i]
-            run = block[:, pos - start : end - start]
-            np.add(sketch_g[i][:, None], sketch_rt[:, col : col + run.shape[1]], out=run)
-            pos, i = end, i + 1
-        keys[start:stop] = _hash_reduced(reduced_profile(block.T))
+        # The chunk's pairs may span rows; each gathers its points' columns.
+        chunk = pairs[start : start + chunk_pairs]
+        block = sketch_gt.take(chunk[:, 0], axis=1)
+        block += sketch_rt.take(chunk[:, 1], axis=1)
+        keys[start : start + len(chunk)] = _hash_reduced(reduced_profile(block.T))
 
     def fill_span(span: range) -> None:
         for start in span:
@@ -364,27 +378,13 @@ def build_near_field_codebook(
     else:
         fill_span(starts)
 
-    def locate(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.searchsorted(offsets, flat, side="right") - 1
-        return rows, first_col[rows] + (flat - offsets[rows])
-
     def reduced_rows(flat: np.ndarray) -> np.ndarray:
-        rows, cols = locate(flat)
-        profiles = element_distances(pts_g[rows], dims)
-        profiles += element_distances(pts_r[cols], dims)
+        rows = pairs[flat]
+        profiles = element_distances(pts_g[rows[:, 0]], dims)
+        profiles += element_distances(pts_r[rows[:, 1]], dims)
         return reduced_profile(profiles)
 
     kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
-    # Every swept pair in sweep order: row i holds columns first_col[i]..s_r-1.
-    # Both columns are running sums of their steps, summed in place: a row
-    # start steps the row by 1 and the column back to first_col[i], and every
-    # other pair steps the column by 1.
-    pairs = np.zeros((len(keys), 2), dtype=np.int64)
-    pairs[1:, 1] = 1
-    pairs[offsets[1:-1], 0] = 1
-    pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
-    pairs[0, 1] = first_col[0]
-    np.cumsum(pairs, axis=0, out=pairs)
     # A view of both when every pair is kept, a gather otherwise.
     return NearFieldCodebook(dims, grid_g, grid_r, pairs[kept], keys[kept])
 
@@ -461,8 +461,10 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
     """Read a cache file back, with the grids it was built over.
 
     Raises :class:`CodebookFileError` for a wrong magic, version or dims,
-    a bad checksum or length, an invalid grid, or a pair index outside its
-    grid. Callers compare ``cb.grids`` with the grids they expect.
+    a bad checksum or length, an invalid or too large grid, or a pair index
+    outside its grid: the file is the one source of pairs that is checked.
+    The codebook's int32 pairs wrap the file's pair section as read.
+    Callers compare ``cb.grids`` with the grids they expect.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -470,7 +472,8 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
         raise CodebookFileError(f"codebook file too short: {path}")
     if blob[: len(_MAGIC)] != _MAGIC:
         raise CodebookFileError(f"bad magic in codebook file: {path}")
-    payload, (crc,) = blob[len(_MAGIC) : -4], struct.unpack("<I", blob[-4:])
+    # A view, so the pairs and keys below wrap the bytes read, not a copy.
+    payload, (crc,) = memoryview(blob)[len(_MAGIC) : -4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != crc:
         raise CodebookFileError(f"checksum mismatch in codebook file: {path}")
     header = _HEADER.unpack_from(payload)
@@ -490,7 +493,10 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
             SampleGrid(Box3(v[0:2], v[2:4], v[4:6]), v[6])
             for v in (header[5:12], header[12:])  # tuples, as a config's intervals are
         )
-        pairs = np.frombuffer(body, dtype="<i4", count=2 * size)
+        pairs = np.frombuffer(body, dtype="<i4", count=2 * size).reshape(-1, 2)
+        sizes = (grid_g.size, grid_r.size)
+        if size and any(c.min() < 0 or c.max() >= n for c, n in zip(pairs.T, sizes)):
+            raise ValueError(f"pair indices must lie within the grids' {sizes} points")
         keys = np.frombuffer(body, dtype="<u8", offset=8 * size)
         return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys)
     except ValueError as exc:

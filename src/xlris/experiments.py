@@ -19,7 +19,7 @@ import numpy as np
 from .channel import ChannelRealization, SceneConfig, sample_near_field_channel
 from .codebook import (
     SampleGrid,
-    axis_samples,
+    axis_count,
     build_near_field_codebook,
     far_field_codebook,
 )
@@ -46,6 +46,19 @@ SWEEP_SNR_DB = "snr_db"
 SWEEP_STEP_D = "step_d"
 
 CSV_COLUMNS = ("scheme", "sweep_var", "sweep_value", "mean", "stderr", "trials", "seed")
+
+# Most worst-case slots one hierarchy level may ask for: a chosen bound, far
+# above every shipped schedule (5**6 = 15 625 at step_control 0.25).
+MAX_LEVEL_SLOTS = 2**32
+
+
+def level_slots(step: float, next_step: float) -> int:
+    """Worst-case slots of a level at `next_step` refining windows `step` wide.
+
+    Full-width windows, no clipping, no duplicate pairs: the samples of one
+    window axis to the power of the three axes on each of the two sides.
+    """
+    return axis_count(0.0, step, next_step) ** 6
 
 
 @dataclass(frozen=True)
@@ -108,6 +121,23 @@ class ExperimentConfig:
                         f"level {level} step at base step {base} is {step}, "
                         "not a positive finite float",
                     )
+                try:
+                    slots = level_slots(prev, step) if level > 1 else 0
+                except ValueError:  # too many samples to count
+                    slots = math.inf
+                if slots > MAX_LEVEL_SLOTS:
+                    raise FieldError(
+                        "hierarchy.step_control",
+                        f"level {level} at base step {base} may ask for {slots} slots, "
+                        f"more than {MAX_LEVEL_SLOTS}",
+                    )
+                prev = step
+        # A grid counts its points, so none is sampled here.
+        for k, step in enumerate((self.sampling_step, *self.step_sweep)):
+            try:
+                self.codebook_grids(step)
+            except ValueError as exc:
+                raise FieldError("step_sweep" if k else "sampling_step", str(exc)) from None
 
     def codebook_grids(self, sampling_step: float | None = None) -> tuple[SampleGrid, SampleGrid]:
         step = self.sampling_step if sampling_step is None else sampling_step
@@ -252,8 +282,7 @@ def hierarchical_overhead(cfg: ExperimentConfig, sampling_step: float | None = N
     grids = cfg.codebook_grids(next(cfg.hierarchy.steps(base)))
     total = build_near_field_codebook(*grids, cfg.scene.dims).size
     for step, next_step in pairwise(cfg.hierarchy.steps(base)):
-        # three axes on each of the two sides
-        total += len(axis_samples(0.0, step, next_step)) ** 6
+        total += level_slots(step, next_step)
     return total
 
 

@@ -50,21 +50,27 @@ def raw_configs(draw):
     def box():
         return {"x": interval(-1e3), "y": interval(1e-3), "z": interval(-1e3)}
 
+    boxes = box(), box()
+    # A thousandth of the widest interval or more, so no grid holds more
+    # than 1001**3 points, within MAX_GRID_POINTS.
+    widest = max(hi - lo for b in boxes for lo, hi in b.values())
+    step = st.floats(max(1e-3, widest / 1000), 1e3)
     raw = {
         **TINY,
         "array": {"n1": 8, "n2": 2, "spacing_wavelengths": draw(length)},
-        "scatter_g_d": box(),
-        "scatter_r_d": box(),
-        "sampling_step_d": draw(length),
-        "step_sweep_d": draw(st.lists(length, min_size=1, max_size=4)),
+        "scatter_g_d": boxes[0],
+        "scatter_r_d": boxes[1],
+        "sampling_step_d": draw(step),
+        "step_sweep_d": draw(st.lists(step, min_size=1, max_size=4)),
     }
     hierarchical = st.fixed_dictionaries(
         {},
         optional={
             "levels": st.integers(1, 3),
             "step_multiplier": st.integers(1, 8) | st.floats(1.0, 8.0),
-            # strictly inside (0, 1), and large enough that no level step underflows
-            "step_control": st.floats(1e-3, 1.0, exclude_max=True),
+            # strictly inside (0, 1), large enough that no level step underflows
+            # and that no level asks for more than 34**6 slots, within MAX_LEVEL_SLOTS
+            "step_control": st.floats(0.03, 1.0, exclude_max=True),
         },
     )
     if draw(st.booleans()):
@@ -632,6 +638,40 @@ class TestCli:
         assert main([*command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error: hierarchical.levels: levels must lie in [1, 1024], got 10000000" in err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            # 6 001 x 476 x 2 001 points per grid at a 0.1 d step
+            ("sampling_step_d", 0.1, "a sample grid holds 5715808476 points, more than 2147483647"),
+            ("step_sweep_d", [20, 0.1], "a sample grid holds 5715808476 points"),
+            # level 2 refines 100 d windows at a 0.1 d step: 1 001**6 slots
+            ("hierarchical.step_control", 0.001, "level 2 at base step 12.5 may ask for "
+             "1006015020015006001 slots, more than 4294967296"),
+            # steps so small that a count of samples overflows a float
+            ("sampling_step_d", 1e-320, "step 5e-321 is too small to count the samples"),
+            ("hierarchical.step_control", 1e-310, "level 2 at base step 12.5 may ask for inf"),
+        ],
+        ids=["sampling-step", "step-sweep", "level-slots", "sampling-step-uncountable",
+             "level-slots-uncountable"],
+    )
+    def test_too_large_grid_or_level_exits_2_without_sampling(
+        self, tmp_path, capsys, key, value, message
+    ):
+        raw = json.loads(builtin_config_path("desk").read_text())
+        section, _, name = key.rpartition(".")
+        (raw[section] if section else raw)[name] = value
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps(raw))
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "step", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"config error: {key}: {message}" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert not (tmp_path / "run").exists()
 
     def test_builtin_config_loads_from_a_zipped_package(self, tmp_path):
         package = Path(xlris.__file__).parent

@@ -3,6 +3,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +18,9 @@ from xlris.cli import main
 from xlris.config import parse_config, resolve_config_path
 from xlris.codebook import (
     CodebookFileError,
+    MAX_GRID_POINTS,
     SampleGrid,
+    axis_count,
     axis_samples,
     build_near_field_codebook,
     cache_file_name,
@@ -154,6 +157,24 @@ class TestGridEnumeration:
             SampleGrid(Box3((0, 1), (0, 1), (0, 1)), step)
         with pytest.raises(ValueError, match="finite"):
             axis_samples(0.0, 1.0, step)
+
+    @pytest.mark.parametrize("top,step", [(1290, 1.0), (1e6, 0.1)])
+    def test_grid_past_the_int32_index_range_rejected_without_sampling(self, top, step):
+        # 1291**3 = 2 151 685 171 points is just past MAX_GRID_POINTS; an
+        # arange of 10**7 + 1 samples per axis would take 80 MB.
+        assert SampleGrid(Box3((0, 1289), (1, 1290), (0, 1289)), 1.0).size == 1290**3
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"points, more than {MAX_GRID_POINTS}"):
+                SampleGrid(Box3((0, top), (1, 1 + top), (-top, 0)), step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_step_too_small_to_count_rejected(self):
+        with pytest.raises(ValueError, match="too small to count"):
+            axis_count(0.0, 1.0, 5e-324)
 
 
 class TestCanonicalKey:
@@ -449,9 +470,11 @@ class TestNearFieldBuild:
         square=False,
         keep=[True, False],
     )
-    def test_pairs_from_row_runs_equal_the_located_positions(self, grid_g, grid_r, square, keep):
-        # The build takes its pairs at the kept positions of a layout of all
-        # swept pairs; the reference locates each position on its own.
+    def test_kept_pairs_are_the_swept_pairs_at_the_kept_positions(
+        self, grid_g, grid_r, square, keep
+    ):
+        # The build takes its pairs at the kept positions of its int32 layout
+        # of all swept pairs; the reference lists the swept pairs one by one.
         grid_r = grid_g if square else grid_r
         swept, _ = reference_keys(grid_g, grid_r, DIMS)
         dedup = codebook._first_distinct
@@ -633,6 +656,13 @@ class TestSteeringFactors:
         want = reference_responses(cb, self.H)
         assert np.array_equal(first, want) and np.array_equal(second, want)
 
+    def test_flat_index_is_int64_over_int32_pairs(self):
+        # Sg * Sr may pass the int32 range of the pairs, so the flat index may not.
+        cb = build_near_field_codebook(generic_line_grid(5), generic_line_grid(4, step=0.91), DIMS)
+        flat = cb._steering_factors()[2]
+        assert cb.pairs.dtype == np.int32 and flat.dtype == np.int64
+        assert np.array_equal(flat, cb.pairs[:, 0] * 4 + cb.pairs[:, 1])
+
     def test_threads_sharing_a_codebook_compute_the_factors_once(self, monkeypatch):
         grid = generic_line_grid(6)
         cb = build_near_field_codebook(grid, grid, DIMS)
@@ -669,6 +699,7 @@ class TestPersistence:
         assert np.array_equal(loaded.g_points, built.g_points)
         assert np.array_equal(loaded.r_points, built.r_points)
         assert np.array_equal(loaded.pairs, built.pairs)
+        assert loaded.pairs.dtype == built.pairs.dtype == np.int32
         assert np.array_equal(loaded.keys, built.keys)
         assert loaded.pre_dedup_pairs == built.pre_dedup_pairs == grid_g.size * grid_r.size
         for l in range(built.size):
@@ -716,6 +747,18 @@ class TestPersistence:
         # The same index in the other column lies within its grid.
         path = self.with_last_pair_index(built, tmp_path / "ok.bin", 1 - column, index)
         assert load_codebook(path, DIMS).pairs[-1, 1 - column] == index
+
+    def test_grid_past_the_int32_index_range_rejected(self, built, tmp_path):
+        path = tmp_path / "cb.bin"
+        save_codebook(built, path)
+        blob = bytearray(path.read_bytes())
+        header = list(codebook._HEADER.unpack_from(blob, len(codebook._MAGIC)))
+        header[5:12] = [0.0, 1290.0, 1.0, 1291.0, 0.0, 1290.0, 1.0]  # 1291**3 g-side points
+        codebook._HEADER.pack_into(blob, len(codebook._MAGIC), *header)
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[len(codebook._MAGIC) : -4]))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CodebookFileError, match=f"more than {MAX_GRID_POINTS}"):
+            load_codebook(path, DIMS)
 
     @staticmethod
     def with_last_pair_index(built, path, column, index):
