@@ -23,10 +23,12 @@ codewords. The build computes only the sketch columns of each point's
 distances and gathers them through the layout; full profiles are computed
 for the pairs behind a shared key.
 
-A near-field codebook is its two sample grids, the kept pairs as int32
-indices into the grids' points, and each kept pair's sketch key. The cache
-file stores exactly that, and a load wraps the file's pair section without
-a copy; the points are regenerated from the grids on load.
+A near-field codebook is its two sample grids with their points, the kept
+pairs as int32 indices into those points, and each kept pair's sketch key.
+The cache file stores all of that but the points: a save streams the
+arrays' own bytes, and a load wraps the file's pair section without a
+copy. A load samples the points from the grids, as a build does, and hands
+them to the codebook.
 :func:`cached_near_field_codebook` is the one load-or-build over a cache
 directory. It names each file by :func:`cache_file_name`: a hash of the
 file's own header identity (format version, dims, grids) followed by the
@@ -111,6 +113,12 @@ class SampleGrid:
         return math.prod(axis_count(lo, hi, self.step) for lo, hi in self.box.intervals())
 
 
+def _grid_points(grid_g: SampleGrid, grid_r: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Both grids' points, as one array for both sides when the grids are equal."""
+    pts_g = grid_g.points()
+    return pts_g, pts_g if grid_g == grid_r else grid_r.points()
+
+
 def axis_count(lo: float, hi: float, step: float) -> int:
     """How many samples :func:`axis_samples` takes, counted without making them."""
     if not 0 < step < math.inf:
@@ -155,22 +163,30 @@ def reduced_profile(profile) -> np.ndarray:
     Takes fractional parts, anchors them to the first element, wraps into
     [0, 1), and rounds to 1e-9. Profiles that differ by a constant offset or
     by per-element integers (a global phase, or whole-wavelength shifts)
-    reduce to the same form. Works on (N,) or batched (..., N) input and
-    leaves the input unchanged.
+    reduce to the same form. Works on (N,) or batched (..., N) input, laid
+    out like the input, and leaves the input unchanged.
 
     Equals ``rint(mod(mod(p, 1) - mod(p, 1)[..., :1], 1) * 1e9) % 1e9``
     without np.mod (slow): ``x - floor(x)`` is exact, and after anchoring
     every value lies in (-1, 1), so subtracting its floor (-1.0 or 0.0)
-    wraps it with no mask. A delta that rounds to a full cycle is zero.
+    wraps it with no mask. A delta that rounds to a full cycle is zero. The
+    anchor's own form is always 0, so it is set, not reduced: only the
+    other elements are anchored, wrapped, scaled and rounded, straight into
+    the int64 result. The fractional parts and the result are the only
+    arrays allocated; the wrap's floors borrow the result's memory.
     """
     p = np.asarray(profile, dtype=np.float64)
-    whole = np.floor(p)
-    frac = p - whole
-    frac -= frac[..., :1].copy()
-    frac -= np.floor(frac, out=whole)
-    frac *= float(_NANO)
-    nano = np.rint(frac, out=frac).astype(np.int64)
-    nano[nano == _NANO] = 0
+    frac = np.floor(p)
+    np.subtract(p, frac, out=frac)
+    rest = frac[..., 1:]
+    rest -= frac[..., :1]
+    nano = np.empty_like(frac, dtype=np.int64)
+    nano[..., :1] = 0
+    tail = nano[..., 1:]
+    rest -= np.floor(rest, out=tail.view(np.float64))
+    rest *= float(_NANO)
+    np.rint(rest, out=tail, casting="unsafe")
+    tail[tail == _NANO] = 0
     return nano
 
 
@@ -185,10 +201,11 @@ def _hash_reduced(nano: np.ndarray) -> np.ndarray:
 class NearFieldCodebook:
     """Ordered, deduplicated codewords indexed by scatter-point pairs.
 
-    A codebook is its sample grids ``grids = (grid_g, grid_r)``, the kept
-    pairs as int32 row indices into the grids' points, and each kept pair's
-    dedup key (the hash of its profile's sketch). The codeword at index ``l`` is
-    defined by points ``(g_points[pairs[l, 0]], r_points[pairs[l, 1]])``;
+    A codebook is its sample grids ``grids = (grid_g, grid_r)``, their
+    points as the build or the load sampled them (made read-only here),
+    the kept pairs as int32 row indices into those points, and each kept
+    pair's dedup key (the hash of its profile's sketch). The codeword at
+    index ``l`` is defined by points ``(g_points[pairs[l, 0]], r_points[pairs[l, 1]])``;
     its vector is the conjugated spherical-wave phase profile of that pair,
     regenerated on demand by :meth:`vector` (the full-scale codebook held
     as dense vectors would be hundreds of MB). The per-point steering
@@ -202,15 +219,16 @@ class NearFieldCodebook:
         dims: ArrayDims,
         grid_g: SampleGrid,
         grid_r: SampleGrid,
+        g_points: np.ndarray,
+        r_points: np.ndarray,
         pairs: np.ndarray,
         keys: np.ndarray,
     ):
         self.dims = dims
         self.grids = (grid_g, grid_r)
-        self.g_points = grid_g.points()
-        self.r_points = self.g_points if grid_g == grid_r else grid_r.points()
+        self.g_points, self.r_points = g_points, r_points
         # source_pair hands out rows of these, so nobody may write through them
-        self.g_points.flags.writeable = self.r_points.flags.writeable = False
+        g_points.flags.writeable = r_points.flags.writeable = False
         self.pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
         self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
         if len(self.keys) != len(self.pairs):
@@ -320,15 +338,17 @@ def build_near_field_codebook(
     (L, 2) int32 array of point indices, and that layout drives the rest:
     a pair's key hashes its profile's sketch (:func:`_sketch_elements`),
     summed from its two points' sketch columns gathered through the
-    layout; pairs that share a key have their full canonical forms
-    compared, computed for their layout rows alone; the kept pairs are the
-    layout's rows at the kept positions. Keys are a row-wise map over the
-    layout, keyed in fixed chunks, so the result is identical whether the
-    chunks run serially or on `threads` workers, each keying one
-    contiguous span of chunks. A sweep of one chunk starts no thread pool.
+    layout and reduced by :func:`reduced_profile`, which anchors every
+    sketch element to element 0 and so sets that anchor's form to 0
+    without reducing it; pairs that share a key have their full canonical
+    forms compared, computed for their layout rows alone; the kept pairs
+    are the layout's rows at the kept positions, and the codebook takes
+    the points sampled here. Keys are a row-wise map over the layout,
+    keyed in fixed chunks, so the result is identical whether the chunks
+    run serially or on `threads` workers, each keying one contiguous span
+    of chunks. A sweep of one chunk starts no thread pool.
     """
-    pts_g = grid_g.points()
-    pts_r = pts_g if grid_g == grid_r else grid_r.points()
+    pts_g, pts_r = _grid_points(grid_g, grid_r)
     s_g, s_r = len(pts_g), len(pts_r)
 
     # Row i of the sweep covers columns first_col[i]..s_r-1 and starts at
@@ -386,7 +406,7 @@ def build_near_field_codebook(
 
     kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
     # A view of both when every pair is kept, a gather otherwise.
-    return NearFieldCodebook(dims, grid_g, grid_r, pairs[kept], keys[kept])
+    return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs[kept], keys[kept])
 
 
 def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray | slice:
@@ -436,21 +456,31 @@ def save_codebook(cb: NearFieldCodebook, path) -> None:
     """Write the binary cache: a header, the pairs as int32, the sketch keys as uint64, a CRC32.
 
     The header holds the format version, N1, N2, d, L and each grid's box
-    and step, so points and vectors are regenerated on load. The bytes go to
-    ``<path>.tmp-<pid>-<thread id>`` in the same directory, which is then
-    renamed onto `path`, so a crash or a failed write never leaves a partial
-    cache file, and concurrent saves to one path never share a temporary.
+    and step, so points and vectors are regenerated on load. The three
+    sections are streamed from the codebook's own arrays, with no copy
+    when they are already little-endian and contiguous, under one CRC32
+    chained across them, which is the CRC32 of their concatenation. The
+    bytes go to ``<path>.tmp-<pid>-<thread id>`` in the same directory,
+    which is then renamed onto `path`, so a crash or a failed write never
+    leaves a partial cache file, and concurrent saves to one path never
+    share a temporary.
     """
     if not isinstance(cb, NearFieldCodebook):
         raise TypeError("only near-field codebooks are persisted (far-field is formulaic)")
-    payload = _header(cb.dims, cb.grids, cb.size)
-    payload += cb.pairs.astype("<i4").tobytes() + cb.keys.astype("<u8").tobytes()
+    sections = (
+        _header(cb.dims, cb.grids, cb.size),
+        np.ascontiguousarray(cb.pairs, dtype="<i4"),
+        np.ascontiguousarray(cb.keys, dtype="<u8"),
+    )
     tmp = f"{os.fspath(path)}.tmp-{os.getpid()}-{threading.get_ident()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            crc = 0
+            for section in sections:
+                fh.write(section)
+                crc = zlib.crc32(section, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -498,7 +528,7 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
         if size and any(c.min() < 0 or c.max() >= n for c, n in zip(pairs.T, sizes)):
             raise ValueError(f"pair indices must lie within the grids' {sizes} points")
         keys = np.frombuffer(body, dtype="<u8", offset=8 * size)
-        return NearFieldCodebook(dims, grid_g, grid_r, pairs, keys)
+        return NearFieldCodebook(dims, grid_g, grid_r, *_grid_points(grid_g, grid_r), pairs, keys)
     except ValueError as exc:
         raise CodebookFileError(f"invalid codebook file {path}: {exc}") from None
 

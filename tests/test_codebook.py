@@ -272,6 +272,31 @@ class TestCanonicalKey:
         )
         assert np.array_equal(block, copy.T)  # reduced_profile wrote to neither input
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @given(data=st.data())
+    def test_sketch_block_keys_like_its_transposed_profiles(self, k, data):
+        # Sketch-major blocks of sums of distances in the thousands, as the
+        # build's key chunks are.
+        block = data.draw(
+            arrays(
+                np.float64,
+                st.tuples(st.just(k), st.integers(1, 40)),
+                elements=st.floats(0, 10_000, allow_nan=False, allow_infinity=False),
+            )
+        )
+        if k > 1 and data.draw(st.booleans()):
+            # Each later element a whole number of cycles short of element 0
+            # by less than half a nanocycle: its delta rounds to a full
+            # cycle, which must read as zero.
+            shifts = data.draw(arrays(np.float64, k - 1, elements=st.integers(0, 5000)))
+            block[1:, 0] = block[0, 0] + shifts - 2.0**-32
+        before = block.copy()
+        form = reduced_profile(block.T)
+        reference = reference_reduced_profile(block.T)
+        assert np.array_equal(block, before)  # the anchor-free rows leave the block as it was
+        assert (form[:, 0] == 0).all() and np.array_equal(form, reference)
+        assert np.array_equal(codebook._hash_reduced(form), codebook._hash_reduced(reference))
+
     def test_key_powers_are_read_only(self):
         powers = codebook._key_powers(DIMS.n)
         with pytest.raises(ValueError, match="read-only"):
@@ -708,6 +733,30 @@ class TestPersistence:
             assert np.array_equal(loaded.vector(l), vector(built, l))
             assert np.array_equal(built.vector(l), vector(built, l))
 
+    @pytest.mark.parametrize("source", ["built", "loaded", "gathered"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, monkeypatch, source):
+        grid_g, grid_r = generic_line_grid(6), generic_line_grid(4, step=0.731)
+        if source == "gathered":
+            # Four key buckets force shared keys, so the kept pairs and keys
+            # are gathers, not views of the whole sweep.
+            real_hash = codebook._hash_reduced
+            monkeypatch.setattr(
+                codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(4)
+            )
+        cb = build_near_field_codebook(grid_g, grid_r, DIMS)
+        if source == "gathered":
+            assert len(np.unique(cb.keys)) < cb.size
+        if source == "loaded":
+            save_codebook(cb, tmp_path / "first.bin")
+            cb = load_codebook(tmp_path / "first.bin", DIMS)
+            assert not cb.pairs.flags.writeable and not cb.keys.flags.writeable
+        save_codebook(cb, tmp_path / "a.bin")
+        save_codebook(load_codebook(tmp_path / "a.bin", DIMS), tmp_path / "b.bin")
+        blob = (tmp_path / "a.bin").read_bytes()
+        assert blob == (tmp_path / "b.bin").read_bytes()
+        # The one CRC chained over the sections is the CRC of the whole payload.
+        assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[len(codebook._MAGIC) : -4])
+
     def test_dims_mismatch_rejected(self, built, tmp_path):
         path = tmp_path / "cb.bin"
         save_codebook(built, path)
@@ -789,7 +838,11 @@ class TestPersistence:
         with pytest.raises(CodebookFileError):
             load_codebook(path, DIMS)
 
-    def test_failed_write_leaves_no_file(self, built, tmp_path, monkeypatch):
+    # A save writes the magic, the header, the pairs, the keys and the CRC.
+    @pytest.mark.parametrize(
+        "failing_write", [1, 2, 3, 4, 5], ids=["magic", "header", "pairs", "keys", "crc"]
+    )
+    def test_failed_write_leaves_no_file(self, built, tmp_path, monkeypatch, failing_write):
         class FailingFile:
             def __init__(self, path, mode):
                 self.fh = open(path, mode)
@@ -803,7 +856,7 @@ class TestPersistence:
 
             def write(self, data):
                 self.writes += 1
-                if self.writes == 2:  # after the magic, part of the payload
+                if self.writes == failing_write:  # part of this section, then a failure
                     self.fh.write(data[: len(data) // 2])
                     raise OSError("disk full")
                 return self.fh.write(data)

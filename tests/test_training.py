@@ -66,7 +66,10 @@ class TestExhaustive:
             assert res.best_index == int(np.argmax(amps))
 
     def test_empty_codebook_rejected(self):
-        empty = NearFieldCodebook(DIMS, GRID, GRID, np.zeros((0, 2)), np.zeros(0, np.uint64))
+        pts = GRID.points()
+        empty = NearFieldCodebook(
+            DIMS, GRID, GRID, pts, pts, np.zeros((0, 2)), np.zeros(0, np.uint64)
+        )
         ch = sample_near_field_channel(SCENE, np.random.default_rng(0))
         with pytest.raises(ValueError):
             exhaustive_training(empty, ch, [0.0], np.random.default_rng(0))
@@ -78,6 +81,8 @@ class TestExhaustive:
         dup = NearFieldCodebook(
             DIMS,
             *base.grids,
+            base.g_points,
+            base.r_points,
             np.vstack([base.pairs, base.pairs[res.best_index]]),
             np.concatenate([base.keys, [base.keys[res.best_index]]]),
         )
