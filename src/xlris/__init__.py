@@ -10,10 +10,10 @@ __version__ = "0.1.0"
 
 from .channel import SceneConfig, sample_near_field_channel
 from .codebook import (
+    FarFieldCodebook,
     SampleGrid,
     build_near_field_codebook,
     cached_near_field_codebook,
-    far_field_codebook,
 )
 from .config import ConfigError, parse_config
 from .experiments import ExperimentConfig, sweep_overhead, sweep_snr

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .channel import sample_near_field_channel
-from .codebook import CodebookFileError, cached_near_field_codebook, far_field_codebook
+from .codebook import CodebookFileError, FarFieldCodebook, cached_near_field_codebook
 from .config import (
     ConfigError,
     config_digest,
@@ -123,7 +123,7 @@ def cmd_train(args) -> int:
                 *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args)
             )
         else:
-            cb = far_field_codebook(cfg.scene.dims)
+            cb = FarFieldCodebook(cfg.scene.dims)
         [result] = exhaustive_training(cb, ch, [sigma2], rng)
 
     report = {

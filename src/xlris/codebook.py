@@ -91,15 +91,15 @@ class SampleGrid:
     """A box swept on every axis at one step: min, min+step, ... up to <= max.
 
     A grid holds at most ``MAX_GRID_POINTS`` points, counted without
-    sampling them, so that int32 pairs index every point.
+    sampling them, so that int32 pairs index every point. The count runs
+    through :func:`axis_count`, which rejects a step that is not positive
+    and finite.
     """
 
     box: Box3
     step: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.step < math.inf:
-            raise ValueError(f"grid step must be positive and finite, got {self.step}")
         if (size := self.size) > MAX_GRID_POINTS:
             raise ValueError(f"a sample grid holds {size} points, more than {MAX_GRID_POINTS}")
 
@@ -287,26 +287,27 @@ class NearFieldCodebook:
 class FarFieldCodebook:
     """The N1*N2-column DFT-style codebook on the planar-wave angle lattice.
 
-    The codeword at index ``l = n*N2 + m`` is the conjugated planar-wave
-    steering vector at (phis[n], psis[m]): the Kronecker product of row n of
-    the conjugated n1 factors and row m of the conjugated n2 factors, both
-    computed once here.
+    The lattice is phi_n = (2n-N1-1)/N1 for n = 1..N1 by psi_m = (2m-N2-1)/N2
+    for m = 1..N2. The codeword at index ``l = (n-1)*N2 + (m-1)`` is the
+    conjugated planar-wave steering vector at (phi_n, psi_m): the Kronecker
+    product of row n-1 of the conjugated n1 factors and row m-1 of the
+    conjugated n2 factors, both computed once here.
     """
 
-    def __init__(self, dims: ArrayDims, phis: np.ndarray, psis: np.ndarray):
+    def __init__(self, dims: ArrayDims):
         self.dims = dims
-        self.phis = np.asarray(phis, dtype=np.float64)
-        self.psis = np.asarray(psis, dtype=np.float64)
-        self._a1 = phase_vector(np.outer(self.phis, np.arange(dims.n1)))
-        self._a2 = phase_vector(np.outer(self.psis, np.arange(dims.n2)))
+        self._a1, self._a2 = (
+            phase_vector(np.outer((2.0 * np.arange(1, k + 1) - k - 1) / k, np.arange(k)))
+            for k in (dims.n1, dims.n2)
+        )
 
     @property
     def size(self) -> int:
-        return len(self.phis) * len(self.psis)
+        return self.dims.n
 
     def vector(self, l: int) -> np.ndarray:
         """The reflecting vector of codeword l: its conjugated planar-wave steering vector."""
-        n, m = divmod(l, len(self.psis))
+        n, m = divmod(l, self.dims.n2)
         return np.kron(self._a1[n], self._a2[m])
 
     def responses(self, h_bar: np.ndarray) -> np.ndarray:
@@ -314,13 +315,6 @@ class FarFieldCodebook:
         if h.shape != (self.dims.n,):
             raise ValueError(f"channel vector length {h.shape} != N={self.dims.n}")
         return (self._a1 @ h.reshape(self.dims.n1, self.dims.n2) @ self._a2.T).ravel()
-
-
-def far_field_codebook(dims: ArrayDims) -> FarFieldCodebook:
-    """Codebook on the angle lattice phi_n = (2n-N1-1)/N1, psi_m = (2m-N2-1)/N2."""
-    phis = (2.0 * np.arange(1, dims.n1 + 1) - dims.n1 - 1) / dims.n1
-    psis = (2.0 * np.arange(1, dims.n2 + 1) - dims.n2 - 1) / dims.n2
-    return FarFieldCodebook(dims, phis, psis)
 
 
 def build_near_field_codebook(

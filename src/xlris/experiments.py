@@ -17,12 +17,7 @@ from itertools import pairwise
 import numpy as np
 
 from .channel import ChannelRealization, SceneConfig, sample_near_field_channel
-from .codebook import (
-    SampleGrid,
-    axis_count,
-    build_near_field_codebook,
-    far_field_codebook,
-)
+from .codebook import FarFieldCodebook, SampleGrid, axis_count, build_near_field_codebook
 from .geometry import FieldError
 from .training import (
     HierarchicalConfig,
@@ -221,7 +216,7 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     if SCHEME_EXHAUSTIVE in cfg.schemes and near_cb is None:
         near_cb = build_near_field_codebook(*cfg.codebook_grids(), dims, threads=threads)
     if SCHEME_FAR_FIELD in cfg.schemes:
-        far_cb = far_field_codebook(dims)
+        far_cb = FarFieldCodebook(dims)
     if SCHEME_HIERARCHICAL in cfg.schemes:
         grids = cfg.codebook_grids(next(cfg.hierarchy.steps(cfg.sampling_step)))
         stage1 = {grids: build_near_field_codebook(*grids, dims)}
@@ -270,18 +265,17 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     return table
 
 
-def hierarchical_overhead(cfg: ExperimentConfig, sampling_step: float | None = None) -> int:
-    """Slots a hierarchical run consumes, independent of channel and seed.
+def hierarchical_overhead(cfg: ExperimentConfig, sampling_step: float) -> int:
+    """Slots a hierarchical run from base step `sampling_step` consumes, for any channel or seed.
 
     Level 1 is counted exactly (its grids are fixed, so its deduplicated
     size is known). Later levels depend on where the winner lands, so they
     are counted at the worst case: full-width refinement windows, no
     clipping, no duplicate pairs.
     """
-    base = cfg.sampling_step if sampling_step is None else sampling_step
-    grids = cfg.codebook_grids(next(cfg.hierarchy.steps(base)))
+    grids = cfg.codebook_grids(next(cfg.hierarchy.steps(sampling_step)))
     total = build_near_field_codebook(*grids, cfg.scene.dims).size
-    for step, next_step in pairwise(cfg.hierarchy.steps(base)):
+    for step, next_step in pairwise(cfg.hierarchy.steps(sampling_step)):
         total += level_slots(step, next_step)
     return total
 

@@ -83,13 +83,11 @@ class Box3:
         return (self.x, self.y, self.z)
 
     def clip(self, other: "Box3") -> "Box3":
-        """Intersection with `other`; raises if any axis ends up empty."""
-        axes = []
-        for (lo, hi), (olo, ohi) in zip(self.intervals(), other.intervals()):
-            lo2, hi2 = max(lo, olo), min(hi, ohi)
-            if lo2 > hi2:
-                raise ValueError("box clip produced an empty interval")
-            axes.append((lo2, hi2))
+        """Intersection with `other`; the new box raises `FieldError` if an axis is empty."""
+        axes = [
+            (max(lo, olo), min(hi, ohi))
+            for (lo, hi), (olo, ohi) in zip(self.intervals(), other.intervals())
+        ]
         return Box3(*axes)
 
 

@@ -6,13 +6,13 @@ import numpy as np
 
 from xlris.channel import ChannelRealization, complex_normal, sample_near_field_channel
 from xlris.codebook import (
+    FarFieldCodebook,
     NearFieldCodebook,
     SampleGrid,
     _NANO,
     _hash_reduced,
     _sketch_elements,
     build_near_field_codebook,
-    far_field_codebook,
     reduced_profile,
 )
 from xlris.experiments import (
@@ -165,9 +165,10 @@ def summarize_ratio(table, scheme_a: str, scheme_b: str, sweep_value: float) -> 
 
 
 def angles(cb, l: int) -> tuple[float, float]:
-    """The lattice angles (phi, psi) of far-field codeword l = n*N2 + m."""
-    n, m = divmod(l, len(cb.psis))
-    return float(cb.phis[n]), float(cb.psis[m])
+    """The lattice angles (phi_n, psi_m) of far-field codeword l = (n-1)*N2 + (m-1)."""
+    n1, n2 = cb.dims.n1, cb.dims.n2
+    n, m = divmod(l, n2)
+    return (2.0 * (n + 1) - n1 - 1) / n1, (2.0 * (m + 1) - n2 - 1) / n2
 
 
 def vector(cb, l: int) -> np.ndarray:
@@ -230,7 +231,7 @@ def reference_sweep_snr(cfg) -> ResultTable:
                     hcfg, base = cfg.hierarchy, cfg.sampling_step
                     theta = reference_hierarchical(hcfg, scene, base, ch, sigma2, rng)
                 else:
-                    cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_field_codebook(dims)
+                    cb = near_cb if scheme == SCHEME_EXHAUSTIVE else FarFieldCodebook(dims)
                     responses = reference_responses(cb, ch.h_bar)
                     idx = reference_select(responses, sigma2, rng)
                     theta = vector(cb, idx)

@@ -173,7 +173,7 @@ def test_criterion_7_overhead_reproduction():
         assert cfg.hierarchy.levels == 2
 
         full = build_near_field_codebook(*cfg.codebook_grids(), cfg.scene.dims)
-        hier = hierarchical_overhead(cfg)
+        hier = hierarchical_overhead(cfg, cfg.sampling_step)
         ratio = hier / full.size
         print(f"  overhead at 100 d: exhaustive {full.size}, hierarchical {hier} "
               f"(ratio {ratio:.4f})")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
-from xlris.codebook import far_field_codebook
+from xlris.codebook import FarFieldCodebook
 from xlris.geometry import (
     ArrayDims,
     Box3,
@@ -149,7 +149,7 @@ class TestReceivedSignal:
     def test_length_mismatch_rejected(self):
         # the responses that select_codeword observes check the channel length
         with pytest.raises(ValueError):
-            far_field_codebook(DIMS).responses(np.ones(DIMS.n + 1))
+            FarFieldCodebook(DIMS).responses(np.ones(DIMS.n + 1))
 
     def test_noiseless_amplitude_bound(self):
         rng = np.random.default_rng(55)

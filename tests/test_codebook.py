@@ -18,6 +18,7 @@ from xlris.cli import main
 from xlris.config import parse_config, resolve_config_path
 from xlris.codebook import (
     CodebookFileError,
+    FarFieldCodebook,
     MAX_GRID_POINTS,
     SampleGrid,
     axis_count,
@@ -25,7 +26,6 @@ from xlris.codebook import (
     build_near_field_codebook,
     cache_file_name,
     cached_near_field_codebook,
-    far_field_codebook,
     load_codebook,
     reduced_profile,
     save_codebook,
@@ -307,46 +307,51 @@ class TestCanonicalKey:
 
 class TestFarFieldCodebook:
     def test_two_element_angles(self):
-        cb = far_field_codebook(ArrayDims(2, 1, 0.5))
+        dims = ArrayDims(2, 1, 0.5)
+        cb = FarFieldCodebook(dims)
         assert cb.size == 2
-        assert np.allclose(cb.phis, [-0.5, 0.5])
+        for l, phi in enumerate([-0.5, 0.5]):
+            assert np.array_equal(cb.vector(l), np.conj(far_field_steering(phi, 0.0, dims)))
 
     def test_full_scale_size(self):
-        assert far_field_codebook(ArrayDims(128, 4, 0.5)).size == 512
+        assert FarFieldCodebook(ArrayDims(128, 4, 0.5)).size == 512
 
     def test_columns_are_conjugated_steering_vectors(self):
         for n1, n2 in [(5, 3), (128, 4), (32, 4), (4, 4), (7, 3), (1, 5), (16, 1)]:
             dims = ArrayDims(n1, n2, 0.5)
-            cb = far_field_codebook(dims)
+            cb = FarFieldCodebook(dims)
             for l in range(cb.size):
                 phi, psi = angles(cb, l)
                 assert np.array_equal(vector(cb, l), np.conj(far_field_steering(phi, psi, dims)))
                 assert np.array_equal(cb.vector(l), vector(cb, l))
 
     def test_lattice_order_matches_column_index(self):
-        # n-major: codeword l = n*N2 + m steers at (phis[n], psis[m])
-        cb = far_field_codebook(ArrayDims(3, 2, 0.5))
-        for l, (n, m) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]):
-            assert angles(cb, l) == (cb.phis[n], cb.psis[m])
-            want = np.conj(far_field_steering(cb.phis[n], cb.psis[m], cb.dims))
+        # n-major: codeword l = (n-1)*N2 + (m-1) steers at (phi_n, psi_m), with
+        # phi = -2/3, 0, 2/3 for N1 = 3 and psi = -1/2, 1/2 for N2 = 2
+        cb = FarFieldCodebook(ArrayDims(3, 2, 0.5))
+        for l, (phi, psi) in enumerate(
+            [(-2 / 3, -0.5), (-2 / 3, 0.5), (0.0, -0.5), (0.0, 0.5), (2 / 3, -0.5), (2 / 3, 0.5)]
+        ):
+            assert angles(cb, l) == (phi, psi)
+            want = np.conj(far_field_steering(phi, psi, cb.dims))
             assert np.array_equal(cb.vector(l), want)
 
     def test_pairwise_distinct_on_odd_dims(self):
         # pairwise comparison oracle; odd counts avoid the aliased half-lattice
-        cb = far_field_codebook(ArrayDims(3, 3, 0.5))
+        cb = FarFieldCodebook(ArrayDims(3, 3, 0.5))
         vecs = [vector(cb, l) for l in range(cb.size)]
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
                 assert np.abs(vecs[i] - vecs[j]).max() > 1e-6
 
     def test_unit_modulus(self):
-        cb = far_field_codebook(ArrayDims(4, 4, 0.5))
+        cb = FarFieldCodebook(ArrayDims(4, 4, 0.5))
         for l in range(cb.size):
             assert np.abs(np.abs(vector(cb, l)) - 1.0).max() < 1e-12
 
     def test_responses_match_naive_products(self):
         dims = ArrayDims(6, 2, 0.5)
-        cb = far_field_codebook(dims)
+        cb = FarFieldCodebook(dims)
         rng = np.random.default_rng(8)
         h = rng.standard_normal(dims.n) + 1j * rng.standard_normal(dims.n)
         naive = np.array([vector(cb, l) @ h for l in range(cb.size)])
@@ -921,4 +926,4 @@ class TestPersistence:
 
     def test_far_field_codebook_not_persistable(self, tmp_path):
         with pytest.raises(TypeError):
-            save_codebook(far_field_codebook(DIMS), tmp_path / "ff.bin")
+            save_codebook(FarFieldCodebook(DIMS), tmp_path / "ff.bin")

@@ -266,7 +266,7 @@ class TestSweepOverhead:
             *MINI.codebook_grids(hcfg.step_multiplier * MINI.sampling_step), DIMS
         ).size
         per_axis = int(1 / hcfg.step_control) + 1
-        assert hierarchical_overhead(MINI) == stage1 + (per_axis**3) ** 2
+        assert hierarchical_overhead(MINI, MINI.sampling_step) == stage1 + (per_axis**3) ** 2
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -287,7 +287,7 @@ class TestSweepOverhead:
         stage1 = build_near_field_codebook(*cfg.codebook_grids(level1_step), DIMS)
         assert res.per_stage[0].codebook_size == stage1.size
         assert len(res.per_stage) == levels
-        assert res.slots_used <= hierarchical_overhead(cfg)
+        assert res.slots_used <= hierarchical_overhead(cfg, cfg.sampling_step)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):

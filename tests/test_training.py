@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from xlris import training
 from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
 from xlris.codebook import (
+    FarFieldCodebook,
     NearFieldCodebook,
     SampleGrid,
     axis_samples,
     build_near_field_codebook,
-    far_field_codebook,
 )
 from xlris.geometry import ArrayDims, Box3, FieldError, cascaded_distances
 from xlris.training import (
@@ -103,7 +103,7 @@ class TestExhaustive:
         if kind == "near-field":
             cb = build_near_field_codebook(GRID, GRID, DIMS)
         else:
-            cb = far_field_codebook(DIMS)
+            cb = FarFieldCodebook(DIMS)
         ch = sample_near_field_channel(SCENE, np.random.default_rng(12))
         sigma2s = [2.0, 0.0, 0.3, 8.0, 1e-3][:count]
         results = exhaustive_training(cb, ch, sigma2s, np.random.default_rng(17))
@@ -282,7 +282,7 @@ class TestHierarchical:
 
 def test_theta_is_the_winners_vector_in_the_last_codebook_searched():
     ch = sample_near_field_channel(SCENE, np.random.default_rng(47))
-    for cb in (build_near_field_codebook(GRID, GRID, DIMS), far_field_codebook(DIMS)):
+    for cb in (build_near_field_codebook(GRID, GRID, DIMS), FarFieldCodebook(DIMS)):
         [res] = exhaustive_training(cb, ch, [0.3], np.random.default_rng(4))
         assert np.array_equal(res.theta, cb.vector(res.best_index))
     memo = {}
