@@ -23,16 +23,15 @@ codewords. The build computes only the sketch columns of each point's
 distances and gathers them through the layout; full profiles are computed
 for the pairs behind a shared key.
 
-A near-field codebook is its two sample grids with their points, the kept
-pairs as int32 indices into those points, and each kept pair's sketch key.
-The cache file stores all of that but the points: a save streams the
-arrays' own bytes, and a load wraps the file's pair section without a
-copy. A load samples the points from the grids, as a build does, and hands
-them to the codebook.
+A near-field codebook is its two sample grids with their points and the
+kept pairs as int32 indices into those points; keys live only in a build.
+The cache file (format 4) is a header naming the grids, then the pairs: a
+save streams the pair array's own bytes, and a load wraps the file's pair
+section without a copy and samples the points, as a build does.
 :func:`cached_near_field_codebook` is the one load-or-build over a cache
-directory. It names each file by :func:`cache_file_name`: a hash of the
-file's own header identity (format version, dims, grids) followed by the
-key constants, so a file's name and its header cannot disagree.
+directory, naming each file by :func:`cache_file_name` from its header
+identity (format version, dims, grids) and the rounding resolution: dedup
+is exact, so the kept pairs depend on neither the hash nor the sketch.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ _SKETCH_ELEMENTS = 4
 MAX_GRID_POINTS = 2**31 - 1
 
 _MAGIC = b"XLRC"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 # version, N1, N2, d, L, then per grid (g, r): x, y, z intervals and the step
 _HEADER = struct.Struct("<IIIdQ14d")
 
@@ -202,16 +201,14 @@ class NearFieldCodebook:
     """Ordered, deduplicated codewords indexed by scatter-point pairs.
 
     A codebook is its sample grids ``grids = (grid_g, grid_r)``, their
-    points as the build or the load sampled them (made read-only here),
-    the kept pairs as int32 row indices into those points, and each kept
-    pair's dedup key (the hash of its profile's sketch). The codeword at
+    points as the build or the load sampled them (made read-only here), and
+    the kept pairs as int32 row indices into those points. The codeword at
     index ``l`` is defined by points ``(g_points[pairs[l, 0]], r_points[pairs[l, 1]])``;
     its vector is the conjugated spherical-wave phase profile of that pair,
     regenerated on demand by :meth:`vector` (the full-scale codebook held
     as dense vectors would be hundreds of MB). The per-point steering
     factors behind :meth:`responses` are computed on its first call and
-    kept, one (S, N) array per side, or one for both when the sides hold
-    the same points.
+    kept, one (S, N) array per side, or one when both sides share a points array.
     """
 
     def __init__(
@@ -222,7 +219,6 @@ class NearFieldCodebook:
         g_points: np.ndarray,
         r_points: np.ndarray,
         pairs: np.ndarray,
-        keys: np.ndarray,
     ):
         self.dims = dims
         self.grids = (grid_g, grid_r)
@@ -230,11 +226,16 @@ class NearFieldCodebook:
         # source_pair hands out rows of these, so nobody may write through them
         g_points.flags.writeable = r_points.flags.writeable = False
         self.pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
-        self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
-        if len(self.keys) != len(self.pairs):
-            raise ValueError("pairs and keys must have equal length")
         self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._factors_lock = threading.Lock()
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The kept pairs' dedup keys, recomputed bitwise as the build made them.
+
+        Read only by the bench's ``codebook-paper`` run check; ROADMAP item 1 deletes it.
+        """
+        return _pair_keys(self.g_points, self.r_points, self.pairs, self.dims)
 
     @property
     def pre_dedup_pairs(self) -> int:
@@ -259,7 +260,7 @@ class NearFieldCodebook:
         with self._factors_lock:
             if self._factors is None:
                 u_g = phase_vector(element_distances(self.g_points, self.dims))
-                if np.array_equal(self.g_points, self.r_points):
+                if self.r_points is self.g_points:  # as _grid_points hands out equal grids
                     u_r = u_g
                 else:
                     u_r = phase_vector(element_distances(self.r_points, self.dims))
@@ -330,17 +331,11 @@ def build_near_field_codebook(
     repeats the profile of its earlier swap bitwise and could never be
     kept. Every swept pair is laid out first, in sweep order, as one
     (L, 2) int32 array of point indices, and that layout drives the rest:
-    a pair's key hashes its profile's sketch (:func:`_sketch_elements`),
-    summed from its two points' sketch columns gathered through the
-    layout and reduced by :func:`reduced_profile`, which anchors every
-    sketch element to element 0 and so sets that anchor's form to 0
-    without reducing it; pairs that share a key have their full canonical
-    forms compared, computed for their layout rows alone; the kept pairs
-    are the layout's rows at the kept positions, and the codebook takes
-    the points sampled here. Keys are a row-wise map over the layout,
-    keyed in fixed chunks, so the result is identical whether the chunks
-    run serially or on `threads` workers, each keying one contiguous span
-    of chunks. A sweep of one chunk starts no thread pool.
+    :func:`_pair_keys` keys its rows, on `threads` workers; pairs that
+    share a key have their full canonical forms compared, computed for
+    their layout rows alone; the kept pairs are the layout's rows at the
+    kept positions, and the codebook takes the points sampled here. The
+    keys are a temporary, freed on return.
     """
     pts_g, pts_r = _grid_points(grid_g, grid_r)
     s_g, s_r = len(pts_g), len(pts_r)
@@ -358,6 +353,26 @@ def build_near_field_codebook(
     pairs[0, 1] = first_col[0]
     np.cumsum(pairs, axis=0, dtype=np.int32, out=pairs)
 
+    def reduced_rows(flat: np.ndarray) -> np.ndarray:
+        rows = pairs[flat]
+        profiles = element_distances(pts_g[rows[:, 0]], dims)
+        profiles += element_distances(pts_r[rows[:, 1]], dims)
+        return reduced_profile(profiles)
+
+    keys = _pair_keys(pts_g, pts_r, pairs, dims, threads)
+    kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
+    # A view of the layout when every pair is kept, a gather otherwise.
+    return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs[kept])
+
+
+def _pair_keys(pts_g, pts_r, pairs, dims: ArrayDims, threads: int = 1) -> np.ndarray:
+    """The dedup key of each (g, r) row of `pairs`: the hash of its profile's sketch.
+
+    The sketch (:func:`_sketch_elements`) is summed from the pair's points'
+    sketch columns and reduced by :func:`reduced_profile`. Fixed chunks of
+    rows are keyed serially or, with identical keys, on `threads` workers
+    that each key one contiguous span of chunks; one chunk starts no pool.
+    """
     sketch = _sketch_elements(dims.n)
     # Sketch-major (len(sketch), S) tables gather into a block of the same
     # shape per chunk, so each pass of the key runs along the chunk's pairs.
@@ -391,16 +406,7 @@ def build_near_field_codebook(
             list(pool.map(fill_span, spans))
     else:
         fill_span(starts)
-
-    def reduced_rows(flat: np.ndarray) -> np.ndarray:
-        rows = pairs[flat]
-        profiles = element_distances(pts_g[rows[:, 0]], dims)
-        profiles += element_distances(pts_r[rows[:, 1]], dims)
-        return reduced_profile(profiles)
-
-    kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
-    # A view of both when every pair is kept, a gather otherwise.
-    return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs[kept], keys[kept])
+    return keys
 
 
 def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray | slice:
@@ -415,13 +421,12 @@ def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarr
     repeats, every position is kept and ``slice(None)`` stands for them all,
     so no array as long as the sweep is made.
     """
-    sorted_keys = np.sort(keys)
-    if not (sorted_keys[1:] == sorted_keys[:-1]).any():
-        return slice(None)  # no key repeats, so no profile does
-    order = np.argsort(keys, kind="stable")  # stable: a group lists positions ascending
-    sorted_keys = keys[order]
+    sorted_keys = np.sort(keys)  # equal to keys[order] below: sorted values ignore stability
     new_key = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:-1])
+    if new_key.all():
+        return slice(None)  # no key repeats, so no profile does
+    order = np.argsort(keys, kind="stable")  # stable: a group lists positions ascending
     kept = order[new_key[:-1]]
     shared = ~(new_key[:-1] & new_key[1:])  # in a group of two or more
     members = order[shared]
@@ -447,13 +452,13 @@ def _header(dims: ArrayDims, grids: tuple[SampleGrid, SampleGrid], size: int) ->
 
 
 def save_codebook(cb: NearFieldCodebook, path) -> None:
-    """Write the binary cache: a header, the pairs as int32, the sketch keys as uint64, a CRC32.
+    """Write the binary cache (format 4): the magic, a header, the pairs as int32, a CRC32.
 
     The header holds the format version, N1, N2, d, L and each grid's box
-    and step, so points and vectors are regenerated on load. The three
-    sections are streamed from the codebook's own arrays, with no copy
-    when they are already little-endian and contiguous, under one CRC32
-    chained across them, which is the CRC32 of their concatenation. The
+    and step, so points and vectors are regenerated on load. The header
+    and the codebook's own pair array, with no copy when it is already
+    little-endian and contiguous, are streamed under one CRC32 chained
+    across them, which is the CRC32 of their concatenation. The
     bytes go to ``<path>.tmp-<pid>-<thread id>`` in the same directory,
     which is then renamed onto `path`, so a crash or a failed write never
     leaves a partial cache file, and concurrent saves to one path never
@@ -461,11 +466,7 @@ def save_codebook(cb: NearFieldCodebook, path) -> None:
     """
     if not isinstance(cb, NearFieldCodebook):
         raise TypeError("only near-field codebooks are persisted (far-field is formulaic)")
-    sections = (
-        _header(cb.dims, cb.grids, cb.size),
-        np.ascontiguousarray(cb.pairs, dtype="<i4"),
-        np.ascontiguousarray(cb.keys, dtype="<u8"),
-    )
+    sections = (_header(cb.dims, cb.grids, cb.size), np.ascontiguousarray(cb.pairs, dtype="<i4"))
     tmp = f"{os.fspath(path)}.tmp-{os.getpid()}-{threading.get_ident()}"
     try:
         with open(tmp, "wb") as fh:
@@ -482,7 +483,7 @@ def save_codebook(cb: NearFieldCodebook, path) -> None:
 
 
 def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
-    """Read a cache file back, with the grids it was built over.
+    """Read a format-4 cache file back, with the grids it was built over.
 
     Raises :class:`CodebookFileError` for a wrong magic, version or dims,
     a bad checksum or length, an invalid or too large grid, or a pair index
@@ -496,7 +497,7 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
         raise CodebookFileError(f"codebook file too short: {path}")
     if blob[: len(_MAGIC)] != _MAGIC:
         raise CodebookFileError(f"bad magic in codebook file: {path}")
-    # A view, so the pairs and keys below wrap the bytes read, not a copy.
+    # A view, so the pairs below wrap the bytes read, not a copy.
     payload, (crc,) = memoryview(blob)[len(_MAGIC) : -4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != crc:
         raise CodebookFileError(f"checksum mismatch in codebook file: {path}")
@@ -510,19 +511,18 @@ def load_codebook(path, dims: ArrayDims) -> NearFieldCodebook:
             f"({dims.n1}x{dims.n2}, d={dims.d})"
         )
     body = payload[_HEADER.size :]
-    if len(body) != size * (2 * 4 + 8):
-        raise CodebookFileError(f"pair and key section length mismatch in {path}")
+    if len(body) != size * 2 * 4:
+        raise CodebookFileError(f"pair section length mismatch in {path}")
     try:
         grid_g, grid_r = (
             SampleGrid(Box3(v[0:2], v[2:4], v[4:6]), v[6])
             for v in (header[5:12], header[12:])  # tuples, as a config's intervals are
         )
-        pairs = np.frombuffer(body, dtype="<i4", count=2 * size).reshape(-1, 2)
+        pairs = np.frombuffer(body, dtype="<i4").reshape(-1, 2)
         sizes = (grid_g.size, grid_r.size)
         if size and any(c.min() < 0 or c.max() >= n for c, n in zip(pairs.T, sizes)):
             raise ValueError(f"pair indices must lie within the grids' {sizes} points")
-        keys = np.frombuffer(body, dtype="<u8", offset=8 * size)
-        return NearFieldCodebook(dims, grid_g, grid_r, *_grid_points(grid_g, grid_r), pairs, keys)
+        return NearFieldCodebook(dims, grid_g, grid_r, *_grid_points(grid_g, grid_r), pairs)
     except ValueError as exc:
         raise CodebookFileError(f"invalid codebook file {path}: {exc}") from None
 
@@ -532,12 +532,12 @@ def cache_file_name(grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims) -> 
 
     ``xlrc_<16 hex>.bin``, from the sha256 of the header the file would
     carry (format version, dims, both grids, with size 0) followed by the
-    key constants (rounding resolution, hash multiplier, sketch size). A
-    change to any of them names another file, so it misses the cache
-    instead of reusing stale keys.
+    rounding resolution, the one key constant the kept pairs depend on. A
+    change to any of them names another file, so it misses the cache. The
+    hash multiplier and the sketch size only group candidate duplicates,
+    which dedup then compares exactly, so they do not name the file.
     """
-    ident = _header(dims, (grid_g, grid_r), 0)
-    ident += struct.pack("<QQQ", _NANO, int(_KEY_MULTIPLIER), _SKETCH_ELEMENTS)
+    ident = _header(dims, (grid_g, grid_r), 0) + struct.pack("<Q", _NANO)
     return f"xlrc_{hashlib.sha256(ident).hexdigest()[:16]}.bin"
 
 

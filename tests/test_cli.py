@@ -460,15 +460,7 @@ class TestCli:
         assert captured.out.splitlines()[-1] == sizes["mine"]
         assert files["mine"].read_bytes() == good
 
-    @pytest.mark.parametrize(
-        "name,value",
-        [
-            ("_FORMAT_VERSION", 4),
-            ("_NANO", 10**8),
-            ("_KEY_MULTIPLIER", np.uint64(3)),
-            ("_SKETCH_ELEMENTS", 8),
-        ],
-    )
+    @pytest.mark.parametrize("name,value", [("_FORMAT_VERSION", 5), ("_NANO", 10**8)])
     def test_key_algorithm_change_misses_the_cache(
         self, tmp_path, capsys, monkeypatch, name, value
     ):
@@ -481,6 +473,32 @@ class TestCli:
         assert main(argv) == 0
         assert "built and cached" in capsys.readouterr().out
         assert len(list((tmp_path / "cache").glob("xlrc_*.bin"))) == 2
+
+    @pytest.mark.parametrize("name,value", [("_KEY_MULTIPLIER", np.uint64(3)), ("_SKETCH_ELEMENTS", 8)])
+    def test_key_hash_change_hits_the_cache(self, tmp_path, capsys, monkeypatch, name, value):
+        # Dedup is exact, so the hash and the sketch only group candidate
+        # duplicates: the kept pairs, and so the file, do not depend on them.
+        cfg = write_config(tmp_path)
+        argv = ["codebook", "build", "--config", str(cfg), "--out", str(tmp_path),
+                "--cache", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        (path,) = (tmp_path / "cache").glob("xlrc_*.bin")
+        made = path.read_bytes()
+        monkeypatch.setattr(codebook, name, value)
+        codebook._key_powers.cache_clear()  # the powers were made with the old multiplier
+        try:
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"cache hit: {path}"
+            assert list((tmp_path / "cache").glob("xlrc_*.bin")) == [path]
+            assert path.read_bytes() == made
+            parsed = parse_config(cfg)
+            fresh = codebook.build_near_field_codebook(*parsed.codebook_grids(), parsed.scene.dims)
+        finally:
+            codebook._key_powers.cache_clear()
+        loaded = codebook.load_codebook(path, parsed.scene.dims)
+        assert loaded.grids == fresh.grids
+        assert np.array_equal(loaded.pairs, fresh.pairs)
 
     def test_train_uses_the_cache_env_var(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)

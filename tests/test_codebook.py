@@ -97,10 +97,33 @@ def full_product_reference(grid_g, grid_r, dims):
     return pairs, len(pts_g) * len(pts_r)
 
 
-def stored_keys(cb):
-    """The key a codebook should store for each kept pair: the hash of its profile's sketch."""
+def sketch_keys(cb):
+    """The dedup key the build gives each kept pair: the hash of its profile's sketch."""
     profiles = (cascaded_distances(*cb.source_pair(l), cb.dims) for l in range(cb.size))
     return np.array([sketch_key(p) for p in profiles], dtype=np.uint64)
+
+
+def kept_pair_keys(cb, threads=1):
+    """The build's key sweep run over a codebook's kept pairs and points."""
+    return codebook._pair_keys(cb.g_points, cb.r_points, cb.pairs, cb.dims, threads)
+
+
+def source_points(cb):
+    """The (L, 2, 3) source points of a near-field codebook's kept pairs, g side first."""
+    return np.stack([cb.g_points[cb.pairs[:, 0]], cb.r_points[cb.pairs[:, 1]]], axis=1)
+
+
+def spy_build_keys(monkeypatch) -> list:
+    """Record the keys of all swept pairs that each build hands to its shared-key check."""
+    seen = []
+    real = codebook._first_distinct
+
+    def spy(keys, reduced_rows, batch_rows):
+        seen.append(keys.copy())
+        return real(keys, reduced_rows, batch_rows)
+
+    monkeypatch.setattr(codebook, "_first_distinct", spy)
+    return seen
 
 
 @st.composite
@@ -383,7 +406,7 @@ class TestNearFieldBuild:
     def test_no_two_codewords_share_a_key(self):
         grid = generic_line_grid(7)
         cb = build_near_field_codebook(grid, grid, DIMS)
-        assert len(set(cb.keys.tolist())) == cb.size
+        assert len(set(sketch_keys(cb).tolist())) == cb.size
 
     def test_dedup_soundness_no_distinct_beams_merged(self):
         # every retained codeword pair differs by far more than the rounding resolution
@@ -400,14 +423,14 @@ class TestNearFieldBuild:
         a = build_near_field_codebook(grid, grid, DIMS)
         b = build_near_field_codebook(grid, grid, DIMS)
         assert np.array_equal(a.pairs, b.pairs)
-        assert np.array_equal(a.keys, b.keys)
+        assert np.array_equal(source_points(a), source_points(b))
 
     def test_threaded_build_identical(self):
         grid = generic_line_grid(8)
         a = build_near_field_codebook(grid, grid, DIMS)
         b = build_near_field_codebook(grid, grid, DIMS, threads=4)
         assert np.array_equal(a.pairs, b.pairs)
-        assert np.array_equal(a.keys, b.keys)
+        assert np.array_equal(source_points(a), source_points(b))
 
     def test_single_chunk_build_starts_no_pool(self, monkeypatch):
         # 36 swept pairs fit in one chunk, so the sweep runs inline whatever
@@ -421,7 +444,7 @@ class TestNearFieldBuild:
         monkeypatch.setattr(codebook, "ThreadPoolExecutor", no_pool)
         inline = build_near_field_codebook(grid, grid, DIMS, threads=4)
         assert np.array_equal(inline.pairs, serial.pairs)
-        assert np.array_equal(inline.keys, serial.keys)
+        assert np.array_equal(source_points(inline), source_points(serial))
         chunk = len(codebook._sketch_elements(DIMS.n)) * 18  # two chunks of 18 pairs
         monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
         with pytest.raises(AssertionError, match="thread pool"):
@@ -436,7 +459,8 @@ class TestNearFieldBuild:
             for threads in (1, 2):
                 cb = build_near_field_codebook(grid, grid, dims, threads=threads)
                 assert np.array_equal(cb.pairs, ref_pairs)
-                assert np.array_equal(cb.keys, stored_keys(cb))
+                assert np.array_equal(cb.g_points, grid.points()) and cb.r_points is cb.g_points
+                assert np.array_equal(kept_pair_keys(cb, threads), sketch_keys(cb))
                 assert cb.pre_dedup_pairs == ref_pre
 
     @settings(max_examples=20, deadline=None)
@@ -447,7 +471,9 @@ class TestNearFieldBuild:
             for threads in (1, 2):
                 cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
                 assert np.array_equal(cb.pairs, ref_pairs)
-                assert np.array_equal(cb.keys, stored_keys(cb))
+                assert np.array_equal(cb.g_points, grid_g.points())
+                assert np.array_equal(cb.r_points, grid_r.points())
+                assert np.array_equal(kept_pair_keys(cb, threads), sketch_keys(cb))
                 assert cb.pre_dedup_pairs == ref_pre
 
     @settings(max_examples=30, deadline=None)
@@ -473,10 +499,11 @@ class TestNearFieldBuild:
             for chunk in (k, 3 * k, 3 * k + 1, (2 * len(grid_r.points()) + 1) * k):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
+                    seen = spy_build_keys(mp)
                     for threads in (1, 2, 3):
                         cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
                         assert np.array_equal(cb.pairs, swept[kept])
-                        assert np.array_equal(cb.keys, ref_keys[kept])
+                        assert np.array_equal(seen[-1], ref_keys)  # every swept pair's key
 
     # Examples: a triangle sweep, a full product, and unequal overlapping grids
     # whose sweep holds true duplicates (swapped pairs).
@@ -529,9 +556,10 @@ class TestNearFieldBuild:
         assert main(["codebook", "build", "--config", "paper", "--threads", str(threads),
                      "--cache", str(tmp_path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        path = tmp_path / "xlrc_6a40ab2082e12fb8.bin"
+        path = tmp_path / "xlrc_fc7b7b06ba246d81.bin"
+        assert path.stat().st_size == 811_948
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "976d33606521bceee265bb476565921dcb05d0c335145771ae9ed95c7caab58d"
+            "82c037e6820f7539bf089b68eea86ba515a9a835855256a459ac23e4aa86096e"
         )
 
     @pytest.mark.parametrize("name,step_d", [("desk", 25), ("paper", 100)])
@@ -542,11 +570,12 @@ class TestNearFieldBuild:
         cfg = parse_config(resolve_config_path(name))
         grids = cfg.codebook_grids(step_d * cfg.scene.dims.d)
         s = grids[0].size
+        seen = spy_build_keys(monkeypatch)
         for sketch, repeats in ((codebook._SKETCH_ELEMENTS, False), (2, True)):
             monkeypatch.setattr(codebook, "_SKETCH_ELEMENTS", sketch)
             cb = build_near_field_codebook(*grids, cfg.scene.dims)
-            assert cb.size == s * (s + 1) // 2
-            assert (len(np.unique(cb.keys)) < cb.size) == repeats
+            assert cb.size == len(seen[-1]) == s * (s + 1) // 2
+            assert (len(np.unique(seen[-1])) < cb.size) == repeats
 
     @pytest.mark.parametrize("square", [True, False])
     def test_equal_grids_hash_only_the_upper_triangle(self, monkeypatch, square):
@@ -569,9 +598,10 @@ class TestNearFieldBuild:
         monkeypatch.setattr(
             codebook, "_hash_reduced", lambda nano: np.zeros(nano.shape[:-1], dtype=np.uint64)
         )
+        seen = spy_build_keys(monkeypatch)
         colliding = build_near_field_codebook(grid_g, grid_r, DIMS)
         assert np.array_equal(colliding.pairs, real.pairs)
-        assert not colliding.keys.any()
+        assert not seen[-1].any()
 
     @pytest.mark.parametrize("x_r", [(0.0, 3.0), (1.0, 4.0)])
     def test_collision_groups_checked_in_small_batches(self, monkeypatch, x_r):
@@ -580,13 +610,14 @@ class TestNearFieldBuild:
         # true duplicates (swapped pairs), which must still be dropped.
         grid_g = SampleGrid(Box3((0.0, 3.0), (2.0, 3.0), (-1.0, 0.0)), 1.0)
         grid_r = SampleGrid(Box3(x_r, (2.0, 3.0), (-1.0, 0.0)), 1.0)
+        seen = spy_build_keys(monkeypatch)
         real = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
         real_hash = codebook._hash_reduced
         monkeypatch.setattr(codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(64))
         monkeypatch.setattr(codebook, "_CHECK_ELEMENTS", 3 * DIMS.n)
         bucketed = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
         assert np.array_equal(bucketed.pairs, real.pairs)
-        assert np.array_equal(bucketed.keys, real.keys % np.uint64(64))
+        assert np.array_equal(seen[1], seen[0] % np.uint64(64))
 
     @settings(deadline=None)
     @given(
@@ -621,10 +652,11 @@ class TestNearFieldBuild:
         assert np.array_equal(real.pairs, ref_pairs) and real.size < pre
         monkeypatch.setattr(codebook, "_SKETCH_ELEMENTS", 1)
         monkeypatch.setattr(codebook, "_CHECK_ELEMENTS", 3 * DIMS64.n)
+        seen = spy_build_keys(monkeypatch)
         for threads in (1, 2):
             colliding = build_near_field_codebook(grid_g, grid_r, DIMS64, threads=threads)
             assert np.array_equal(colliding.pairs, real.pairs)
-            assert not colliding.keys.any()
+            assert not seen[-1].any()
 
     def test_vector_is_conjugated_distance_profile(self):
         grid = generic_line_grid(4)
@@ -730,7 +762,7 @@ class TestPersistence:
         assert np.array_equal(loaded.r_points, built.r_points)
         assert np.array_equal(loaded.pairs, built.pairs)
         assert loaded.pairs.dtype == built.pairs.dtype == np.int32
-        assert np.array_equal(loaded.keys, built.keys)
+        assert np.array_equal(source_points(loaded), source_points(built))
         assert loaded.pre_dedup_pairs == built.pre_dedup_pairs == grid_g.size * grid_r.size
         for l in range(built.size):
             assert np.array_equal(loaded.source_pair(l), built.source_pair(l))
@@ -742,19 +774,20 @@ class TestPersistence:
     def test_save_load_save_is_byte_identical(self, tmp_path, monkeypatch, source):
         grid_g, grid_r = generic_line_grid(6), generic_line_grid(4, step=0.731)
         if source == "gathered":
-            # Four key buckets force shared keys, so the kept pairs and keys
-            # are gathers, not views of the whole sweep.
+            # Four key buckets force shared keys, so the kept pairs are a
+            # gather, not a view of the whole sweep.
             real_hash = codebook._hash_reduced
             monkeypatch.setattr(
                 codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(4)
             )
+            seen = spy_build_keys(monkeypatch)
         cb = build_near_field_codebook(grid_g, grid_r, DIMS)
         if source == "gathered":
-            assert len(np.unique(cb.keys)) < cb.size
+            assert len(np.unique(seen[-1])) < cb.size
         if source == "loaded":
             save_codebook(cb, tmp_path / "first.bin")
             cb = load_codebook(tmp_path / "first.bin", DIMS)
-            assert not cb.pairs.flags.writeable and not cb.keys.flags.writeable
+            assert not cb.pairs.flags.writeable
         save_codebook(cb, tmp_path / "a.bin")
         save_codebook(load_codebook(tmp_path / "a.bin", DIMS), tmp_path / "b.bin")
         blob = (tmp_path / "a.bin").read_bytes()
@@ -843,10 +876,21 @@ class TestPersistence:
         with pytest.raises(CodebookFileError):
             load_codebook(path, DIMS)
 
-    # A save writes the magic, the header, the pairs, the keys and the CRC.
-    @pytest.mark.parametrize(
-        "failing_write", [1, 2, 3, 4, 5], ids=["magic", "header", "pairs", "keys", "crc"]
-    )
+    def test_format_3_file_with_keys_rejected(self, built, tmp_path):
+        # Format 3 followed the pairs with one uint64 key per pair.
+        path = tmp_path / "cb.bin"
+        save_codebook(built, path)
+        blob = path.read_bytes()
+        header = list(codebook._HEADER.unpack_from(blob, len(codebook._MAGIC)))
+        header[0] = 3
+        pairs = blob[len(codebook._MAGIC) + codebook._HEADER.size : -4]
+        payload = codebook._HEADER.pack(*header) + pairs + np.zeros(built.size, "<u8").tobytes()
+        path.write_bytes(codebook._MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CodebookFileError, match="format version 3"):
+            load_codebook(path, DIMS)
+
+    # A save writes the magic, the header, the pairs and the CRC.
+    @pytest.mark.parametrize("failing_write", [1, 2, 3, 4], ids=["magic", "header", "pairs", "crc"])
     def test_failed_write_leaves_no_file(self, built, tmp_path, monkeypatch, failing_write):
         class FailingFile:
             def __init__(self, path, mode):
@@ -900,18 +944,16 @@ class TestPersistence:
         assert not hit
         assert path == cache / cache_file_name(grid_g, grid_r, DIMS)
         assert list(cache.iterdir()) == [path]
-        # the name hashes the header the file carries, with L zeroed, then the key constants
+        # the name hashes the header the file carries, with L zeroed, then the rounding resolution
         header = list(codebook._HEADER.unpack_from(path.read_bytes(), len(codebook._MAGIC)))
         header[4] = 0
-        ident = codebook._HEADER.pack(*header) + struct.pack(
-            "<QQQ", codebook._NANO, int(codebook._KEY_MULTIPLIER), codebook._SKETCH_ELEMENTS
-        )
+        ident = codebook._HEADER.pack(*header) + struct.pack("<Q", codebook._NANO)
         assert path.name == f"xlrc_{hashlib.sha256(ident).hexdigest()[:16]}.bin"
         loaded, again, hit = cached_near_field_codebook(grid_g, grid_r, DIMS, cache, threads=2)
         assert hit and again == path
         assert loaded.grids == built.grids == (grid_g, grid_r)
         assert np.array_equal(loaded.pairs, built.pairs)
-        assert np.array_equal(loaded.keys, built.keys)
+        assert np.array_equal(source_points(loaded), source_points(built))
         assert list(cache.iterdir()) == [path]
         assert capsys.readouterr().err == ""
 
@@ -921,7 +963,8 @@ class TestPersistence:
         cb, path, hit = cached_near_field_codebook(grid, grid, DIMS)
         assert (path, hit) == (None, False)
         fresh = build_near_field_codebook(grid, grid, DIMS)
-        assert np.array_equal(cb.pairs, fresh.pairs) and np.array_equal(cb.keys, fresh.keys)
+        assert np.array_equal(cb.pairs, fresh.pairs)
+        assert np.array_equal(source_points(cb), source_points(fresh))
         assert list(tmp_path.iterdir()) == []
 
     def test_far_field_codebook_not_persistable(self, tmp_path):

@@ -67,9 +67,7 @@ class TestExhaustive:
 
     def test_empty_codebook_rejected(self):
         pts = GRID.points()
-        empty = NearFieldCodebook(
-            DIMS, GRID, GRID, pts, pts, np.zeros((0, 2)), np.zeros(0, np.uint64)
-        )
+        empty = NearFieldCodebook(DIMS, GRID, GRID, pts, pts, np.zeros((0, 2)))
         ch = sample_near_field_channel(SCENE, np.random.default_rng(0))
         with pytest.raises(ValueError):
             exhaustive_training(empty, ch, [0.0], np.random.default_rng(0))
@@ -84,7 +82,6 @@ class TestExhaustive:
             base.g_points,
             base.r_points,
             np.vstack([base.pairs, base.pairs[res.best_index]]),
-            np.concatenate([base.keys, [base.keys[res.best_index]]]),
         )
         [res_dup] = exhaustive_training(dup, ch, [0.0], np.random.default_rng(0))
         assert res_dup.best_index == res.best_index
