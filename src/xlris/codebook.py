@@ -14,12 +14,12 @@ one layout, so a sample grid holds at most ``MAX_GRID_POINTS`` points.
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
 nine decimals (integer nanocycles). The form is elementwise once anchored,
-so the form of a fixed sketch of 4 elements (all of them when N < 4),
-element 0 first, is the full form's sketch bit for bit. Pairs are grouped
-by a 64-bit polynomial hash of their sketch, and the full canonical forms
-of pairs sharing a key are compared directly, so dedup is exact: equal
-beams always share a key, and a key shared by distinct beams keeps both
-codewords. The build computes only the sketch columns of each point's
+so the form of a fixed sketch of 3 elements (all of them when N < 3),
+element 0 first, is the full form's sketch bit for bit. A pair's dedup key
+is that sketch form packed into one integer, so pairs share a key exactly
+when their sketch forms are equal. Equal sketches need not be equal beams,
+so the full forms of pairs sharing a key are compared directly, and dedup
+is exact. The build computes only the sketch columns of each point's
 distances and gathers them through the layout; full profiles are computed
 for the pairs behind a shared key.
 
@@ -31,7 +31,7 @@ section without a copy and samples the points, as a build does.
 :func:`cached_near_field_codebook` is the one load-or-build over a cache
 directory, naming each file by :func:`cache_file_name` from its header
 identity (format version, dims, grids) and the rounding resolution: dedup
-is exact, so the kept pairs depend on neither the hash nor the sketch.
+is exact, so the kept pairs do not depend on the sketch.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -60,17 +59,16 @@ from .geometry import (
 )
 
 _NANO = 1_000_000_000
-_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # Canonical-form elements compared per batch when checking shared keys.
 _CHECK_ELEMENTS = 1 << 21
 # Sketch elements keyed per chunk of the flat pair sweep, which may span rows:
-# about 256 KB of float64 (8 192 pairs of 4 elements), so the chunk and the
+# about 256 KB of float64 (10 922 pairs of 3 elements), so the chunk and the
 # temporaries of its key stay in L2.
 _CHUNK_ELEMENTS = 1 << 15
-# Elements of each profile that the dedup key hashes. No key repeats among
-# the swept pairs of any shipped full-grid sweep at 3, 4, 8 or 16 elements;
-# at 2, hundreds do, and each repeat costs a full-profile check.
-_SKETCH_ELEMENTS = 4
+# Elements of each profile that the dedup key packs, the most that fit one
+# uint64. No key repeats among the swept pairs of any shipped full-grid sweep
+# at 3 elements; at 2, hundreds do, and each repeat costs a full-profile check.
+_SKETCH_ELEMENTS = 3
 
 # Pairs hold point indices as int32, so no grid may hold more points.
 MAX_GRID_POINTS = 2**31 - 1
@@ -133,20 +131,8 @@ def axis_samples(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(axis_count(lo, hi, step))
 
 
-@lru_cache(maxsize=8)
-def _key_powers(n: int) -> np.ndarray:
-    powers = np.empty(n, dtype=np.uint64)
-    acc = 1
-    mult = int(_KEY_MULTIPLIER)
-    for i in range(n):
-        powers[i] = acc
-        acc = (acc * mult) & 0xFFFFFFFFFFFFFFFF
-    powers.flags.writeable = False  # shared by every caller through the cache
-    return powers
-
-
 def _sketch_elements(n: int) -> np.ndarray:
-    """The fixed element indices a dedup key hashes: element 0, then an even spread.
+    """The fixed element indices a dedup key packs: element 0, then an even spread.
 
     min(n, _SKETCH_ELEMENTS) indices, ascending, the last one n - 1 when
     there are two or more. Because the first is 0, the canonical form of a
@@ -190,11 +176,12 @@ def reduced_profile(profile) -> np.ndarray:
 
 
 def _hash_reduced(nano: np.ndarray) -> np.ndarray:
-    # Rolling polynomial hash mod 2^64; wraparound is the point. Consumes
-    # (overwrites) its input, which both callers pass as an owned temporary.
-    u = nano.view(np.uint64)
-    np.multiply(u, _key_powers(nano.shape[-1]), out=u)
-    return u.sum(axis=-1, dtype=np.uint64)
+    # A sketch form [0, a, b] keys as a * _NANO + b (fewer terms when shorter):
+    # at most 10**18 - 1 < 2**63, so no key wraps and equal keys are equal forms.
+    u, keys = nano.view(np.uint64), np.zeros(nano.shape[:-1], dtype=np.uint64)
+    for k in range(1, min(nano.shape[-1], _SKETCH_ELEMENTS)):
+        keys = keys * _NANO + u[..., k]
+    return keys
 
 
 class NearFieldCodebook:
@@ -366,7 +353,7 @@ def build_near_field_codebook(
 
 
 def _pair_keys(pts_g, pts_r, pairs, dims: ArrayDims, threads: int = 1) -> np.ndarray:
-    """The dedup key of each (g, r) row of `pairs`: the hash of its profile's sketch.
+    """The dedup key of each (g, r) row of `pairs`: its profile's sketch form, packed.
 
     The sketch (:func:`_sketch_elements`) is summed from the pair's points'
     sketch columns and reduced by :func:`reduced_profile`. Fixed chunks of
@@ -417,9 +404,10 @@ def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarr
     canonical forms. Keys seen once need no check. The positions behind a
     repeated key have their canonical forms compared directly, in batches of
     whole key groups of about `batch_rows` rows, so true duplicates are
-    dropped and key collisions keep every distinct profile. When no key
-    repeats, every position is kept and ``slice(None)`` stands for them all,
-    so no array as long as the sweep is made.
+    dropped and distinct profiles sharing a key (equal sketches of unequal
+    beams) are all kept. When no key repeats, every position is kept and
+    ``slice(None)`` stands for them all, so no array as long as the sweep
+    is made.
     """
     sorted_keys = np.sort(keys)  # equal to keys[order] below: sorted values ignore stability
     new_key = np.ones(len(keys) + 1, dtype=bool)
@@ -534,8 +522,8 @@ def cache_file_name(grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims) -> 
     carry (format version, dims, both grids, with size 0) followed by the
     rounding resolution, the one key constant the kept pairs depend on. A
     change to any of them names another file, so it misses the cache. The
-    hash multiplier and the sketch size only group candidate duplicates,
-    which dedup then compares exactly, so they do not name the file.
+    sketch size only groups candidate duplicates, which dedup then compares
+    exactly, so it does not name the file.
     """
     ident = _header(dims, (grid_g, grid_r), 0) + struct.pack("<Q", _NANO)
     return f"xlrc_{hashlib.sha256(ident).hexdigest()[:16]}.bin"

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# The most elements an array may hold; the paper's has 512.
+MAX_ELEMENTS = 2**20
 
 
 class FieldError(ValueError):
@@ -50,6 +52,9 @@ class ArrayDims:
             raise FieldError(
                 "d", f"element coordinates overflow a float: n1={self.n1}, n2={self.n2}, d={self.d}"
             )
+        if self.n > MAX_ELEMENTS:  # counted, not allocated; the larger count is named
+            name = "n1" if self.n1 >= self.n2 else "n2"
+            raise FieldError(name, f"the array holds {self.n} elements, more than {MAX_ELEMENTS}")
 
     @property
     def n(self) -> int:

@@ -94,22 +94,17 @@ def planar_channel(phi: float, psi: float, dims: ArrayDims) -> SimpleNamespace:
     return SimpleNamespace(h_bar=steering, steering_part=lambda: steering)
 
 
-def codeword_key(profile) -> int:
-    """The 64-bit polynomial hash of a whole distance profile's canonical form."""
-    return int(_hash_reduced(reduced_profile(profile)))
-
-
 def sketch_key(profile) -> int:
-    """The 64-bit dedup key a codebook stores for one distance profile: its sketch's hash."""
+    """The dedup key a build gives one distance profile: its sketch's canonical form, packed."""
     p = np.asarray(profile, dtype=np.float64)
-    return codeword_key(p[_sketch_elements(len(p))])
+    return int(_hash_reduced(reduced_profile(p[_sketch_elements(len(p))])))
 
 
 def is_beam_of(cb, l: int, profile) -> bool:
     """Whether codeword l of a near-field codebook has the beam of `profile`.
 
     Compares the full canonical forms of the two distance profiles, as
-    dedup does, so the answer does not rest on a hash.
+    dedup does, so the answer does not rest on a key.
     """
     own = cascaded_distances(*cb.source_pair(l), cb.dims)
     return np.array_equal(reduced_profile(own), reduced_profile(profile))

@@ -474,10 +474,11 @@ class TestCli:
         assert "built and cached" in capsys.readouterr().out
         assert len(list((tmp_path / "cache").glob("xlrc_*.bin"))) == 2
 
-    @pytest.mark.parametrize("name,value", [("_KEY_MULTIPLIER", np.uint64(3)), ("_SKETCH_ELEMENTS", 8)])
+    @pytest.mark.parametrize("name,value", [("_SKETCH_ELEMENTS", 2), ("_SKETCH_ELEMENTS", 1)])
     def test_key_hash_change_hits_the_cache(self, tmp_path, capsys, monkeypatch, name, value):
-        # Dedup is exact, so the hash and the sketch only group candidate
-        # duplicates: the kept pairs, and so the file, do not depend on them.
+        # Dedup is exact, so the sketch only groups candidate duplicates: the
+        # kept pairs, and so the file, do not depend on it. Both sketches
+        # here force shared keys, which the full-form check then settles.
         cfg = write_config(tmp_path)
         argv = ["codebook", "build", "--config", str(cfg), "--out", str(tmp_path),
                 "--cache", str(tmp_path / "cache")]
@@ -485,17 +486,13 @@ class TestCli:
         (path,) = (tmp_path / "cache").glob("xlrc_*.bin")
         made = path.read_bytes()
         monkeypatch.setattr(codebook, name, value)
-        codebook._key_powers.cache_clear()  # the powers were made with the old multiplier
-        try:
-            capsys.readouterr()
-            assert main(argv) == 0
-            assert capsys.readouterr().out.splitlines()[0] == f"cache hit: {path}"
-            assert list((tmp_path / "cache").glob("xlrc_*.bin")) == [path]
-            assert path.read_bytes() == made
-            parsed = parse_config(cfg)
-            fresh = codebook.build_near_field_codebook(*parsed.codebook_grids(), parsed.scene.dims)
-        finally:
-            codebook._key_powers.cache_clear()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"cache hit: {path}"
+        assert list((tmp_path / "cache").glob("xlrc_*.bin")) == [path]
+        assert path.read_bytes() == made
+        parsed = parse_config(cfg)
+        fresh = codebook.build_near_field_codebook(*parsed.codebook_grids(), parsed.scene.dims)
         loaded = codebook.load_codebook(path, parsed.scene.dims)
         assert loaded.grids == fresh.grids
         assert np.array_equal(loaded.pairs, fresh.pairs)
@@ -669,9 +666,11 @@ class TestCli:
             # steps so small that a count of samples overflows a float
             ("sampling_step_d", 1e-320, "step 5e-321 is too small to count the samples"),
             ("hierarchical.step_control", 1e-310, "level 2 at base step 12.5 may ask for inf"),
+            # 10**9 x 4 elements: one steering table row alone would be 64 GB
+            ("array.n1", 1_000_000_000, "the array holds 4000000000 elements, more than 1048576"),
         ],
         ids=["sampling-step", "step-sweep", "level-slots", "sampling-step-uncountable",
-             "level-slots-uncountable"],
+             "level-slots-uncountable", "array-elements"],
     )
     def test_too_large_grid_or_level_exits_2_without_sampling(
         self, tmp_path, capsys, key, value, message
@@ -687,6 +686,31 @@ class TestCli:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert f"config error: {key}: {message}" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["info"], ["codebook", "build"], ["train"], ["sweep", "snr"], ["sweep", "step"]],
+        ids=["info", "codebook-build", "train", "sweep-snr", "sweep-step"],
+    )
+    @pytest.mark.parametrize("key,n1,n2", [("array.n1", 1 << 20, 2), ("array.n2", 1024, 1025)])
+    def test_too_many_elements_exit_2_from_every_command(
+        self, tmp_path, capsys, command, key, n1, n2
+    ):
+        # Each count alone fits the cap of 2**20 elements; their product does not.
+        cfg = write_config(tmp_path, {"array": {"n1": n1, "n2": n2, "spacing_wavelengths": 0.5}})
+        argv = [*command, "--config", str(cfg)]
+        if command[0] != "train" and command != ["info"]:
+            argv += ["--out", str(tmp_path / "run")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = f"the array holds {n1 * n2} elements, more than 1048576"
         assert f"config error: {key}: {message}" in capsys.readouterr().err
         assert peak < 1 << 20
         assert not (tmp_path / "run").exists()
