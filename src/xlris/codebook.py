@@ -7,9 +7,11 @@ user side, derives each codeword from the summed distance profile of the
 pair, and drops pairs whose beam duplicates an earlier one. When both sides
 use the same grid, pair (j, i) with j > i has the same summed profile as the
 earlier pair (i, j), so only the upper triangle i <= j is swept. The swept
-pairs are laid out once, in sweep order, as an (L, 2) int32 array of point
-indices; the keys, the shared-key check and the kept pairs all read that
-one layout, so a sample grid holds at most ``MAX_GRID_POINTS`` points.
+pairs are laid out, in sweep order, as an (L, 2) int32 array of point
+indices, so a sample grid holds at most ``MAX_GRID_POINTS`` points. That
+one 8-byte-per-pair buffer serves the whole build: the keys are written
+over its rows and sorted there, and the pairs are then laid out again for
+the shared-key check and the kept pairs.
 
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
@@ -220,6 +222,9 @@ class NearFieldCodebook:
     def keys(self) -> np.ndarray:
         """The kept pairs' dedup keys, recomputed bitwise as the build made them.
 
+        The keys are a new array: the pairs, a read-only view of the file on
+        a loaded codebook, are never written.
+
         Read only by the bench's ``codebook-paper`` run check; ROADMAP item 1 deletes it.
         """
         return _pair_keys(self.g_points, self.r_points, self.pairs, self.dims)
@@ -317,12 +322,15 @@ def build_near_field_codebook(
     columns j >= i: float addition is commutative, so each skipped pair
     repeats the profile of its earlier swap bitwise and could never be
     kept. Every swept pair is laid out first, in sweep order, as one
-    (L, 2) int32 array of point indices, and that layout drives the rest:
-    :func:`_pair_keys` keys its rows, on `threads` workers; pairs that
-    share a key have their full canonical forms compared, computed for
-    their layout rows alone; the kept pairs are the layout's rows at the
-    kept positions, and the codebook takes the points sampled here. The
-    keys are a temporary, freed on return.
+    (L, 2) int32 array of point indices, and that buffer holds the rest:
+    :func:`_pair_keys` keys its rows in place, on `threads` workers, each
+    uint64 key over its own pair; :func:`_first_distinct` sorts the keys
+    there. Only when a key repeats are the pairs laid out again and keyed
+    into a separate array, and pairs that share a key have their full
+    canonical forms compared, computed for their layout rows alone. The
+    pairs are then laid out once more in the buffer, and the kept pairs
+    are its rows at the kept positions (the buffer itself when every pair
+    is kept); the codebook takes the points sampled here.
     """
     pts_g, pts_r = _grid_points(grid_g, grid_r)
     s_g, s_r = len(pts_g), len(pts_r)
@@ -333,12 +341,20 @@ def build_near_field_codebook(
     # first_col[i], and every other pair steps the column by 1.
     first_col = np.arange(s_g) if grid_g == grid_r else np.zeros(s_g, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(s_r - first_col)))
-    pairs = np.zeros((offsets[-1], 2), dtype=np.int32)
-    pairs[1:, 1] = 1
-    pairs[offsets[1:-1], 0] = 1
-    pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
-    pairs[0, 1] = first_col[0]
-    np.cumsum(pairs, axis=0, dtype=np.int32, out=pairs)
+    pairs = np.empty((offsets[-1], 2), dtype=np.int32)
+
+    def lay_out() -> None:
+        # Every row starts as the step (0, 1), filled as one 8-byte word per
+        # row: a broadcast of the two int32s runs an inner loop per row.
+        pairs.view(np.uint64)[:] = np.array([0, 1], dtype=np.int32).view(np.uint64)
+        pairs[offsets[1:-1], 0] = 1
+        pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
+        pairs[0, 1] = first_col[0]
+        np.cumsum(pairs, axis=0, dtype=np.int32, out=pairs)
+
+    def rekey() -> np.ndarray:
+        lay_out()
+        return _pair_keys(pts_g, pts_r, pairs, dims, threads)
 
     def reduced_rows(flat: np.ndarray) -> np.ndarray:
         rows = pairs[flat]
@@ -346,19 +362,27 @@ def build_near_field_codebook(
         profiles += element_distances(pts_r[rows[:, 1]], dims)
         return reduced_profile(profiles)
 
-    keys = _pair_keys(pts_g, pts_r, pairs, dims, threads)
-    kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
+    lay_out()
+    keys = _pair_keys(pts_g, pts_r, pairs, dims, threads, in_place=True)
+    kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n), rekey)
+    lay_out()  # the buffer may hold the sorted keys
     # A view of the layout when every pair is kept, a gather otherwise.
     return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs[kept])
 
 
-def _pair_keys(pts_g, pts_r, pairs, dims: ArrayDims, threads: int = 1) -> np.ndarray:
+def _pair_keys(
+    pts_g, pts_r, pairs, dims: ArrayDims, threads: int = 1, in_place: bool = False
+) -> np.ndarray:
     """The dedup key of each (g, r) row of `pairs`: its profile's sketch form, packed.
 
     The sketch (:func:`_sketch_elements`) is summed from the pair's points'
     sketch columns and reduced by :func:`reduced_profile`. Fixed chunks of
     rows are keyed serially or, with identical keys, on `threads` workers
     that each key one contiguous span of chunks; one chunk starts no pool.
+    The keys are a new array or, `in_place`, `pairs`' own C-contiguous
+    int32 buffer viewed as uint64, row k's key over row k: each chunk
+    gathers its rows before its keys overwrite them, and chunks are
+    disjoint, so the workers stay apart.
     """
     sketch = _sketch_elements(dims.n)
     # Sketch-major (len(sketch), S) tables gather into a block of the same
@@ -367,12 +391,14 @@ def _pair_keys(pts_g, pts_r, pairs, dims: ArrayDims, threads: int = 1) -> np.nda
     sketch_rt = sketch_gt if pts_r is pts_g else np.ascontiguousarray(
         element_distances(pts_r, dims, sketch).T
     )
-    keys = np.empty(len(pairs), dtype=np.uint64)
+    # A key and an int32 pair are both 8 bytes: in place, row k's key is row k.
+    keys = pairs.view(np.uint64).ravel() if in_place else np.empty(len(pairs), dtype=np.uint64)
     chunk_pairs = max(1, _CHUNK_ELEMENTS // len(sketch))
     starts = range(0, len(pairs), chunk_pairs)
 
     def fill_block(start: int) -> None:
-        # The chunk's pairs may span rows; each gathers its points' columns.
+        # The chunk's pairs may span rows; each gathers its points' columns
+        # before the chunk's keys are written, over those rows when in place.
         chunk = pairs[start : start + chunk_pairs]
         block = sketch_gt.take(chunk[:, 0], axis=1)
         block += sketch_rt.take(chunk[:, 1], axis=1)
@@ -396,24 +422,29 @@ def _pair_keys(pts_g, pts_r, pairs, dims: ArrayDims, threads: int = 1) -> np.nda
     return keys
 
 
-def _first_distinct(keys: np.ndarray, reduced_rows, batch_rows: int) -> np.ndarray | slice:
+def _first_distinct(
+    keys: np.ndarray, reduced_rows, batch_rows: int, rekey
+) -> np.ndarray | slice:
     """Ascending positions of the first occurrence of each distinct profile.
 
     `keys[k]` is the key of the profile at sweep position k, equal for equal
-    profiles, and `reduced_rows(positions)` returns those profiles' full
-    canonical forms. Keys seen once need no check. The positions behind a
-    repeated key have their canonical forms compared directly, in batches of
-    whole key groups of about `batch_rows` rows, so true duplicates are
-    dropped and distinct profiles sharing a key (equal sketches of unequal
-    beams) are all kept. When no key repeats, every position is kept and
-    ``slice(None)`` stands for them all, so no array as long as the sweep
-    is made.
+    profiles; they are sorted in place, with no copy. When a key repeats,
+    `rekey()` returns the keys again in sweep order, and
+    `reduced_rows(positions)`, called only after it, returns those
+    positions' full canonical forms. Keys seen once need no check. The
+    positions behind a repeated key have their canonical forms compared
+    directly, in batches of whole key groups of about `batch_rows` rows, so
+    true duplicates are dropped and distinct profiles sharing a key (equal
+    sketches of unequal beams) are all kept. When no key repeats, every
+    position is kept and ``slice(None)`` stands for them all, so no array
+    as long as the sweep is made.
     """
-    sorted_keys = np.sort(keys)  # equal to keys[order] below: sorted values ignore stability
+    keys.sort()  # equal to the re-derived keys[order] below: sorted values ignore stability
     new_key = np.ones(len(keys) + 1, dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:-1])
+    np.not_equal(keys[1:], keys[:-1], out=new_key[1:-1])
     if new_key.all():
         return slice(None)  # no key repeats, so no profile does
+    keys = rekey()
     order = np.argsort(keys, kind="stable")  # stable: a group lists positions ascending
     kept = order[new_key[:-1]]
     shared = ~(new_key[:-1] & new_key[1:])  # in a group of two or more

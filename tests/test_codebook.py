@@ -111,16 +111,32 @@ def source_points(cb):
 
 
 def spy_build_keys(monkeypatch) -> list:
-    """Record the keys of all swept pairs that each build hands to its shared-key check."""
+    """Record the keys of all swept pairs that each build hands to its shared-key check.
+
+    Copied on entry, in sweep order: the check sorts them in place.
+    """
     seen = []
     real = codebook._first_distinct
 
-    def spy(keys, reduced_rows, batch_rows):
+    def spy(keys, reduced_rows, batch_rows, rekey):
         seen.append(keys.copy())
-        return real(keys, reduced_rows, batch_rows)
+        return real(keys, reduced_rows, batch_rows, rekey)
 
     monkeypatch.setattr(codebook, "_first_distinct", spy)
     return seen
+
+
+def spy_key_sweeps(monkeypatch) -> list:
+    """Record, for each key sweep a build runs, whether it keys its pairs in place."""
+    in_place = []
+    real = codebook._pair_keys
+
+    def spy(*args, **kwargs):
+        in_place.append(kwargs.get("in_place", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codebook, "_pair_keys", spy)
+    return in_place
 
 
 @st.composite
@@ -426,6 +442,25 @@ class TestNearFieldBuild:
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(source_points(a), source_points(b))
 
+    def test_in_place_key_sweep_under_many_threads(self, monkeypatch):
+        # Eight workers key spans of 7-pair chunks over their own rows of one
+        # buffer, switching often: a worker that wrote keys over rows another
+        # had yet to gather would change the keys and the kept pairs.
+        cfg = parse_config(resolve_config_path("desk"))
+        grids, dims = cfg.codebook_grids(37.5 * cfg.scene.dims.d), cfg.scene.dims
+        chunk = 7 * len(codebook._sketch_elements(dims.n))
+        monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
+        seen = spy_build_keys(monkeypatch)
+        serial = build_near_field_codebook(*grids, dims)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = build_near_field_codebook(*grids, dims, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen[1]) > 8 * 7 and np.array_equal(seen[1], seen[0])
+        assert np.array_equal(threaded.pairs, serial.pairs)
+
     def test_single_chunk_build_starts_no_pool(self, monkeypatch):
         # 36 swept pairs fit in one chunk, so the sweep runs inline whatever
         # the thread count; a sweep of more chunks pools.
@@ -479,11 +514,12 @@ class TestNearFieldBuild:
             dist_g = element_distances(grid_g.points(), dims)
             dist_r = element_distances(grid_r.points(), dims)
             kept = codebook._first_distinct(
-                ref_keys,
+                ref_keys.copy(),  # sorted in place
                 lambda flat: reference_reduced_profile(
                     dist_g[swept[flat, 0]] + dist_r[swept[flat, 1]]
                 ),
                 1,
+                ref_keys.copy,
             )
             # Chunks of 1, 3, or 2 * S_r + 1 pairs of the flat sweep order, so
             # chunk edges cross row boundaries: a chunk may end inside a row,
@@ -531,8 +567,8 @@ class TestNearFieldBuild:
         dedup = codebook._first_distinct
         positions = []
 
-        def spy(keys, reduced_rows, batch_rows):
-            positions.append(dedup(keys, reduced_rows, batch_rows))
+        def spy(keys, reduced_rows, batch_rows, rekey):
+            positions.append(dedup(keys, reduced_rows, batch_rows, rekey))
             return positions[-1]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -541,7 +577,9 @@ class TestNearFieldBuild:
             assert np.array_equal(cb.pairs, swept[positions[-1]])
             # An arbitrary ascending subset, which may leave rows with no pair.
             subset = np.flatnonzero(np.resize(keep, len(swept)))
-            mp.setattr(codebook, "_first_distinct", lambda keys, reduced_rows, batch_rows: subset)
+            mp.setattr(
+                codebook, "_first_distinct", lambda keys, reduced_rows, batch_rows, rekey: subset
+            )
             cb = build_near_field_codebook(grid_g, grid_r, DIMS)
             assert np.array_equal(cb.pairs, swept[subset].reshape(-1, 2))
 
@@ -570,6 +608,48 @@ class TestNearFieldBuild:
             cb = build_near_field_codebook(*grids, cfg.scene.dims)
             assert cb.size == len(seen[-1]) == s * (s + 1) // 2
             assert (len(np.unique(seen[-1])) < cb.size) == repeats
+
+    def test_repeat_free_build_peaks_near_its_kept_pairs(self, monkeypatch):
+        # The keys are written over the layout's own rows and sorted there, so
+        # a build that keeps every swept pair holds one 8-byte-per-pair buffer,
+        # plus a byte per pair of sorted-key edges and the sketch tables.
+        cfg = parse_config(resolve_config_path("desk"))
+        grids = cfg.codebook_grids(20 * cfg.scene.dims.d)  # 523 776 swept pairs
+        in_place = spy_key_sweeps(monkeypatch)
+        tracemalloc.start()
+        try:
+            cb = build_near_field_codebook(*grids, cfg.scene.dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        s = grids[0].size
+        assert in_place == [True]  # one key sweep, over the layout
+        assert cb.size == s * (s + 1) // 2
+        assert len(np.unique(kept_pair_keys(cb))) == cb.size  # no key repeats
+        assert peak <= 1.5 * cb.pairs.nbytes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_repeated_keys_rekey_and_keep_the_full_product_pairs(self, monkeypatch, threads):
+        # 64 key buckets make keys repeat, so the check re-derives them into a
+        # separate array after sorting the in-place ones, and compares the full
+        # forms of the pairs laid out again. Chunks of 100 pairs, so two threads
+        # key disjoint spans of the one buffer.
+        cfg = parse_config(resolve_config_path("desk"))
+        dims = cfg.scene.dims
+        grids = cfg.codebook_grids(50 * dims.d)  # 65 points per grid, 2 145 swept pairs
+        ref_pairs, _ = full_product_reference(*grids, dims)
+        real_hash = codebook._hash_reduced
+        monkeypatch.setattr(
+            codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(64)
+        )
+        in_place = spy_key_sweeps(monkeypatch)
+        chunk = 100 * len(codebook._sketch_elements(dims.n))
+        monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
+        seen = spy_build_keys(monkeypatch)
+        cb = build_near_field_codebook(*grids, dims, threads=threads)
+        assert np.array_equal(cb.pairs, ref_pairs)
+        assert in_place == [True, False]
+        assert len(np.unique(seen[-1])) <= 64 < len(seen[-1])
 
     @pytest.mark.parametrize("square", [True, False])
     def test_equal_grids_hash_only_the_upper_triangle(self, monkeypatch, square):
@@ -629,7 +709,9 @@ class TestNearFieldBuild:
         # both true duplicates and collisions; numpy's row-wise unique is the
         # reference for the first occurrence of every distinct row.
         keys = (forms[:, 0] % buckets).astype(np.uint64)
-        kept = codebook._first_distinct(keys, lambda positions: forms[positions], batch_rows)
+        kept = codebook._first_distinct(
+            keys.copy(), lambda positions: forms[positions], batch_rows, keys.copy
+        )
         _, first = np.unique(forms, axis=0, return_index=True)
         assert np.array_equal(np.arange(len(forms))[kept], np.sort(first))
 
@@ -788,6 +870,19 @@ class TestPersistence:
         assert blob == (tmp_path / "b.bin").read_bytes()
         # The one CRC chained over the sections is the CRC of the whole payload.
         assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[len(codebook._MAGIC) : -4])
+
+    def test_keys_leave_the_pairs_unwritten(self, tmp_path):
+        # Only the build keys its pairs in place: a loaded codebook's pairs are
+        # a read-only view of the file, and `.keys` must key into a new array.
+        cfg = parse_config(resolve_config_path("desk"))
+        grids, dims = cfg.codebook_grids(), cfg.scene.dims
+        fresh = cached_near_field_codebook(*grids, dims, tmp_path)[0]
+        loaded, _, hit = cached_near_field_codebook(*grids, dims, tmp_path)
+        assert hit and not loaded.pairs.flags.writeable
+        for cb in (loaded, fresh):
+            before = cb.pairs.tobytes()
+            assert np.array_equal(cb.keys, build_near_field_codebook(*grids, dims).keys)
+            assert cb.pairs.tobytes() == before
 
     def test_dims_mismatch_rejected(self, built, tmp_path):
         path = tmp_path / "cb.bin"
