@@ -99,7 +99,7 @@ def cmd_codebook_build(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cb, path, hit = cached_near_field_codebook(
-        *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args) or out_dir, args.threads
+        *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args) or out_dir
     )
     print(f"cache hit: {path}" if hit else f"built and cached: {path}")
     print(f"pre_dedup_pairs: {cb.pre_dedup_pairs}")
@@ -150,12 +150,12 @@ def cmd_sweep(args) -> int:
         near_cb = None
         if SCHEME_EXHAUSTIVE in cfg.schemes:
             near_cb, _, _ = cached_near_field_codebook(
-                *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args), args.threads
+                *cfg.codebook_grids(), cfg.scene.dims, _cache_dir(args)
             )
         table = sweep_snr(cfg, near_codebook=near_cb)
         stem = "snr_results"
     else:
-        table = sweep_overhead(cfg, threads=args.threads)
+        table = sweep_overhead(cfg)
         stem = "step_results"
 
     csv_path = out_dir / f"{stem}.csv"
@@ -169,19 +169,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _int_at_least(minimum: int):
-    """Argparse type: an integer >= `minimum`; anything else exits 2."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return parse
+def _seed(text: str) -> int:
+    """Argparse type: an integer >= 0; anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _snr_db(text: str) -> float:
@@ -192,10 +188,6 @@ def _snr_db(text: str) -> float:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
-
-
-_SEED = _int_at_least(0)
-_THREADS = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,22 +202,21 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--aperture-m", type=float, default=None, help="array aperture in meters")
     info.add_argument("--wavelength-m", type=float, default=None, help="carrier wavelength in meters")
     info.add_argument("--config", default=None, help="config file or builtin name (paper, desk)")
-    info.add_argument("--seed", type=_SEED, default=None, help="override the config seed")
+    info.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     info.set_defaults(func=cmd_info)
 
     codebook = sub.add_parser("codebook", help="codebook maintenance")
     cb_sub = codebook.add_subparsers(dest="codebook_command", required=True)
     build = cb_sub.add_parser("build", help="build and cache the near-field codebook")
     build.add_argument("--config", required=True)
-    build.add_argument("--seed", type=_SEED, default=None)
-    build.add_argument("--threads", type=_THREADS, default=1)
+    build.add_argument("--seed", type=_seed, default=None)
     build.add_argument("--out", default=".", help="directory for the manifest")
     build.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")
     build.set_defaults(func=cmd_codebook_build)
 
     train = sub.add_parser("train", help="run one beam training pass on a sampled channel")
     train.add_argument("--config", required=True)
-    train.add_argument("--seed", type=_SEED, default=None)
+    train.add_argument("--seed", type=_seed, default=None)
     train.add_argument(
         "--scheme",
         default=SCHEME_EXHAUSTIVE,
@@ -243,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sweep_sub.add_parser(kind, help=help_text)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=_SEED, default=None)
-        sp.add_argument("--threads", type=_THREADS, default=1)
+        sp.add_argument("--seed", type=_seed, default=None)
         sp.add_argument("--out", default=".", help="output directory")
         if kind == "snr":
             sp.add_argument("--cache", default=None, help=f"cache directory (or ${CACHE_ENV})")

@@ -9,9 +9,9 @@ use the same grid, pair (j, i) with j > i has the same summed profile as the
 earlier pair (i, j), so only the upper triangle i <= j is swept. The swept
 pairs are laid out, in sweep order, as an (L, 2) int32 array of point
 indices, so a sample grid holds at most ``MAX_GRID_POINTS`` points. That
-one 8-byte-per-pair buffer serves the whole build: the keys are written
-over its rows and sorted there, and the pairs are then laid out again for
-the shared-key check and the kept pairs.
+one 8-byte-per-pair buffer serves the whole build, which runs serially:
+the keys are written over its rows and sorted there, and the pairs are
+then laid out in it for the shared-key check and the kept pairs.
 
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
@@ -22,8 +22,8 @@ is that sketch form packed into one integer, so pairs share a key exactly
 when their sketch forms are equal. Equal sketches need not be equal beams,
 so the full forms of pairs sharing a key are compared directly, and dedup
 is exact. The build computes only the sketch columns of each point's
-distances and gathers them through the layout; full profiles are computed
-for the pairs behind a shared key.
+distances and sums them over tiles of the pair grid by broadcasting; full
+profiles are computed for the pairs behind a shared key.
 
 A near-field codebook is its two sample grids with their points and the
 kept pairs as int32 indices into those points; keys live only in a build.
@@ -46,7 +46,9 @@ import struct
 import sys
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+# Unused here: the build starts no pool. The bench's tracer (bench/tracer.py)
+# replaces this name, so it stays until the bench stops patching it.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,10 +65,11 @@ from .geometry import (
 _NANO = 1_000_000_000
 # Canonical-form elements compared per batch when checking shared keys.
 _CHECK_ELEMENTS = 1 << 21
-# Sketch elements keyed per chunk of the flat pair sweep, which may span rows:
-# about 256 KB of float64 (10 922 pairs of 3 elements), so the chunk and the
-# temporaries of its key stay in L2.
-_CHUNK_ELEMENTS = 1 << 15
+# Sketch elements keyed per tile of the pair grid: at most 5 461 pairs of 3, so
+# each float64 temporary stays under glibc's default 128 KiB mmap threshold.
+# At twice the size, a fresh process mapped every temporary anew per tile: the
+# paper step sweep took 54 700 page faults, not 7 300.
+_CHUNK_ELEMENTS = 1 << 14
 # Elements of each profile that the dedup key packs, the most that fit one
 # uint64. No key repeats among the swept pairs of any shipped full-grid sweep
 # at 3 elements; at 2, hundreds do, and each repeat costs a full-profile check.
@@ -178,11 +181,13 @@ def reduced_profile(profile) -> np.ndarray:
 
 
 def _hash_reduced(nano: np.ndarray) -> np.ndarray:
-    # A sketch form [0, a, b] keys as a * _NANO + b (fewer terms when shorter):
+    # A sketch form [0, a, b] keys as a * _NANO + b, [0, a] as a and [0] as 0:
     # at most 10**18 - 1 < 2**63, so no key wraps and equal keys are equal forms.
-    u, keys = nano.view(np.uint64), np.zeros(nano.shape[:-1], dtype=np.uint64)
-    for k in range(1, min(nano.shape[-1], _SKETCH_ELEMENTS)):
-        keys = keys * _NANO + u[..., k]
+    u, terms = nano.view(np.uint64), min(nano.shape[-1], _SKETCH_ELEMENTS)
+    if terms < 3:
+        return u[..., 1].copy() if terms == 2 else np.zeros(nano.shape[:-1], dtype=np.uint64)
+    keys = u[..., 1] * np.uint64(_NANO)
+    keys += u[..., 2]
     return keys
 
 
@@ -227,7 +232,15 @@ class NearFieldCodebook:
 
         Read only by the bench's ``codebook-paper`` run check; ROADMAP item 1 deletes it.
         """
-        return _pair_keys(self.g_points, self.r_points, self.pairs, self.dims)
+        sketch = _sketch_elements(self.dims.n)
+        table_g = element_distances(self.g_points, self.dims, sketch)
+        table_r = element_distances(self.r_points, self.dims, sketch)
+        keys = np.empty(self.size, dtype=np.uint64)
+        step = max(1, _CHUNK_ELEMENTS // len(sketch))  # keyed at once, paper peaked 7 MB higher
+        for k in range(0, self.size, step):
+            g, r = self.pairs[k : k + step].T
+            keys[k : k + len(g)] = _hash_reduced(reduced_profile(table_g[g] + table_r[r]))
+        return keys
 
     @property
     def pre_dedup_pairs(self) -> int:
@@ -311,7 +324,7 @@ class FarFieldCodebook:
 
 
 def build_near_field_codebook(
-    grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims, threads: int = 1
+    grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims
 ) -> NearFieldCodebook:
     """Sweep the ordered pair product of the two grids and dedup by beam.
 
@@ -321,16 +334,15 @@ def build_near_field_codebook(
     the first occurrence. When ``grid_g == grid_r`` row i sweeps only
     columns j >= i: float addition is commutative, so each skipped pair
     repeats the profile of its earlier swap bitwise and could never be
-    kept. Every swept pair is laid out first, in sweep order, as one
-    (L, 2) int32 array of point indices, and that buffer holds the rest:
-    :func:`_pair_keys` keys its rows in place, on `threads` workers, each
-    uint64 key over its own pair; :func:`_first_distinct` sorts the keys
-    there. Only when a key repeats are the pairs laid out again and keyed
-    into a separate array, and pairs that share a key have their full
-    canonical forms compared, computed for their layout rows alone. The
-    pairs are then laid out once more in the buffer, and the kept pairs
-    are its rows at the kept positions (the buffer itself when every pair
-    is kept); the codebook takes the points sampled here.
+    kept. The swept pairs fill one (L, 2) int32 buffer of point indices,
+    which first holds their keys: :func:`_sweep_keys` writes each pair's
+    uint64 key, in sweep order, over its own row, and :func:`_first_distinct`
+    sorts them there. Only when a key repeats are the keys made again into
+    a separate array and the pairs laid out, so that pairs sharing a key
+    can have their full canonical forms compared, computed for their
+    layout rows alone. The pairs are then laid out in the buffer, and the
+    kept pairs are its rows at the kept positions (the buffer itself when
+    every pair is kept); the codebook takes the points sampled here.
     """
     pts_g, pts_r = _grid_points(grid_g, grid_r)
     s_g, s_r = len(pts_g), len(pts_r)
@@ -353,8 +365,9 @@ def build_near_field_codebook(
         np.cumsum(pairs, axis=0, dtype=np.int32, out=pairs)
 
     def rekey() -> np.ndarray:
-        lay_out()
-        return _pair_keys(pts_g, pts_r, pairs, dims, threads)
+        keys = _sweep_keys(pts_g, pts_r, first_col, dims, np.empty(len(pairs), dtype=np.uint64))
+        lay_out()  # for reduced_rows
+        return keys
 
     def reduced_rows(flat: np.ndarray) -> np.ndarray:
         rows = pairs[flat]
@@ -362,63 +375,50 @@ def build_near_field_codebook(
         profiles += element_distances(pts_r[rows[:, 1]], dims)
         return reduced_profile(profiles)
 
-    lay_out()
-    keys = _pair_keys(pts_g, pts_r, pairs, dims, threads, in_place=True)
+    # A key and an int32 pair are both 8 bytes: row k's key is row k.
+    keys = _sweep_keys(pts_g, pts_r, first_col, dims, pairs.view(np.uint64).ravel())
     kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n), rekey)
-    lay_out()  # the buffer may hold the sorted keys
+    lay_out()
     # A view of the layout when every pair is kept, a gather otherwise.
     return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs[kept])
 
 
-def _pair_keys(
-    pts_g, pts_r, pairs, dims: ArrayDims, threads: int = 1, in_place: bool = False
-) -> np.ndarray:
-    """The dedup key of each (g, r) row of `pairs`: its profile's sketch form, packed.
+def _sweep_keys(pts_g, pts_r, first_col, dims: ArrayDims, keys: np.ndarray) -> np.ndarray:
+    """Write the dedup key of every swept pair into `keys`, in sweep order; return `keys`.
 
-    The sketch (:func:`_sketch_elements`) is summed from the pair's points'
-    sketch columns and reduced by :func:`reduced_profile`. Fixed chunks of
-    rows are keyed serially or, with identical keys, on `threads` workers
-    that each key one contiguous span of chunks; one chunk starts no pool.
-    The keys are a new array or, `in_place`, `pairs`' own C-contiguous
-    int32 buffer viewed as uint64, row k's key over row k: each chunk
-    gathers its rows before its keys overwrite them, and chunks are
-    disjoint, so the workers stay apart.
+    Row i pairs g point i with r points first_col[i]..S_r-1, and a pair's
+    key is its profile's sketch form (:func:`_sketch_elements`), reduced by
+    :func:`reduced_profile` and packed. The pair grid is keyed in tiles of
+    at most a chunk of pairs: rows [i0, i1) by columns [first_col[i0], S_r),
+    and a row longer than a chunk in column segments of its own. A tile's
+    sketch sums are one broadcast add of its rows' and columns' sketch
+    values, per pair the float add of its two points' sketch values, so its
+    keys are bitwise the per-pair keys. Pairs left of their row's first column (the lower
+    corner of a tile of a triangle sweep) are keyed, then dropped from the
+    tile's keys.
     """
     sketch = _sketch_elements(dims.n)
-    # Sketch-major (len(sketch), S) tables gather into a block of the same
-    # shape per chunk, so each pass of the key runs along the chunk's pairs.
-    sketch_gt = np.ascontiguousarray(element_distances(pts_g, dims, sketch).T)
-    sketch_rt = sketch_gt if pts_r is pts_g else np.ascontiguousarray(
+    # Sketch-major (len(sketch), S) tables, so every pass of the key runs
+    # along a tile's pairs, not along the short sketch.
+    sketch_g = np.ascontiguousarray(element_distances(pts_g, dims, sketch).T)
+    sketch_r = sketch_g if pts_r is pts_g else np.ascontiguousarray(
         element_distances(pts_r, dims, sketch).T
     )
-    # A key and an int32 pair are both 8 bytes: in place, row k's key is row k.
-    keys = pairs.view(np.uint64).ravel() if in_place else np.empty(len(pairs), dtype=np.uint64)
-    chunk_pairs = max(1, _CHUNK_ELEMENTS // len(sketch))
-    starts = range(0, len(pairs), chunk_pairs)
-
-    def fill_block(start: int) -> None:
-        # The chunk's pairs may span rows; each gathers its points' columns
-        # before the chunk's keys are written, over those rows when in place.
-        chunk = pairs[start : start + chunk_pairs]
-        block = sketch_gt.take(chunk[:, 0], axis=1)
-        block += sketch_rt.take(chunk[:, 1], axis=1)
-        keys[start : start + len(chunk)] = _hash_reduced(reduced_profile(block.T))
-
-    def fill_span(span: range) -> None:
-        for start in span:
-            fill_block(start)
-
-    if threads > 1 and len(starts) > 1:
-        # One task per worker, each a contiguous span of chunk starts: a task
-        # per chunk had the submitter wake for every one of hundreds of
-        # futures and contend for the GIL with the workers.
-        n = len(starts)
-        workers = min(threads, n)
-        spans = [starts[k * n // workers : (k + 1) * n // workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_span, spans))
-    else:
-        fill_span(starts)
+    s_g, s_r = len(pts_g), len(pts_r)
+    chunk = max(1, _CHUNK_ELEMENTS // len(sketch))
+    pos = i0 = 0
+    while i0 < s_g:
+        c0 = int(first_col[i0])
+        i1 = min(s_g, i0 + max(1, chunk // (s_r - c0)))
+        for c in range(c0, s_r, chunk):  # one segment unless the row is longer than a chunk
+            c1 = min(c + chunk, s_r)
+            sums = sketch_g[:, i0:i1, None] + sketch_r[:, None, c:c1]
+            tile = _hash_reduced(reduced_profile(sums.transpose(1, 2, 0)))
+            if first_col[i1 - 1] > c:  # first_col ascends, so only then is a pair unswept
+                tile = tile[first_col[i0:i1, None] <= np.arange(c, c1)]
+            keys[pos : pos + tile.size] = tile.ravel()
+            pos += tile.size
+        i0 = i1
     return keys
 
 
@@ -561,7 +561,7 @@ def cache_file_name(grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims) -> 
 
 
 def cached_near_field_codebook(
-    grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims, cache_dir=None, threads: int = 1
+    grid_g: SampleGrid, grid_r: SampleGrid, dims: ArrayDims, cache_dir=None
 ) -> tuple[NearFieldCodebook, Path | None, bool]:
     """The near-field codebook over the grids, its cache file, and whether it was read from it.
 
@@ -585,7 +585,7 @@ def cached_near_field_codebook(
                 return cb, path, True
             except CodebookFileError as exc:
                 print(f"warning: rebuilding the cached codebook: {exc}", file=sys.stderr)
-    cb = build_near_field_codebook(grid_g, grid_r, dims, threads)
+    cb = build_near_field_codebook(grid_g, grid_r, dims)
     if path is not None:
         save_codebook(cb, path)
     return cb, path, False

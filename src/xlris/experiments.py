@@ -202,9 +202,11 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     far-field schemes train once over all sigma2 values, and the
     hierarchical scheme restarts its noise stream at each SNR point and
     shares one codebook memo across them, so each stage-2 codebook is built
-    once per distinct stage-1 winner. Trials run one after another;
-    `threads` workers build the exhaustive codebook, and a prebuilt
-    `near_codebook` (e.g. loaded from the cache) skips that build.
+    once per distinct stage-1 winner. Trials run one after another, and a
+    prebuilt `near_codebook` (e.g. loaded from the cache) skips the
+    exhaustive codebook's build. `threads` is ignored: every build is
+    serial, and the parameter stays only because the bench
+    (bench/workloads.py) still passes it.
     """
     scene = cfg.scene
     dims = scene.dims
@@ -214,7 +216,7 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
     far_cb = None
     stage1 = {}
     if SCHEME_EXHAUSTIVE in cfg.schemes and near_cb is None:
-        near_cb = build_near_field_codebook(*cfg.codebook_grids(), dims, threads=threads)
+        near_cb = build_near_field_codebook(*cfg.codebook_grids(), dims)
     if SCHEME_FAR_FIELD in cfg.schemes:
         far_cb = FarFieldCodebook(dims)
     if SCHEME_HIERARCHICAL in cfg.schemes:
@@ -285,12 +287,12 @@ def sweep_overhead(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
 
     Channel- and seed-independent by construction; the sweep values are
     reported in multiples of the element spacing, matching how sampling
-    steps are usually quoted.
+    steps are usually quoted. `threads` is ignored, as in :func:`sweep_snr`.
     """
     d = cfg.scene.dims.d
     table = ResultTable()
     for step in cfg.step_sweep:
-        full = build_near_field_codebook(*cfg.codebook_grids(step), cfg.scene.dims, threads=threads)
+        full = build_near_field_codebook(*cfg.codebook_grids(step), cfg.scene.dims)
         hier = hierarchical_overhead(cfg, step)
         for scheme, overhead in (
             (SCHEME_EXHAUSTIVE, full.size),

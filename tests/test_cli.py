@@ -341,6 +341,8 @@ class TestCli:
     @pytest.mark.parametrize("command", [["codebook", "build"], ["sweep", "snr"], ["sweep", "step"]])
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
     def test_bad_thread_count_exits_2(self, tmp_path, capsys, command, threads):
+        # Builds are serial and no command takes --threads: any count is an
+        # unknown argument.
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([*command, "--config", str(cfg), "--out", str(tmp_path), "--threads", threads])

@@ -100,11 +100,6 @@ def sketch_keys(cb):
     return np.array([sketch_key(p) for p in profiles], dtype=np.uint64)
 
 
-def kept_pair_keys(cb, threads=1):
-    """The build's key sweep run over a codebook's kept pairs and points."""
-    return codebook._pair_keys(cb.g_points, cb.r_points, cb.pairs, cb.dims, threads)
-
-
 def source_points(cb):
     """The (L, 2, 3) source points of a near-field codebook's kept pairs, g side first."""
     return np.stack([cb.g_points[cb.pairs[:, 0]], cb.r_points[cb.pairs[:, 1]]], axis=1)
@@ -127,16 +122,26 @@ def spy_build_keys(monkeypatch) -> list:
 
 
 def spy_key_sweeps(monkeypatch) -> list:
-    """Record, for each key sweep a build runs, whether it keys its pairs in place."""
-    in_place = []
-    real = codebook._pair_keys
+    """Record the array each key sweep a build runs writes its keys into."""
+    sweeps = []
+    real = codebook._sweep_keys
 
-    def spy(*args, **kwargs):
-        in_place.append(kwargs.get("in_place", False))
-        return real(*args, **kwargs)
+    def spy(pts_g, pts_r, first_col, dims, keys):
+        sweeps.append(keys)
+        return real(pts_g, pts_r, first_col, dims, keys)
 
-    monkeypatch.setattr(codebook, "_pair_keys", spy)
-    return in_place
+    monkeypatch.setattr(codebook, "_sweep_keys", spy)
+    return sweeps
+
+
+def swept_sketch_keys(grid_g, grid_r, dims) -> list:
+    """The `sketch_key` of every pair a build sweeps, in sweep order, one pair at a time."""
+    pts_g, pts_r = grid_g.points(), grid_r.points()
+    return [
+        sketch_key(cascaded_distances(pts_g[i], pts_r[j], dims))
+        for i in range(len(pts_g))
+        for j in range(i if grid_g == grid_r else 0, len(pts_r))
+    ]
 
 
 @st.composite
@@ -435,75 +440,44 @@ class TestNearFieldBuild:
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(source_points(a), source_points(b))
 
-    def test_threaded_build_identical(self):
-        grid = generic_line_grid(8)
-        a = build_near_field_codebook(grid, grid, DIMS)
-        b = build_near_field_codebook(grid, grid, DIMS, threads=4)
-        assert np.array_equal(a.pairs, b.pairs)
-        assert np.array_equal(source_points(a), source_points(b))
-
-    def test_in_place_key_sweep_under_many_threads(self, monkeypatch):
-        # Eight workers key spans of 7-pair chunks over their own rows of one
-        # buffer, switching often: a worker that wrote keys over rows another
-        # had yet to gather would change the keys and the kept pairs.
-        cfg = parse_config(resolve_config_path("desk"))
-        grids, dims = cfg.codebook_grids(37.5 * cfg.scene.dims.d), cfg.scene.dims
-        chunk = 7 * len(codebook._sketch_elements(dims.n))
-        monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
-        seen = spy_build_keys(monkeypatch)
-        serial = build_near_field_codebook(*grids, dims)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = build_near_field_codebook(*grids, dims, threads=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(seen[1]) > 8 * 7 and np.array_equal(seen[1], seen[0])
-        assert np.array_equal(threaded.pairs, serial.pairs)
-
-    def test_single_chunk_build_starts_no_pool(self, monkeypatch):
-        # 36 swept pairs fit in one chunk, so the sweep runs inline whatever
-        # the thread count; a sweep of more chunks pools.
-        grid = generic_line_grid(8)
-        serial = build_near_field_codebook(grid, grid, DIMS)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-chunk sweep started a thread pool")
-
-        monkeypatch.setattr(codebook, "ThreadPoolExecutor", no_pool)
-        inline = build_near_field_codebook(grid, grid, DIMS, threads=4)
-        assert np.array_equal(inline.pairs, serial.pairs)
-        assert np.array_equal(source_points(inline), source_points(serial))
-        chunk = len(codebook._sketch_elements(DIMS.n)) * 18  # two chunks of 18 pairs
-        monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
-        with pytest.raises(AssertionError, match="thread pool"):
-            build_near_field_codebook(grid, grid, DIMS, threads=4)
-
     # At N = 4 the sketch is all of the profile but one element; at N = 64 a few.
     @settings(max_examples=40, deadline=None)
     @given(grid=small_grids())
     def test_equal_grids_match_full_product(self, grid):
         for dims in (DIMS4, DIMS64):
             ref_pairs, ref_pre = full_product_reference(grid, grid, dims)
-            for threads in (1, 2):
-                cb = build_near_field_codebook(grid, grid, dims, threads=threads)
-                assert np.array_equal(cb.pairs, ref_pairs)
-                assert np.array_equal(cb.g_points, grid.points()) and cb.r_points is cb.g_points
-                assert np.array_equal(kept_pair_keys(cb, threads), sketch_keys(cb))
-                assert cb.pre_dedup_pairs == ref_pre
+            cb = build_near_field_codebook(grid, grid, dims)
+            assert np.array_equal(cb.pairs, ref_pairs)
+            assert np.array_equal(cb.g_points, grid.points()) and cb.r_points is cb.g_points
+            assert np.array_equal(cb.keys, sketch_keys(cb))
+            assert cb.pre_dedup_pairs == ref_pre
 
     @settings(max_examples=20, deadline=None)
     @given(grid_g=small_grids(), grid_r=small_grids())
     def test_unequal_grids_match_full_product(self, grid_g, grid_r):
         for dims in (DIMS4, DIMS64):
             ref_pairs, ref_pre = full_product_reference(grid_g, grid_r, dims)
-            for threads in (1, 2):
-                cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
-                assert np.array_equal(cb.pairs, ref_pairs)
-                assert np.array_equal(cb.g_points, grid_g.points())
-                assert np.array_equal(cb.r_points, grid_r.points())
-                assert np.array_equal(kept_pair_keys(cb, threads), sketch_keys(cb))
-                assert cb.pre_dedup_pairs == ref_pre
+            cb = build_near_field_codebook(grid_g, grid_r, dims)
+            assert np.array_equal(cb.pairs, ref_pairs)
+            assert np.array_equal(cb.g_points, grid_g.points())
+            assert np.array_equal(cb.r_points, grid_r.points())
+            assert np.array_equal(cb.keys, sketch_keys(cb))
+            assert cb.pre_dedup_pairs == ref_pre
+
+    # Tiles narrower than the widest row split it into column segments.
+    @settings(max_examples=30, deadline=None)
+    @given(grid_g=small_grids(), grid_r=small_grids(), square=st.booleans(), data=st.data())
+    def test_tiles_narrower_than_a_row_key_every_swept_pair(self, grid_g, grid_r, square, data):
+        grid_r = grid_g if square else grid_r
+        for dims in (DIMS4, DIMS64):
+            k = len(codebook._sketch_elements(dims.n))
+            chunk = data.draw(st.integers(1, max(1, k * grid_r.size - 1)), label="chunk")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
+                seen = spy_build_keys(mp)
+                cb = build_near_field_codebook(grid_g, grid_r, dims)
+            assert seen[-1].tolist() == swept_sketch_keys(grid_g, grid_r, dims)
+            assert np.array_equal(cb.pairs, full_product_reference(grid_g, grid_r, dims)[0])
 
     @settings(max_examples=30, deadline=None)
     @given(grid_g=small_grids(), grid_r=small_grids(), square=st.booleans())
@@ -530,10 +504,9 @@ class TestNearFieldBuild:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
                     seen = spy_build_keys(mp)
-                    for threads in (1, 2, 3):
-                        cb = build_near_field_codebook(grid_g, grid_r, dims, threads=threads)
-                        assert np.array_equal(cb.pairs, swept[kept])
-                        assert np.array_equal(seen[-1], ref_keys)  # every swept pair's key
+                    cb = build_near_field_codebook(grid_g, grid_r, dims)
+                    assert np.array_equal(cb.pairs, swept[kept])
+                    assert np.array_equal(seen[-1], ref_keys)  # every swept pair's key
 
     # Examples: a triangle sweep, a full product, and unequal overlapping grids
     # whose sweep holds true duplicates (swapped pairs).
@@ -583,9 +556,8 @@ class TestNearFieldBuild:
             cb = build_near_field_codebook(grid_g, grid_r, DIMS)
             assert np.array_equal(cb.pairs, swept[subset].reshape(-1, 2))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_paper_cache_file_bytes_are_pinned(self, tmp_path, capsys, threads):
-        assert main(["codebook", "build", "--config", "paper", "--threads", str(threads),
+    def test_paper_cache_file_bytes_are_pinned(self, tmp_path, capsys):
+        assert main(["codebook", "build", "--config", "paper",
                      "--cache", str(tmp_path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         path = tmp_path / "xlrc_fc7b7b06ba246d81.bin"
@@ -608,6 +580,8 @@ class TestNearFieldBuild:
             cb = build_near_field_codebook(*grids, cfg.scene.dims)
             assert cb.size == len(seen[-1]) == s * (s + 1) // 2
             assert (len(np.unique(seen[-1])) < cb.size) == repeats
+            # Every swept pair is kept, so `.keys`, in tile-sized steps, are the sweep's.
+            assert np.array_equal(cb.keys, seen[-1])
 
     def test_repeat_free_build_peaks_near_its_kept_pairs(self, monkeypatch):
         # The keys are written over the layout's own rows and sorted there, so
@@ -615,7 +589,7 @@ class TestNearFieldBuild:
         # plus a byte per pair of sorted-key edges and the sketch tables.
         cfg = parse_config(resolve_config_path("desk"))
         grids = cfg.codebook_grids(20 * cfg.scene.dims.d)  # 523 776 swept pairs
-        in_place = spy_key_sweeps(monkeypatch)
+        sweeps = spy_key_sweeps(monkeypatch)
         tracemalloc.start()
         try:
             cb = build_near_field_codebook(*grids, cfg.scene.dims)
@@ -623,17 +597,16 @@ class TestNearFieldBuild:
         finally:
             tracemalloc.stop()
         s = grids[0].size
-        assert in_place == [True]  # one key sweep, over the layout
+        assert len(sweeps) == 1 and np.shares_memory(sweeps[0], cb.pairs)  # over the layout
         assert cb.size == s * (s + 1) // 2
-        assert len(np.unique(kept_pair_keys(cb))) == cb.size  # no key repeats
+        assert len(np.unique(cb.keys)) == cb.size  # no key repeats
         assert peak <= 1.5 * cb.pairs.nbytes
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_repeated_keys_rekey_and_keep_the_full_product_pairs(self, monkeypatch, threads):
+    def test_repeated_keys_rekey_and_keep_the_full_product_pairs(self, monkeypatch):
         # 64 key buckets make keys repeat, so the check re-derives them into a
         # separate array after sorting the in-place ones, and compares the full
-        # forms of the pairs laid out again. Chunks of 100 pairs, so two threads
-        # key disjoint spans of the one buffer.
+        # forms of the pairs laid out. Tiles of at most 100 pairs, so the
+        # sweeps write many tiles.
         cfg = parse_config(resolve_config_path("desk"))
         dims = cfg.scene.dims
         grids = cfg.codebook_grids(50 * dims.d)  # 65 points per grid, 2 145 swept pairs
@@ -642,26 +615,39 @@ class TestNearFieldBuild:
         monkeypatch.setattr(
             codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(64)
         )
-        in_place = spy_key_sweeps(monkeypatch)
+        sweeps = spy_key_sweeps(monkeypatch)
         chunk = 100 * len(codebook._sketch_elements(dims.n))
         monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
         seen = spy_build_keys(monkeypatch)
-        cb = build_near_field_codebook(*grids, dims, threads=threads)
+        cb = build_near_field_codebook(*grids, dims)
         assert np.array_equal(cb.pairs, ref_pairs)
-        assert in_place == [True, False]
+        assert len(sweeps) == 2 and not np.shares_memory(sweeps[1], sweeps[0])
+        assert np.array_equal(sweeps[1], seen[-1])  # in sweep order again
         assert len(np.unique(seen[-1])) <= 64 < len(seen[-1])
 
     @pytest.mark.parametrize("square", [True, False])
     def test_equal_grids_hash_only_the_upper_triangle(self, monkeypatch, square):
+        # Tiles of at most 10 pairs cover the 7 x 7 pair grid in several tiles,
+        # some of more than one row. The keys handed on are exactly the swept
+        # pairs' (the upper triangle on equal grids), in sweep order; besides
+        # them, a tile hashes at most its lower corner, none on unequal grids.
         grid_g = generic_line_grid(7)
         grid_r = grid_g if square else generic_line_grid(7, step=0.731)
-        hashed = []
+        tiles = []
         real_hash = codebook._hash_reduced
         monkeypatch.setattr(
-            codebook, "_hash_reduced", lambda nano: hashed.append(len(nano)) or real_hash(nano)
+            codebook, "_hash_reduced", lambda nano: tiles.append(nano.shape[:-1]) or real_hash(nano)
         )
+        monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", 10 * len(codebook._sketch_elements(DIMS.n)))
+        seen = spy_build_keys(monkeypatch)
         cb = build_near_field_codebook(grid_g, grid_r, DIMS)
-        assert sum(hashed) == (7 * 8 // 2 if square else 7 * 7)
+        swept = swept_sketch_keys(grid_g, grid_r, DIMS)
+        assert len(swept) == (7 * 8 // 2 if square else 7 * 7)
+        assert seen[-1].tolist() == swept
+        hashed = sum(rows * cols for rows, cols in tiles)
+        corners = sum(rows * (rows - 1) // 2 for rows, _ in tiles) if square else 0
+        assert len(tiles) > 1 and any(rows > 1 for rows, _ in tiles) == square
+        assert len(swept) <= hashed <= len(swept) + corners
         assert cb.pre_dedup_pairs == 7 * 7
 
     @pytest.mark.parametrize("square", [True, False])
@@ -685,11 +671,11 @@ class TestNearFieldBuild:
         grid_g = SampleGrid(Box3((0.0, 3.0), (2.0, 3.0), (-1.0, 0.0)), 1.0)
         grid_r = SampleGrid(Box3(x_r, (2.0, 3.0), (-1.0, 0.0)), 1.0)
         seen = spy_build_keys(monkeypatch)
-        real = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
+        real = build_near_field_codebook(grid_g, grid_r, DIMS)
         real_hash = codebook._hash_reduced
         monkeypatch.setattr(codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(64))
         monkeypatch.setattr(codebook, "_CHECK_ELEMENTS", 3 * DIMS.n)
-        bucketed = build_near_field_codebook(grid_g, grid_r, DIMS, threads=2)
+        bucketed = build_near_field_codebook(grid_g, grid_r, DIMS)
         assert np.array_equal(bucketed.pairs, real.pairs)
         assert np.array_equal(seen[1], seen[0] % np.uint64(64))
 
@@ -729,10 +715,9 @@ class TestNearFieldBuild:
         monkeypatch.setattr(codebook, "_SKETCH_ELEMENTS", 1)
         monkeypatch.setattr(codebook, "_CHECK_ELEMENTS", 3 * DIMS64.n)
         seen = spy_build_keys(monkeypatch)
-        for threads in (1, 2):
-            colliding = build_near_field_codebook(grid_g, grid_r, DIMS64, threads=threads)
-            assert np.array_equal(colliding.pairs, real.pairs)
-            assert not seen[-1].any()
+        colliding = build_near_field_codebook(grid_g, grid_r, DIMS64)
+        assert np.array_equal(colliding.pairs, real.pairs)
+        assert not seen[-1].any()
 
     def test_vector_is_conjugated_distance_profile(self):
         grid = generic_line_grid(4)
@@ -1038,7 +1023,7 @@ class TestPersistence:
         header[4] = 0
         ident = codebook._HEADER.pack(*header) + struct.pack("<Q", codebook._NANO)
         assert path.name == f"xlrc_{hashlib.sha256(ident).hexdigest()[:16]}.bin"
-        loaded, again, hit = cached_near_field_codebook(grid_g, grid_r, DIMS, cache, threads=2)
+        loaded, again, hit = cached_near_field_codebook(grid_g, grid_r, DIMS, cache)
         assert hit and again == path
         assert loaded.grids == built.grids == (grid_g, grid_r)
         assert np.array_equal(loaded.pairs, built.pairs)
