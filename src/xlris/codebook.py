@@ -15,15 +15,18 @@ then laid out in it for the shared-key check and the kept pairs.
 
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
-nine decimals (integer nanocycles). The form is elementwise once anchored,
+nine decimals (integer nanocycles). A scaled value lies in [0, 1e9], below
+2^52, so adding 2^52 rounds it half to even, as rint does, and leaves the
+count in the low bits of the sum. The form is elementwise once anchored,
 so the form of a fixed sketch of 3 elements (all of them when N < 3),
 element 0 first, is the full form's sketch bit for bit. A pair's dedup key
 is that sketch form packed into one integer, so pairs share a key exactly
 when their sketch forms are equal. Equal sketches need not be equal beams,
 so the full forms of pairs sharing a key are compared directly, and dedup
 is exact. The build computes only the sketch columns of each point's
-distances and sums them over tiles of the pair grid by broadcasting; full
-profiles are computed for the pairs behind a shared key.
+distances and sums them over tiles of the pair grid by broadcasting, each
+tile reduced and packed in place in one workspace per sweep; full profiles
+are computed for the pairs behind a shared key.
 
 A near-field codebook is its two sample grids with their points and the
 kept pairs as int32 indices into those points; keys live only in a build.
@@ -63,13 +66,24 @@ from .geometry import (
 )
 
 _NANO = 1_000_000_000
+# Adding 2^52 to a float in [0, 2^52) rounds it to an integer m, half to even,
+# and the sum's int64 bits are then those of 2^52 plus m.
+_ROUNDER = 2.0**52
+_ROUNDER_BITS = 0x4330000000000000
 # Canonical-form elements compared per batch when checking shared keys.
 _CHECK_ELEMENTS = 1 << 21
-# Sketch elements keyed per tile of the pair grid: at most 5 461 pairs of 3, so
-# each float64 temporary stays under glibc's default 128 KiB mmap threshold.
-# At twice the size, a fresh process mapped every temporary anew per tile: the
-# paper step sweep took 54 700 page faults, not 7 300.
-_CHUNK_ELEMENTS = 1 << 14
+# Sketch elements keyed per tile of the pair grid: at most 10 922 pairs of 3. A
+# sweep keys every tile in one workspace of 17 bytes per element and 8 per pair
+# (630 KiB here), allocated once, so a fresh process maps it once per sweep, not
+# per tile. Half this size ran the desk and paper step sweeps 10 and 21 % slower
+# in process; twice ran within 2 % of this size and raised step-desk's peak RSS
+# by 0.8 MB.
+_CHUNK_ELEMENTS = 1 << 15
+# numpy's ufunc buffer, in elements, while a sweep keys its tiles. At numpy's
+# default of 8 192, a tile's broadcast add copies its operands through buffers
+# (124 KB allocated per 10 922-pair tile), and the add took 40 us a tile; at
+# 256 it adds in place in 10 us, and the whole key sweep ran about 30 % faster.
+_UFUNC_BUFFER = 256
 # Elements of each profile that the dedup key packs, the most that fit one
 # uint64. No key repeats among the swept pairs of any shipped full-grid sweep
 # at 3 elements; at 2, hundreds do, and each repeat costs a full-profile check.
@@ -147,48 +161,69 @@ def _sketch_elements(n: int) -> np.ndarray:
     return np.rint(np.linspace(0, n - 1, min(n, _SKETCH_ELEMENTS))).astype(np.int64)
 
 
-def reduced_profile(profile) -> np.ndarray:
+def reduced_profile(profile, work=None) -> np.ndarray:
     """Canonical form of a distance profile, in integer nanocycles.
 
     Takes fractional parts, anchors them to the first element, wraps into
     [0, 1), and rounds to 1e-9. Profiles that differ by a constant offset or
     by per-element integers (a global phase, or whole-wavelength shifts)
     reduce to the same form. Works on (N,) or batched (..., N) input, laid
-    out like the input, and leaves the input unchanged.
+    out like the input.
 
     Equals ``rint(mod(mod(p, 1) - mod(p, 1)[..., :1], 1) * 1e9) % 1e9``
     without np.mod (slow): ``x - floor(x)`` is exact, and after anchoring
     every value lies in (-1, 1), so subtracting its floor (-1.0 or 0.0)
-    wraps it with no mask. A delta that rounds to a full cycle is zero. The
-    anchor's own form is always 0, so it is set, not reduced: only the
-    other elements are anchored, wrapped, scaled and rounded, straight into
-    the int64 result. The fractional parts and the result are the only
-    arrays allocated; the wrap's floors borrow the result's memory.
+    wraps it with no mask. The anchor's own form is always 0, so it is set,
+    not reduced: only the other elements are anchored, wrapped and scaled.
+    A scaled value x lies in [0, 1e9], inside [0, 2^52), where the float
+    add ``x + 2^52`` rounds half to even exactly as rint does, so the int64
+    bits of the sum less those of 2^52 are the rounded count, with no
+    float-to-int cast. A count of a full cycle is zero.
+
+    Without `work` the input is left unchanged: the same steps run on a
+    float64 copy, beside a scratch float64 array and a bool mask of its
+    shape. With ``work=(floors, mask)``, such arrays owned by the caller,
+    `profile` must be a float64 array the caller owns: it is reduced in
+    place, and the result is its int64 view.
     """
-    p = np.asarray(profile, dtype=np.float64)
-    frac = np.floor(p)
-    np.subtract(p, frac, out=frac)
-    rest = frac[..., 1:]
-    rest -= frac[..., :1]
-    nano = np.empty_like(frac, dtype=np.int64)
+    if work is None:
+        p = np.array(profile, dtype=np.float64)
+        floors, mask = np.empty_like(p), np.empty(p.shape, dtype=bool)
+    else:
+        p, (floors, mask) = profile, work
+    np.floor(p, out=floors)
+    p -= floors
+    rest, floors, mask = p[..., 1:], floors[..., 1:], mask[..., 1:]
+    rest -= p[..., :1]
+    rest -= np.floor(rest, out=floors)
+    rest *= float(_NANO)
+    rest += _ROUNDER
+    nano = p.view(np.int64)
     nano[..., :1] = 0
     tail = nano[..., 1:]
-    rest -= np.floor(rest, out=tail.view(np.float64))
-    rest *= float(_NANO)
-    np.rint(rest, out=tail, casting="unsafe")
-    tail[tail == _NANO] = 0
+    tail -= _ROUNDER_BITS
+    np.copyto(tail, 0, where=np.equal(tail, _NANO, out=mask))
     return nano
 
 
-def _hash_reduced(nano: np.ndarray) -> np.ndarray:
-    # A sketch form [0, a, b] keys as a * _NANO + b, [0, a] as a and [0] as 0:
-    # at most 10**18 - 1 < 2**63, so no key wraps and equal keys are equal forms.
+def _hash_reduced(nano: np.ndarray, out=None) -> np.ndarray:
+    """The dedup key of each canonical form of at most 3 elements, along the last axis.
+
+    A sketch form [0, a, b] keys as a * _NANO + b, [0, a] as a and [0] as 0:
+    at most 10**18 - 1 < 2**63, so no key wraps and equal keys are equal forms.
+    With `out`, a uint64 array of the forms' batch shape, the keys are
+    written there and `out` is returned, so a sweep packs a tile's keys
+    straight into its key array.
+    """
     u, terms = nano.view(np.uint64), min(nano.shape[-1], _SKETCH_ELEMENTS)
+    if out is None:
+        out = np.empty(nano.shape[:-1], dtype=np.uint64)
     if terms < 3:
-        return u[..., 1].copy() if terms == 2 else np.zeros(nano.shape[:-1], dtype=np.uint64)
-    keys = u[..., 1] * np.uint64(_NANO)
-    keys += u[..., 2]
-    return keys
+        out[...] = u[..., 1] if terms == 2 else 0
+        return out
+    np.multiply(u[..., 1], np.uint64(_NANO), out=out)
+    out += u[..., 2]
+    return out
 
 
 class NearFieldCodebook:
@@ -388,14 +423,21 @@ def _sweep_keys(pts_g, pts_r, first_col, dims: ArrayDims, keys: np.ndarray) -> n
 
     Row i pairs g point i with r points first_col[i]..S_r-1, and a pair's
     key is its profile's sketch form (:func:`_sketch_elements`), reduced by
-    :func:`reduced_profile` and packed. The pair grid is keyed in tiles of
-    at most a chunk of pairs: rows [i0, i1) by columns [first_col[i0], S_r),
-    and a row longer than a chunk in column segments of its own. A tile's
-    sketch sums are one broadcast add of its rows' and columns' sketch
-    values, per pair the float add of its two points' sketch values, so its
-    keys are bitwise the per-pair keys. Pairs left of their row's first column (the lower
-    corner of a tile of a triangle sweep) are keyed, then dropped from the
-    tile's keys.
+    :func:`reduced_profile` and packed by :func:`_hash_reduced`. The pair
+    grid is keyed in tiles of at most a chunk of pairs: rows [i0, i1) by
+    columns [first_col[i0], S_r), and a row longer than a chunk in column
+    segments of its own. A tile's sketch sums are one broadcast add of its
+    rows' and columns' sketch values, per pair the float add of its two
+    points' sketch values, so its keys are bitwise the per-pair keys.
+
+    Every tile is keyed in one workspace, allocated once for the sweep and
+    no larger than the pair grid: a float64 sums and floors plane per
+    sketch element, a mask, and a key tile. The sums are reduced in place by
+    :func:`reduced_profile`, whose wrapped and scaled values lie in [0, 1e9],
+    inside the [0, 2^52) where adding 2^52 rounds them, and packed straight
+    into `keys`. Only a tile holding pairs left of their row's first column
+    (the lower corner of a tile of a triangle sweep) is packed into the key
+    tile, and each of its rows' swept ends is copied out.
     """
     sketch = _sketch_elements(dims.n)
     # Sketch-major (len(sketch), S) tables, so every pass of the key runs
@@ -404,21 +446,38 @@ def _sweep_keys(pts_g, pts_r, first_col, dims: ArrayDims, keys: np.ndarray) -> n
     sketch_r = sketch_g if pts_r is pts_g else np.ascontiguousarray(
         element_distances(pts_r, dims, sketch).T
     )
-    s_g, s_r = len(pts_g), len(pts_r)
-    chunk = max(1, _CHUNK_ELEMENTS // len(sketch))
+    k, s_g, s_r = len(sketch), len(pts_g), len(pts_r)
+    chunk = max(1, _CHUNK_ELEMENTS // k)
+    width = min(chunk, s_g * s_r)  # no tile holds more pairs than either bound
+    sums, floors = np.empty((2, k * width))
+    mask, tile_keys = np.empty(k * width, dtype=bool), np.empty(width, dtype=np.uint64)
     pos = i0 = 0
-    while i0 < s_g:
-        c0 = int(first_col[i0])
-        i1 = min(s_g, i0 + max(1, chunk // (s_r - c0)))
-        for c in range(c0, s_r, chunk):  # one segment unless the row is longer than a chunk
-            c1 = min(c + chunk, s_r)
-            sums = sketch_g[:, i0:i1, None] + sketch_r[:, None, c:c1]
-            tile = _hash_reduced(reduced_profile(sums.transpose(1, 2, 0)))
-            if first_col[i1 - 1] > c:  # first_col ascends, so only then is a pair unswept
-                tile = tile[first_col[i0:i1, None] <= np.arange(c, c1)]
-            keys[pos : pos + tile.size] = tile.ravel()
-            pos += tile.size
-        i0 = i1
+    old_buffer = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        while i0 < s_g:
+            c0 = int(first_col[i0])
+            i1 = min(s_g, i0 + max(1, chunk // (s_r - c0)))
+            for c in range(c0, s_r, chunk):  # one segment unless the row is longer than a chunk
+                c1 = min(c + chunk, s_r)
+                shape = (i1 - i0, c1 - c)
+                n = shape[0] * shape[1]
+                planes = [buf[: k * n].reshape(k, *shape) for buf in (sums, floors, mask)]
+                np.add(sketch_g[:, i0:i1, None], sketch_r[:, None, c:c1], out=planes[0])
+                # Reduced along the sketch, the last axis of each (rows, cols, sketch) transpose.
+                p, f, m = (plane.transpose(1, 2, 0) for plane in planes)
+                nano = reduced_profile(p, (f, m))
+                if first_col[i1 - 1] > c:  # first_col ascends, so only then is a pair unswept
+                    # A corner tile spans whole rows, c1 == S_r: each row's swept end is copied out.
+                    corner = _hash_reduced(nano, out=tile_keys[:n].reshape(shape))
+                    for row, first in zip(corner, first_col[i0:i1].tolist()):
+                        keys[pos : pos + c1 - first] = row[first - c :]
+                        pos += c1 - first
+                else:
+                    _hash_reduced(nano, out=keys[pos : pos + n].reshape(shape))
+                    pos += n
+            i0 = i1
+    finally:
+        np.setbufsize(old_buffer)
     return keys
 
 

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,14 @@ def full_product_reference(grid_g, grid_r, dims):
     return pairs, len(pts_g) * len(pts_r)
 
 
+def in_place_form(profile) -> np.ndarray:
+    """`reduced_profile`'s in-place form, run on a float64 copy of `profile`."""
+    buf = np.array(profile, dtype=np.float64)
+    form = reduced_profile(buf, (np.empty_like(buf), np.empty(buf.shape, dtype=bool)))
+    assert form.dtype == np.int64 and np.shares_memory(form, buf)  # the copy's own int64 view
+    return form
+
+
 def sketch_keys(cb):
     """The dedup key the build gives each kept pair: its profile's sketch form, packed."""
     profiles = (cascaded_distances(*cb.source_pair(l), cb.dims) for l in range(cb.size))
@@ -119,6 +128,21 @@ def spy_build_keys(monkeypatch) -> list:
 
     monkeypatch.setattr(codebook, "_first_distinct", spy)
     return seen
+
+
+def patch_hash(monkeypatch, rekey) -> None:
+    """Make `_hash_reduced` pack `rekey(keys)` of its real keys.
+
+    The keys go into its `out`, as the real one writes them, since the sweep reads them there.
+    """
+    real = codebook._hash_reduced
+
+    def patched(nano, out=None):
+        keys = real(nano, out)
+        keys[...] = rekey(keys)
+        return keys
+
+    monkeypatch.setattr(codebook, "_hash_reduced", patched)
 
 
 def spy_key_sweeps(monkeypatch) -> list:
@@ -258,6 +282,7 @@ class TestCanonicalKey:
         assert form[0] == 0 and form.min() >= 0 and form.max() < 1_000_000_000
         assert np.array_equal(reduced_profile(profile + offset), form)
         assert np.array_equal(form, reference_reduced_profile(profile))
+        assert np.array_equal(in_place_form(profile + offset), form)
 
     @given(elements=st.lists(st.tuples(DYADIC, st.integers(-1023, 1023)), min_size=1, max_size=8))
     @example(elements=[(-0.0, 3), (0.5, -1)])
@@ -268,6 +293,30 @@ class TestCanonicalKey:
         form = reduced_profile(profile)
         assert np.array_equal(reduced_profile(profile + shifts), form)
         assert np.array_equal(form, reference_reduced_profile(profile))
+        assert np.array_equal(in_place_form(profile + shifts), form)
+
+    # Every odd multiple of 2**-10 scales to a count ending in .5 exactly, and
+    # each must round half to even, as np.rint does.
+    @pytest.mark.parametrize("anchor", [0.0, 0.375, -5.25, 1023.0])
+    def test_half_way_counts_round_to_even(self, anchor):
+        odd = np.arange(-1023, 1024, 2)
+        profiles = np.column_stack([np.full(len(odd), anchor), anchor + odd / 1024.0])
+        exact = [Fraction(int(m) % 1024 * codebook._NANO, 1024) for m in odd]  # wrapped
+        want = [round(x) for x in exact]  # Fraction rounds half to even
+        assert any(w < x for w, x in zip(want, exact)) and any(w > x for w, x in zip(want, exact))
+        for form in (reduced_profile(profiles), in_place_form(profiles)):
+            assert np.array_equal(form, reference_reduced_profile(profiles))
+            assert form[:, 1].tolist() == want and not form[:, 0].any()
+
+    # A delta of a cycle less 2**-40 scales to within 1e-3 of a whole cycle,
+    # whose count must read as zero, from either side of the anchor.
+    @pytest.mark.parametrize(
+        "profile", [[0.0, 1 - 2.0**-40], [2.0**-40, 0.0], [3.5, 4.5 - 2.0**-40, 3.5 + 2.0**-40]]
+    )
+    def test_a_delta_just_under_a_cycle_reads_zero(self, profile):
+        for form in (reduced_profile(profile), in_place_form(profile)):
+            assert np.array_equal(form, reference_reduced_profile(profile))
+            assert not form.any()
 
     @given(
         a=st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=3, max_size=3),
@@ -312,6 +361,8 @@ class TestCanonicalKey:
         copy = np.ascontiguousarray(view)
         form = reduced_profile(view)
         assert np.array_equal(form, reduced_profile(copy))
+        assert np.array_equal(form, reference_reduced_profile(view))
+        assert np.array_equal(in_place_form(view), form)
         assert np.array_equal(
             codebook._hash_reduced(form), codebook._hash_reduced(reduced_profile(copy))
         )
@@ -340,6 +391,11 @@ class TestCanonicalKey:
         reference = reference_reduced_profile(block.T)
         assert np.array_equal(block, before)  # the anchor-free rows leave the block as it was
         assert (form[:, 0] == 0).all() and np.array_equal(form, reference)
+        # In place, as the sweep reduces its workspace: through the transposes
+        # of sketch-major buffers, into the int64 view of the block itself.
+        floors, mask = np.empty_like(block), np.empty(block.shape, dtype=bool)
+        in_place = reduced_profile(block.T, (floors.T, mask.T))
+        assert np.shares_memory(in_place, block) and np.array_equal(in_place, reference)
         assert np.array_equal(codebook._hash_reduced(form), codebook._hash_reduced(reference))
 
 
@@ -602,6 +658,39 @@ class TestNearFieldBuild:
         assert len(np.unique(cb.keys)) == cb.size  # no key repeats
         assert peak <= 1.5 * cb.pairs.nbytes
 
+    def test_small_build_allocates_a_small_workspace(self):
+        # Desk level 1: 21 points a side, 231 swept pairs in one 21 x 21 tile.
+        # The key sweep's workspace is sized to that grid, not to a full tile:
+        # a float64 sums and floors plane, a mask and a key per pair.
+        cfg = parse_config(resolve_config_path("desk"))
+        grids = cfg.codebook_grids(next(cfg.hierarchy.steps(cfg.sampling_step)))
+        tracemalloc.start()
+        try:
+            cb = build_near_field_codebook(*grids, cfg.scene.dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full_tile = codebook._CHUNK_ELEMENTS * (8 + 8 + 1) + codebook._CHUNK_ELEMENTS // 3 * 8
+        assert cb.size == 231
+        assert peak < 96 * 1024 < full_tile // 3
+
+    def test_key_sweep_restores_the_ufunc_buffer(self, monkeypatch):
+        # The sweep keys its tiles under a small ufunc buffer; the caller's
+        # comes back after the sweep, and after a sweep that raises.
+        grid = generic_line_grid(6)
+        before = np.getbufsize()
+        build_near_field_codebook(grid, grid, DIMS)
+        assert np.getbufsize() == before
+
+        def fail(nano, out=None):
+            assert np.getbufsize() == codebook._UFUNC_BUFFER != before
+            raise RuntimeError("packing failed")
+
+        monkeypatch.setattr(codebook, "_hash_reduced", fail)
+        with pytest.raises(RuntimeError, match="packing failed"):
+            build_near_field_codebook(grid, grid, DIMS)
+        assert np.getbufsize() == before
+
     def test_repeated_keys_rekey_and_keep_the_full_product_pairs(self, monkeypatch):
         # 64 key buckets make keys repeat, so the check re-derives them into a
         # separate array after sorting the in-place ones, and compares the full
@@ -611,10 +700,7 @@ class TestNearFieldBuild:
         dims = cfg.scene.dims
         grids = cfg.codebook_grids(50 * dims.d)  # 65 points per grid, 2 145 swept pairs
         ref_pairs, _ = full_product_reference(*grids, dims)
-        real_hash = codebook._hash_reduced
-        monkeypatch.setattr(
-            codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(64)
-        )
+        patch_hash(monkeypatch, lambda keys: keys % np.uint64(64))
         sweeps = spy_key_sweeps(monkeypatch)
         chunk = 100 * len(codebook._sketch_elements(dims.n))
         monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", chunk)
@@ -634,10 +720,7 @@ class TestNearFieldBuild:
         grid_g = generic_line_grid(7)
         grid_r = grid_g if square else generic_line_grid(7, step=0.731)
         tiles = []
-        real_hash = codebook._hash_reduced
-        monkeypatch.setattr(
-            codebook, "_hash_reduced", lambda nano: tiles.append(nano.shape[:-1]) or real_hash(nano)
-        )
+        patch_hash(monkeypatch, lambda keys: tiles.append(keys.shape) or keys)
         monkeypatch.setattr(codebook, "_CHUNK_ELEMENTS", 10 * len(codebook._sketch_elements(DIMS.n)))
         seen = spy_build_keys(monkeypatch)
         cb = build_near_field_codebook(grid_g, grid_r, DIMS)
@@ -655,9 +738,7 @@ class TestNearFieldBuild:
         grid_g = generic_line_grid(6)
         grid_r = grid_g if square else generic_line_grid(4, step=0.731)
         real = build_near_field_codebook(grid_g, grid_r, DIMS)
-        monkeypatch.setattr(
-            codebook, "_hash_reduced", lambda nano: np.zeros(nano.shape[:-1], dtype=np.uint64)
-        )
+        patch_hash(monkeypatch, lambda keys: 0)
         seen = spy_build_keys(monkeypatch)
         colliding = build_near_field_codebook(grid_g, grid_r, DIMS)
         assert np.array_equal(colliding.pairs, real.pairs)
@@ -672,8 +753,7 @@ class TestNearFieldBuild:
         grid_r = SampleGrid(Box3(x_r, (2.0, 3.0), (-1.0, 0.0)), 1.0)
         seen = spy_build_keys(monkeypatch)
         real = build_near_field_codebook(grid_g, grid_r, DIMS)
-        real_hash = codebook._hash_reduced
-        monkeypatch.setattr(codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(64))
+        patch_hash(monkeypatch, lambda keys: keys % np.uint64(64))
         monkeypatch.setattr(codebook, "_CHECK_ELEMENTS", 3 * DIMS.n)
         bucketed = build_near_field_codebook(grid_g, grid_r, DIMS)
         assert np.array_equal(bucketed.pairs, real.pairs)
@@ -837,10 +917,7 @@ class TestPersistence:
         if source == "gathered":
             # Four key buckets force shared keys, so the kept pairs are a
             # gather, not a view of the whole sweep.
-            real_hash = codebook._hash_reduced
-            monkeypatch.setattr(
-                codebook, "_hash_reduced", lambda nano: real_hash(nano) % np.uint64(4)
-            )
+            patch_hash(monkeypatch, lambda keys: keys % np.uint64(4))
             seen = spy_build_keys(monkeypatch)
         cb = build_near_field_codebook(grid_g, grid_r, DIMS)
         if source == "gathered":
