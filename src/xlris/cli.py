@@ -2,8 +2,9 @@
 
 Subcommands: ``codebook build``, ``train``, ``sweep snr``, ``sweep step``,
 and ``info``. Exit codes: 0 on success, 2 for configuration problems, 1 for
-runtime failures. Given the same config and seed, sweep CSVs are
-byte-identical across runs; manifests carry the timestamps instead.
+runtime failures, running out of memory among them. Given the same config
+and seed, sweep CSVs are byte-identical across runs; manifests carry the
+timestamps instead.
 """
 
 from __future__ import annotations
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
         return 2
     except (CodebookFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a run too large for this host, not a fault of its config
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

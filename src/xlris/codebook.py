@@ -10,8 +10,10 @@ earlier pair (i, j), so only the upper triangle i <= j is swept. The swept
 pairs are laid out, in sweep order, as an (L, 2) int32 array of point
 indices, so a sample grid holds at most ``MAX_GRID_POINTS`` points. That
 one 8-byte-per-pair buffer serves the whole build, which runs serially:
-the keys are written over its rows and sorted there, and the pairs are
-then laid out in it for the shared-key check and the kept pairs.
+the keys are written over its rows and sorted there, the key values that
+repeat are read off neighbouring sorted keys, and the pairs are then laid
+out in it once. Only when a key repeats are the keys swept again, into an
+array of their own, for the shared-key check to find the pairs behind them.
 
 Duplicate detection works on a global-phase-invariant canonical form of the
 distance profile: fractional parts anchored to the first element, rounded to
@@ -265,7 +267,7 @@ class NearFieldCodebook:
         The keys are a new array: the pairs, a read-only view of the file on
         a loaded codebook, are never written.
 
-        Read only by the bench's ``codebook-paper`` run check; ROADMAP item 1 deletes it.
+        Read only by the bench's ``codebook-paper`` run check; ROADMAP item 2 deletes it.
         """
         sketch = _sketch_elements(self.dims.n)
         table_g = element_distances(self.g_points, self.dims, sketch)
@@ -371,13 +373,15 @@ def build_near_field_codebook(
     repeats the profile of its earlier swap bitwise and could never be
     kept. The swept pairs fill one (L, 2) int32 buffer of point indices,
     which first holds their keys: :func:`_sweep_keys` writes each pair's
-    uint64 key, in sweep order, over its own row, and :func:`_first_distinct`
-    sorts them there. Only when a key repeats are the keys made again into
-    a separate array and the pairs laid out, so that pairs sharing a key
-    can have their full canonical forms compared, computed for their
-    layout rows alone. The pairs are then laid out in the buffer, and the
-    kept pairs are its rows at the kept positions (the buffer itself when
-    every pair is kept); the codebook takes the points sampled here.
+    uint64 key, in sweep order, over its own row, and they are sorted
+    there, so that the key values that repeat are the sorted keys equal to
+    their neighbours. The pairs are then laid out in the buffer, once. When
+    no key repeats, every pair is kept and the codebook holds the buffer
+    itself. Otherwise the keys are swept again, in sweep order, into an
+    array of their own, and the kept pairs are the layout's rows where
+    :func:`_first_distinct` keeps them: it compares the full canonical
+    forms of the pairs behind a repeated key, computed for their layout
+    rows alone. The codebook takes the points sampled here.
     """
     pts_g, pts_r = _grid_points(grid_g, grid_r)
     s_g, s_r = len(pts_g), len(pts_r)
@@ -389,20 +393,20 @@ def build_near_field_codebook(
     first_col = np.arange(s_g) if grid_g == grid_r else np.zeros(s_g, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(s_r - first_col)))
     pairs = np.empty((offsets[-1], 2), dtype=np.int32)
+    # A key and an int32 pair are both 8 bytes: row k's key is row k.
+    keys = _sweep_keys(pts_g, pts_r, first_col, dims, pairs.view(np.uint64).ravel())
+    keys.sort()
+    repeated = keys[1:][keys[1:] == keys[:-1]]  # ascending; n - 1 copies of a key held n times
 
-    def lay_out() -> None:
-        # Every row starts as the step (0, 1), filled as one 8-byte word per
-        # row: a broadcast of the two int32s runs an inner loop per row.
-        pairs.view(np.uint64)[:] = np.array([0, 1], dtype=np.int32).view(np.uint64)
-        pairs[offsets[1:-1], 0] = 1
-        pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
-        pairs[0, 1] = first_col[0]
-        np.cumsum(pairs, axis=0, dtype=np.int32, out=pairs)
-
-    def rekey() -> np.ndarray:
-        keys = _sweep_keys(pts_g, pts_r, first_col, dims, np.empty(len(pairs), dtype=np.uint64))
-        lay_out()  # for reduced_rows
-        return keys
+    # Every row starts as the step (0, 1), filled as one 8-byte word per
+    # row: a broadcast of the two int32s runs an inner loop per row.
+    pairs.view(np.uint64)[:] = np.array([0, 1], dtype=np.int32).view(np.uint64)
+    pairs[offsets[1:-1], 0] = 1
+    pairs[offsets[1:-1], 1] = first_col[1:] - (s_r - 1)
+    pairs[0, 1] = first_col[0]
+    np.cumsum(pairs, axis=0, dtype=np.int32, out=pairs)
+    if not len(repeated):  # no key repeats, so no profile does: every pair is kept
+        return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs)
 
     def reduced_rows(flat: np.ndarray) -> np.ndarray:
         rows = pairs[flat]
@@ -410,12 +414,9 @@ def build_near_field_codebook(
         profiles += element_distances(pts_r[rows[:, 1]], dims)
         return reduced_profile(profiles)
 
-    # A key and an int32 pair are both 8 bytes: row k's key is row k.
-    keys = _sweep_keys(pts_g, pts_r, first_col, dims, pairs.view(np.uint64).ravel())
-    kept = _first_distinct(keys, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n), rekey)
-    lay_out()
-    # A view of the layout when every pair is kept, a gather otherwise.
-    return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs[kept])
+    keys = _sweep_keys(pts_g, pts_r, first_col, dims, np.empty(len(pairs), dtype=np.uint64))
+    keep = _first_distinct(keys, repeated, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
+    return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs[keep])
 
 
 def _sweep_keys(pts_g, pts_r, first_col, dims: ArrayDims, keys: np.ndarray) -> np.ndarray:
@@ -482,37 +483,31 @@ def _sweep_keys(pts_g, pts_r, first_col, dims: ArrayDims, keys: np.ndarray) -> n
 
 
 def _first_distinct(
-    keys: np.ndarray, reduced_rows, batch_rows: int, rekey
-) -> np.ndarray | slice:
-    """Ascending positions of the first occurrence of each distinct profile.
+    keys: np.ndarray, repeated: np.ndarray, reduced_rows, batch_rows: int
+) -> np.ndarray:
+    """A keep mask over sweep positions: the first occurrence of each distinct profile.
 
     `keys[k]` is the key of the profile at sweep position k, equal for equal
-    profiles; they are sorted in place, with no copy. When a key repeats,
-    `rekey()` returns the keys again in sweep order, and
-    `reduced_rows(positions)`, called only after it, returns those
-    positions' full canonical forms. Keys seen once need no check. The
-    positions behind a repeated key have their canonical forms compared
-    directly, in batches of whole key groups of about `batch_rows` rows, so
-    true duplicates are dropped and distinct profiles sharing a key (equal
-    sketches of unequal beams) are all kept. When no key repeats, every
-    position is kept and ``slice(None)`` stands for them all, so no array
-    as long as the sweep is made.
+    profiles, and `repeated` holds, ascending, every key value that occurs
+    more than once (a value may be listed more than once).
+    `reduced_rows(positions)` returns those positions' full canonical forms.
+    A position whose key occurs once is kept with no check. The members,
+    the positions behind a repeated key, have their canonical forms
+    compared directly, in batches of whole key groups of about `batch_rows`
+    rows, so true duplicates are dropped and distinct profiles sharing a
+    key (equal sketches of unequal beams) are all kept.
     """
-    keys.sort()  # equal to the re-derived keys[order] below: sorted values ignore stability
-    new_key = np.ones(len(keys) + 1, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new_key[1:-1])
-    if new_key.all():
-        return slice(None)  # no key repeats, so no profile does
-    keys = rekey()
-    order = np.argsort(keys, kind="stable")  # stable: a group lists positions ascending
-    kept = order[new_key[:-1]]
-    shared = ~(new_key[:-1] & new_key[1:])  # in a group of two or more
-    members = order[shared]
-    group_starts = np.flatnonzero(new_key[:-1][shared])
+    if not len(repeated):  # every key occurs once; nor could np.take read an empty array
+        return np.ones(len(keys), dtype=bool)
+    keep = np.take(repeated, np.searchsorted(repeated, keys), mode="clip") != keys
+    members = np.flatnonzero(~keep)
+    # Stable, so a group lists its positions ascending.
+    members = members[np.argsort(keys[members], kind="stable")]
+    member_keys = keys[members]
+    group_starts = np.flatnonzero(np.concatenate(([True], member_keys[1:] != member_keys[:-1])))
     # Each batch starts at the last group start at or before a multiple of batch_rows.
     marks = np.arange(0, len(members), batch_rows)
     cuts = np.unique(group_starts[np.searchsorted(group_starts, marks, side="right") - 1])
-    extra = []
     for lo, hi in zip(cuts, [*cuts[1:], len(members)]):
         batch = members[lo:hi]
         forms = np.ascontiguousarray(reduced_rows(batch))
@@ -520,8 +515,8 @@ def _first_distinct(
         # bytes, and unique on them skips the axis=0 form's per-call dtype checks.
         rows = forms.view(np.dtype((np.void, forms.itemsize * forms.shape[1]))).ravel()
         _, first = np.unique(rows, return_index=True)
-        extra.append(batch[first])
-    return np.union1d(kept, np.concatenate(extra))
+        keep[batch[first]] = True
+    return keep
 
 
 def _header(dims: ArrayDims, grids: tuple[SampleGrid, SampleGrid], size: int) -> bytes:

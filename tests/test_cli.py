@@ -350,6 +350,26 @@ class TestCli:
         assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command", [["codebook", "build", "--out", "run"], ["train"], ["sweep", "step", "--out", "run"]]
+    )
+    def test_out_of_memory_exits_1_in_one_line(self, tmp_path, capsys, monkeypatch, command):
+        # A run too large for the host is a runtime failure, not a config
+        # fault: the bound is the host's memory. The key sweep raises as
+        # numpy does for a layout it cannot allocate; no memory is exhausted.
+        message = (
+            "Unable to allocate 1.94 TiB for an array with shape (266175955500, 2) "
+            "and data type int32"
+        )
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(codebook, "_sweep_keys", exhausted)
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--config", str(write_config(tmp_path))]) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+    @pytest.mark.parametrize(
         "command",
         [["info"], ["codebook", "build"], ["train"], ["sweep", "snr"], ["sweep", "step"]],
     )

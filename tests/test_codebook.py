@@ -115,19 +115,29 @@ def source_points(cb):
 
 
 def spy_build_keys(monkeypatch) -> list:
-    """Record the keys of all swept pairs that each build hands to its shared-key check.
+    """Record the keys of all swept pairs of each build, once per build, in sweep order.
 
-    Copied on entry, in sweep order: the check sorts them in place.
+    Copied as the build's key sweep into its layout returns them, before
+    the build sorts them there in place. The second sweep of a build whose
+    keys repeat writes an array of its own (no view) and is not recorded.
     """
     seen = []
-    real = codebook._first_distinct
+    real = codebook._sweep_keys
 
-    def spy(keys, reduced_rows, batch_rows, rekey):
-        seen.append(keys.copy())
-        return real(keys, reduced_rows, batch_rows, rekey)
+    def spy(pts_g, pts_r, first_col, dims, keys):
+        swept = real(pts_g, pts_r, first_col, dims, keys)
+        if keys.base is not None:  # a view of the layout's buffer
+            seen.append(swept.copy())
+        return swept
 
-    monkeypatch.setattr(codebook, "_first_distinct", spy)
+    monkeypatch.setattr(codebook, "_sweep_keys", spy)
     return seen
+
+
+def repeated_values(keys) -> np.ndarray:
+    """The key values that occur more than once, ascending, as a build hands them on."""
+    ordered = np.sort(keys)
+    return ordered[1:][ordered[1:] == ordered[:-1]]
 
 
 def patch_hash(monkeypatch, rekey) -> None:
@@ -544,12 +554,12 @@ class TestNearFieldBuild:
             dist_g = element_distances(grid_g.points(), dims)
             dist_r = element_distances(grid_r.points(), dims)
             kept = codebook._first_distinct(
-                ref_keys.copy(),  # sorted in place
+                ref_keys,
+                repeated_values(ref_keys),
                 lambda flat: reference_reduced_profile(
                     dist_g[swept[flat, 0]] + dist_r[swept[flat, 1]]
                 ),
                 1,
-                ref_keys.copy,
             )
             # Chunks of 1, 3, or 2 * S_r + 1 pairs of the flat sweep order, so
             # chunk edges cross row boundaries: a chunk may end inside a row,
@@ -589,28 +599,33 @@ class TestNearFieldBuild:
     def test_kept_pairs_are_the_swept_pairs_at_the_kept_positions(
         self, grid_g, grid_r, square, keep
     ):
-        # The build takes its pairs at the kept positions of its int32 layout
-        # of all swept pairs; the reference lists the swept pairs one by one.
+        # The build takes its pairs where the check keeps them in its int32
+        # layout of all swept pairs; the reference lists the swept pairs one
+        # by one. Every key is 0, so a sweep of two or more pairs runs the
+        # check; a lone pair shares no key and is the codebook as laid out.
         grid_r = grid_g if square else grid_r
         swept, _ = reference_keys(grid_g, grid_r, DIMS)
         dedup = codebook._first_distinct
-        positions = []
+        masks = []
 
-        def spy(keys, reduced_rows, batch_rows, rekey):
-            positions.append(dedup(keys, reduced_rows, batch_rows, rekey))
-            return positions[-1]
+        def spy(keys, repeated, reduced_rows, batch_rows):
+            masks.append(dedup(keys, repeated, reduced_rows, batch_rows))
+            return masks[-1]
 
         with pytest.MonkeyPatch.context() as mp:
+            patch_hash(mp, lambda keys: 0)
             mp.setattr(codebook, "_first_distinct", spy)
             cb = build_near_field_codebook(grid_g, grid_r, DIMS)
-            assert np.array_equal(cb.pairs, swept[positions[-1]])
-            # An arbitrary ascending subset, which may leave rows with no pair.
-            subset = np.flatnonzero(np.resize(keep, len(swept)))
+            assert len(masks) == (len(swept) > 1)
+            assert np.array_equal(cb.pairs, swept[masks[-1]] if masks else swept)
+            # An arbitrary subset, which may leave rows with no pair.
+            subset = np.resize(np.array(keep), len(swept))
             mp.setattr(
-                codebook, "_first_distinct", lambda keys, reduced_rows, batch_rows, rekey: subset
+                codebook, "_first_distinct", lambda keys, repeated, reduced_rows, batch_rows: subset
             )
             cb = build_near_field_codebook(grid_g, grid_r, DIMS)
-            assert np.array_equal(cb.pairs, swept[subset].reshape(-1, 2))
+            if len(swept) > 1:
+                assert np.array_equal(cb.pairs, swept[subset].reshape(-1, 2))
 
     def test_paper_cache_file_bytes_are_pinned(self, tmp_path, capsys):
         assert main(["codebook", "build", "--config", "paper",
@@ -657,6 +672,28 @@ class TestNearFieldBuild:
         assert cb.size == s * (s + 1) // 2
         assert len(np.unique(cb.keys)) == cb.size  # no key repeats
         assert peak <= 1.5 * cb.pairs.nbytes
+
+    def test_repeated_keys_at_scale_keep_pinned_pairs_in_bounded_memory(self):
+        # Desk 20 d over a 2 x 2 array (N = 4): keys repeat, and 2 165 of the
+        # 523 776 swept pairs repeat an earlier beam. The check reads only
+        # the pairs behind a repeated key, so the build holds the layout, a
+        # second key array, the key search's positions and the keys read at
+        # them, and a keep mask: about 33 bytes per swept pair.
+        cfg = parse_config(resolve_config_path("desk"))
+        dims = ArrayDims(2, 2, 0.5)
+        grids = cfg.codebook_grids(20 * cfg.scene.dims.d)
+        s = grids[0].size
+        tracemalloc.start()
+        try:
+            cb = build_near_field_codebook(*grids, dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s * (s + 1) // 2 == 523_776 and cb.size == 521_611
+        assert hashlib.sha256(np.ascontiguousarray(cb.pairs, "<i4").tobytes()).hexdigest() == (
+            "13a9928bbad78bcdd09258bccd0e1521b7da256c2288b2e927dd1fbe3751b86d"
+        )
+        assert peak <= 40 * 523_776
 
     def test_small_build_allocates_a_small_workspace(self):
         # Desk level 1: 21 points a side, 231 swept pairs in one 21 x 21 tile.
@@ -767,6 +804,8 @@ class TestNearFieldBuild:
         buckets=st.integers(1, 4),
         batch_rows=st.integers(1, 70),
     )
+    # No key repeats, so every position is kept.
+    @example(forms=np.array([[2, 0], [0, 1], [1, 1]]), buckets=4, batch_rows=1)
     def test_shared_key_check_keeps_the_first_of_each_distinct_row(
         self, forms, buckets, batch_rows
     ):
@@ -776,9 +815,10 @@ class TestNearFieldBuild:
         # reference for the first occurrence of every distinct row.
         keys = (forms[:, 0] % buckets).astype(np.uint64)
         kept = codebook._first_distinct(
-            keys.copy(), lambda positions: forms[positions], batch_rows, keys.copy
+            keys, repeated_values(keys), lambda positions: forms[positions], batch_rows
         )
         _, first = np.unique(forms, axis=0, return_index=True)
+        assert kept.dtype == bool and kept.shape == keys.shape
         assert np.array_equal(np.arange(len(forms))[kept], np.sort(first))
 
     @pytest.mark.parametrize("x_r", [(0.0, 3.0), (1.0, 4.0)])
