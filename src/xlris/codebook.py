@@ -377,8 +377,9 @@ def build_near_field_codebook(
     there, so that the key values that repeat are the sorted keys equal to
     their neighbours. The pairs are then laid out in the buffer, once. When
     no key repeats, every pair is kept and the codebook holds the buffer
-    itself. Otherwise the keys are swept again, in sweep order, into an
-    array of their own, and the kept pairs are the layout's rows where
+    itself. Otherwise each repeated value is listed once, the keys are
+    swept again, in sweep order, into an array of their own, and the kept
+    pairs are the layout's rows where
     :func:`_first_distinct` keeps them: it compares the full canonical
     forms of the pairs behind a repeated key, computed for their layout
     rows alone. The codebook takes the points sampled here.
@@ -414,6 +415,7 @@ def build_near_field_codebook(
         profiles += element_distances(pts_r[rows[:, 1]], dims)
         return reduced_profile(profiles)
 
+    repeated = np.concatenate((repeated[:1], repeated[1:][repeated[1:] != repeated[:-1]]))
     keys = _sweep_keys(pts_g, pts_r, first_col, dims, np.empty(len(pairs), dtype=np.uint64))
     keep = _first_distinct(keys, repeated, reduced_rows, max(1, _CHECK_ELEMENTS // dims.n))
     return NearFieldCodebook(dims, grid_g, grid_r, pts_g, pts_r, pairs[keep])
@@ -488,8 +490,8 @@ def _first_distinct(
     """A keep mask over sweep positions: the first occurrence of each distinct profile.
 
     `keys[k]` is the key of the profile at sweep position k, equal for equal
-    profiles, and `repeated` holds, ascending, every key value that occurs
-    more than once (a value may be listed more than once).
+    profiles, and `repeated` holds, ascending and each once, every key value
+    that occurs more than once.
     `reduced_rows(positions)` returns those positions' full canonical forms.
     A position whose key occurs once is kept with no check. The members,
     the positions behind a repeated key, have their canonical forms

@@ -3,8 +3,10 @@
 All schemes in a trial share one channel realization (common random
 numbers), and each scheme observes the same unit noise at every SNR point,
 scaled by that point's sigma, so curves differ only where the physics
-differs, not where the dice do. Results are a pure function of the
-experiment config.
+differs, not where the dice do. Each scheme trains once per trial over the
+whole SNR list; the hierarchical search's result at each point is bitwise
+the one a search restarting its noise stream at that point would give.
+Results are a pure function of the experiment config.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .geometry import FieldError
 from .training import (
     HierarchicalConfig,
     exhaustive_training,
-    hierarchical_training,
+    hierarchical_training_over,
     perfect_csi_beamforming,
 )
 
@@ -196,13 +198,14 @@ def snr_db_to_sigma2(snr_db: float) -> float:
 def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> ResultTable:
     """Mean achievable rate per (scheme, SNR) over `cfg.trials` shared channels.
 
-    Per trial, every scheme trains on the same channel realization. Per
-    (trial, scheme), one unit noise draw is scaled by each SNR point's sigma,
-    which pairs the curves across the sweep axis: the exhaustive and
-    far-field schemes train once over all sigma2 values, and the
-    hierarchical scheme restarts its noise stream at each SNR point and
-    shares one codebook memo across them, so each stage-2 codebook is built
-    once per distinct stage-1 winner. Trials run one after another, and a
+    Per trial, every scheme trains on the same channel realization, and
+    every scheme trains once over all sigma2 values. Per (trial, scheme),
+    one unit noise draw is scaled by each SNR point's sigma, which pairs the
+    curves across the sweep axis. The hierarchical scheme does so per level:
+    one search over the sigma2 list reproduces bitwise a search per SNR
+    point that restarts its noise stream, observing level 1 once and each
+    later level once per distinct winner of the levels before, whose
+    codebook is built once per trial. Trials run one after another, and a
     prebuilt `near_codebook` (e.g. loaded from the cache) skips the
     exhaustive codebook's build. `threads` is ignored: every build is
     serial, and the parameter stays only because the bench
@@ -233,14 +236,12 @@ def sweep_snr(cfg: ExperimentConfig, threads: int = 1, near_codebook=None) -> Re
             if scheme == SCHEME_PERFECT_CSI:
                 thetas = [perfect_csi_beamforming(ch)] * len(sigma2s)
             elif scheme == SCHEME_HIERARCHICAL:
+                rng = np.random.default_rng(noise_seed)
                 codebooks = dict(stage1)  # this trial's memo, dropped with it
-                thetas = []
-                for sigma2 in sigma2s:
-                    rng = np.random.default_rng(noise_seed)
-                    result = hierarchical_training(
-                        cfg.hierarchy, scene, cfg.sampling_step, ch, sigma2, rng, codebooks
-                    )
-                    thetas.append(result.theta)
+                results = hierarchical_training_over(
+                    cfg.hierarchy, scene, cfg.sampling_step, ch, sigma2s, rng, codebooks
+                )
+                thetas = [result.theta for result in results]
             else:
                 cb = near_cb if scheme == SCHEME_EXHAUSTIVE else far_cb
                 results = exhaustive_training(cb, ch, sigma2s, np.random.default_rng(noise_seed))

@@ -19,8 +19,9 @@ from .codebook import NearFieldCodebook, SampleGrid, build_near_field_codebook
 from .geometry import Box3, FieldError
 
 
-# Slots per pass when adding scaled noise: the noisy observations live in
-# one buffer of this size instead of a second full-length vector.
+# Slots per pass when adding scaled noise: the noisy observations of a run
+# of slots, or of candidate slots gathered from anywhere, live in buffers of
+# this size instead of in second full-length vectors.
 _NOISE_CHUNK = 1 << 14
 
 MAX_LEVELS = 1024  # deepest schedule accepted: a chosen bound, far past any useful depth
@@ -99,8 +100,19 @@ def select_codeword(
     `sigma2s`, each finite and >= 0; nothing is drawn when every sigma2 is
     0. Returns one (winning index, winning noisy amplitude) per sigma2, in
     order, so one call equals a call per sigma2 that each restart `rng` from
-    the same state. np.argmax keeps the first maximum, which implements the
-    earliest-index tie break.
+    the same state. Ties keep the earliest index, as np.argmax does (a NaN
+    counts as the largest amplitude).
+
+    Only the slots that can win are observed. Let c_l = |responses[l]|, top
+    the slot with the largest c, and reach sqrt(2) times the largest |Re z_l|
+    or |Im z_l|, which bounds every |z_l|. A slot whose |r_l| reaches |r_top|
+    has c_l >= |r_top| - sigma * reach. The candidates are the slots with c_l
+    at or above that floor less a slack of 1e-9 * (|r_top| + sigma * reach),
+    far more than the few roundings in each term, so every slot that ties
+    the maximum is one. Each candidate is observed with the same operations
+    as a full scan, so the winner and its amplitude are bitwise those of
+    observing every slot. Where the floor is not finite (a NaN or infinite
+    response), and for vectors of at most one chunk, every slot is observed.
     """
     responses = np.asarray(responses)
     if responses.size == 0:
@@ -109,23 +121,47 @@ def select_codeword(
         if not 0 <= sigma2 < math.inf:
             raise ValueError(f"noise power must be nonnegative and finite, got {sigma2}")
     clean = responses.ravel()
-    amps = np.empty(clean.size, dtype=np.float64)
+    n = clean.size
+    amps = np.abs(clean)  # the noiseless observation, and the candidate filter
     if any(sigma2 > 0 for sigma2 in sigma2s):
-        unit = complex_normal(rng, clean.size)
-        noisy = np.empty(min(clean.size, _NOISE_CHUNK), dtype=np.complex128)
+        unit = complex_normal(rng, n)
+        noisy = np.empty(min(n, _NOISE_CHUNK), dtype=np.complex128)
+        seen = np.empty(noisy.size)
+        if n > _NOISE_CHUNK:
+            top = int(np.argmax(amps))
+            parts = unit.view(np.float64)
+            reach = math.sqrt(2.0) * max(float(parts.max()), -float(parts.min()))
     picks = []
     for sigma2 in sigma2s:
-        if sigma2 > 0:
-            scale = np.sqrt(sigma2)
-            for lo in range(0, clean.size, _NOISE_CHUNK):
-                r = noisy[: min(_NOISE_CHUNK, clean.size - lo)]
-                np.multiply(unit[lo : lo + _NOISE_CHUNK], scale, out=r)
-                np.add(clean[lo : lo + _NOISE_CHUNK], r, out=r)
-                np.abs(r, out=amps[lo : lo + _NOISE_CHUNK])
-        else:
-            np.abs(clean, out=amps)
-        idx = int(np.argmax(amps))
-        picks.append((idx, float(amps[idx])))
+        if sigma2 == 0:
+            idx = int(np.argmax(amps))
+            picks.append((idx, float(amps[idx])))
+            continue
+        scale = np.sqrt(sigma2)
+        where = None  # candidate slots, or None for every slot
+        if n > _NOISE_CHUNK:
+            at_top = float(abs(clean[top] + unit[top] * scale))
+            spread = float(scale) * reach
+            floor = at_top - spread - 1e-9 * (at_top + spread)
+            if math.isfinite(floor):
+                where = np.flatnonzero(amps >= floor)
+        count = n if where is None else where.size
+        best = (-1, -math.inf)
+        for lo in range(0, count, _NOISE_CHUNK):
+            sel = slice(lo, lo + _NOISE_CHUNK) if where is None else where[lo : lo + _NOISE_CHUNK]
+            r = noisy[: min(_NOISE_CHUNK, count - lo)]
+            np.multiply(unit[sel], scale, out=r)
+            np.add(clean[sel], r, out=r)
+            a = seen[: r.size]
+            np.abs(r, out=a)
+            j = int(np.argmax(a))
+            amp = float(a[j])
+            if amp > best[1] or amp != amp:
+                best = (lo + j, amp)
+                if amp != amp:  # the first NaN wins
+                    break
+        pos, amp = best
+        picks.append((pos if where is None else int(where[pos]), amp))
     return picks
 
 
@@ -168,7 +204,21 @@ def hierarchical_training(
     rng: np.random.Generator,
     codebooks: dict[tuple[SampleGrid, SampleGrid], NearFieldCodebook] | None = None,
 ) -> TrainingResult:
-    """Coarse-to-fine search over `scene` at the steps `hcfg.steps(base_step)`.
+    """Coarse-to-fine search at one noise power; see `hierarchical_training_over`."""
+    [result] = hierarchical_training_over(hcfg, scene, base_step, ch, [sigma2], rng, codebooks)
+    return result
+
+
+def hierarchical_training_over(
+    hcfg: HierarchicalConfig,
+    scene: SceneConfig,
+    base_step: float,
+    ch: ChannelRealization,
+    sigma2s: Sequence[float],
+    rng: np.random.Generator,
+    codebooks: dict[tuple[SampleGrid, SampleGrid], NearFieldCodebook] | None = None,
+) -> list[TrainingResult]:
+    """Coarse-to-fine search over `scene` at the steps `hcfg.steps(base_step)`, per sigma2.
 
     Refined boxes are clipped back into the scene's boxes so later levels
     never sample outside the scene (in particular never behind the array).
@@ -178,39 +228,55 @@ def hierarchical_training(
     and dims, so a memo kept across calls (say, one per channel realization,
     seeded with the level-1 codebook) builds each level's codebook once per
     distinct winner of the level before. Without a memo every level is built.
+
+    Result k is bitwise a search at ``sigma2s[k]`` alone from the same `rng`
+    state, which draws each level's unit noise after the levels before it.
+    So level 1 observes once for every sigma2 (see `select_codeword`), and
+    the sigma2 values that agree on every winner so far share the next
+    level's codebook and one draw, made from the generator state their
+    shared draws left. `rng` ends where one of those searches ends.
     """
     if codebooks is None:
         codebooks = {}
-    box_g, box_r = scene.box_g, scene.box_r
-
-    slots = 0
-    traces: list[StageResult] = []
-    cb = None
-    idx = -1
-    amp = 0.0
+    traces: list[list[StageResult]] = [[] for _ in sigma2s]
+    results: list[TrainingResult | None] = [None] * len(sigma2s)
+    # (g-side box, r-side box, members, generator state) of each group searching this level
+    groups = [(scene.box_g, scene.box_r, list(range(len(sigma2s))), rng.bit_generator.state)]
     for level, step in enumerate(hcfg.steps(base_step), start=1):
-        grids = (SampleGrid(box_g, step), SampleGrid(box_r, step))
-        cb = codebooks.get(grids)
-        if cb is None:
-            cb = codebooks[grids] = build_near_field_codebook(*grids, scene.dims)
-        [(idx, amp)] = select_codeword(cb.responses(ch.h_bar), [sigma2], rng)
-        slots += cb.size
-        traces.append(StageResult(level=level, codebook_size=cb.size, best_index=idx))
-        if level < hcfg.levels:
-            ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
-            try:
-                box_g = ref_g.clip(scene.box_g)
-                box_r = ref_r.clip(scene.box_r)
-            except ValueError as exc:
-                raise ValueError(f"level {level + 1} sampling box is empty: {exc}") from exc
-
-    return TrainingResult(
-        best_index=idx,
-        best_amplitude=amp,
-        slots_used=slots,
-        theta=cb.vector(idx),
-        per_stage=tuple(traces),
-    )
+        deeper = []
+        for box_g, box_r, members, state in groups:
+            grids = (SampleGrid(box_g, step), SampleGrid(box_r, step))
+            cb = codebooks.get(grids)
+            if cb is None:
+                cb = codebooks[grids] = build_near_field_codebook(*grids, scene.dims)
+            rng.bit_generator.state = state
+            picks = select_codeword(cb.responses(ch.h_bar), [sigma2s[k] for k in members], rng)
+            by_winner: dict[int, list[int]] = {}
+            for k, (idx, _) in zip(members, picks):
+                traces[k].append(StageResult(level=level, codebook_size=cb.size, best_index=idx))
+                by_winner.setdefault(idx, []).append(k)
+            if level == hcfg.levels:
+                thetas = {idx: cb.vector(idx) for idx in by_winner}
+                for k, (idx, amp) in zip(members, picks):
+                    results[k] = TrainingResult(
+                        best_index=idx,
+                        best_amplitude=amp,
+                        slots_used=sum(stage.codebook_size for stage in traces[k]),
+                        theta=thetas[idx],
+                        per_stage=tuple(traces[k]),
+                    )
+                continue
+            state = rng.bit_generator.state
+            for idx, winners in by_winner.items():
+                ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
+                try:
+                    next_g = ref_g.clip(scene.box_g)
+                    next_r = ref_r.clip(scene.box_r)
+                except ValueError as exc:
+                    raise ValueError(f"level {level + 1} sampling box is empty: {exc}") from exc
+                deeper.append((next_g, next_r, winners, state))
+        groups = deeper
+    return results
 
 
 def perfect_csi_beamforming(ch: ChannelRealization) -> np.ndarray:

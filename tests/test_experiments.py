@@ -151,8 +151,9 @@ class TestSweepSnr:
         assert sum(len(s) == 2 and s[1] == dims.n for s in factor_shapes) == sum(sides)
         # one noise draw per (trial, scheme) for the exhaustive and far-field schemes
         assert draws.count(near_cb.size) == 1 and draws.count(dims.n) == 1
-        # hierarchical: one per level and SNR point
-        assert len(draws) == 2 + 5 * cfg.hierarchy.levels
+        # hierarchical: one level-1 draw, then one per distinct level-1 winner
+        assert cfg.hierarchy.levels == 2 and draws.count(stage1_size) == 1
+        assert len(draws) == 2 + 1 + len(winners)
 
     def test_perfect_csi_dominates_all_schemes(self):
         table = sweep_snr(MINI)

@@ -20,6 +20,7 @@ from xlris.training import (
     HierarchicalConfig,
     exhaustive_training,
     hierarchical_training,
+    hierarchical_training_over,
     perfect_csi_beamforming,
     refine_ranges,
     select_codeword,
@@ -142,6 +143,53 @@ class TestSelectCodeword:
             complex_normal(fresh, size)
         assert rng.bit_generator.state == fresh.bit_generator.state
 
+    SIGMA2S = [0.0, 1.0, 0.0, 0.25, 0.25, 4.0]
+
+    @staticmethod
+    def full_scan(responses, sigma2s, seed):
+        """Every slot observed at every noise power, each from a restarted draw."""
+        picks = []
+        for sigma2 in sigma2s:
+            r = responses
+            if sigma2 > 0:
+                noise_rng = np.random.default_rng(seed)
+                r = r + complex_normal(noise_rng, responses.size) * np.sqrt(sigma2)
+            amps = np.abs(r)
+            idx = int(np.argmax(amps))
+            picks.append((idx, amps[idx].tobytes()))
+        return picks
+
+    @staticmethod
+    def adversarial(case, size, seed):
+        data = np.random.default_rng(seed)
+        responses = data.standard_normal(size) + 1j * data.standard_normal(size)
+        if case == "buried":  # far below the noise: every slot can win
+            responses *= 1e-6
+        elif case == "dominant":
+            responses[2 * size // 3] *= 1e3
+        elif case == "ties":  # noise vanishes beside 1e20, so these slots tie exactly
+            ties = [*range(size // 9, size, max(1, size // 9)), _NOISE_CHUNK - 1, _NOISE_CHUNK]
+            responses[[k for k in ties if k < size]] = 1e20
+        elif case == "nonfinite":
+            responses[size // 2] = np.inf
+            responses[size - 1] = np.nan
+        return responses
+
+    @pytest.mark.parametrize("chunk", [_NOISE_CHUNK, 5])
+    @pytest.mark.parametrize(
+        "size", [1, _NOISE_CHUNK - 1, _NOISE_CHUNK, _NOISE_CHUNK + 1, 2 * _NOISE_CHUNK + 5]
+    )
+    @pytest.mark.parametrize("case", ["random", "buried", "dominant", "ties", "nonfinite"])
+    def test_observing_the_candidates_equals_the_full_scan(self, case, size, chunk, monkeypatch):
+        # a 5-slot chunk puts chunk boundaries between candidates at every size
+        monkeypatch.setattr(training, "_NOISE_CHUNK", chunk)
+        responses = self.adversarial(case, size, seed=size + chunk)
+        picks = select_codeword(responses, self.SIGMA2S, np.random.default_rng(size))
+        got = [(idx, np.float64(amp).tobytes()) for idx, amp in picks]
+        assert got == self.full_scan(responses, self.SIGMA2S, size)
+        if case == "ties":
+            assert {idx for idx, _ in picks} == {int(np.argmax(np.abs(responses)))}
+
 
 class TestRefineRanges:
     def test_window_centers_on_winner(self):
@@ -232,6 +280,35 @@ class TestHierarchical:
         b = hierarchical_training(self.HCFG, SCENE, self.BASE, ch, 0.5, np.random.default_rng(13))
         assert a == b and a.per_stage == b.per_stage
         assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [3, 47, 101])
+    def test_one_search_over_noise_powers_equals_a_restarted_search_each(self, seed, levels):
+        hcfg = dataclasses.replace(self.HCFG, levels=levels)
+        ch = sample_near_field_channel(SCENE, np.random.default_rng(seed))
+        sigma2s = [0.0, 2.0, 0.5, 2.0, 0.0, 1e-3, 8.0, 30.0]
+        memo, solo_memo = {}, {}
+        results = hierarchical_training_over(
+            hcfg, SCENE, self.BASE, ch, sigma2s, np.random.default_rng(seed), memo
+        )
+        assert len(results) == len(sigma2s)
+        for sigma2, res in zip(sigma2s, results):
+            rng = np.random.default_rng(seed)  # restarted for every noise power
+            alone = hierarchical_training(hcfg, SCENE, self.BASE, ch, sigma2, rng, solo_memo)
+            assert (res.best_index, res.slots_used, res.per_stage) == (
+                alone.best_index,
+                alone.slots_used,
+                alone.per_stage,
+            )
+            amps = np.array([res.best_amplitude, alone.best_amplitude])
+            assert amps[0].tobytes() == amps[1].tobytes()
+            assert res.theta.tobytes() == alone.theta.tobytes()
+        # the same codebooks are built, and the grouping does not depend on the order
+        assert memo.keys() == solo_memo.keys()
+        backwards = hierarchical_training_over(
+            hcfg, SCENE, self.BASE, ch, sigma2s[::-1], np.random.default_rng(seed), memo
+        )
+        assert backwards == results[::-1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
