@@ -74,6 +74,8 @@ def _write_manifest(path: Path, cfg, command: str, outputs: list[Path]) -> None:
 
 
 def cmd_info(args) -> int:
+    if args.seed is not None and not args.config:
+        raise ConfigError("info takes --seed only with --config")
     if args.aperture_m is not None or args.wavelength_m is not None:
         if args.aperture_m is None or args.wavelength_m is None:
             raise ConfigError("info needs both --aperture-m and --wavelength-m")

@@ -19,9 +19,9 @@ from .codebook import NearFieldCodebook, SampleGrid, build_near_field_codebook
 from .geometry import Box3, FieldError
 
 
-# Slots per pass when adding scaled noise: the noisy observations of a run
-# of slots, or of candidate slots gathered from anywhere, live in buffers of
-# this size instead of in second full-length vectors.
+# Candidate slots observed per pass: the noisy observations of candidates
+# gathered from anywhere in the vector live in buffers of this size instead
+# of in second full-length vectors.
 _NOISE_CHUNK = 1 << 14
 
 MAX_LEVELS = 1024  # deepest schedule accepted: a chosen bound, far past any useful depth
@@ -97,8 +97,9 @@ def select_codeword(
     sqrt(sigma2) * z_l, where responses[l] is the noiseless theta_l^T h_bar
     (the transmitted symbol is 1, so the SNR is 1/sigma2) and z is one unit
     CN(0, 1) vector drawn from `rng` and shared by every sigma2 in
-    `sigma2s`, each finite and >= 0; nothing is drawn when every sigma2 is
-    0. Returns one (winning index, winning noisy amplitude) per sigma2, in
+    `sigma2s`, each finite and >= 0. So sigma2 = 0 observes the noiseless
+    responses, and nothing is drawn when every sigma2 is 0 (z is then zero).
+    Returns one (winning index, winning noisy amplitude) per sigma2, in
     order, so one call equals a call per sigma2 that each restart `rng` from
     the same state. Ties keep the earliest index, as np.argmax does (a NaN
     counts as the largest amplitude).
@@ -109,10 +110,10 @@ def select_codeword(
     has c_l >= |r_top| - sigma * reach. The candidates are the slots with c_l
     at or above that floor less a slack of 1e-9 * (|r_top| + sigma * reach),
     far more than the few roundings in each term, so every slot that ties
-    the maximum is one. Each candidate is observed with the same operations
-    as a full scan, so the winner and its amplitude are bitwise those of
-    observing every slot. Where the floor is not finite (a NaN or infinite
-    response), and for vectors of at most one chunk, every slot is observed.
+    the maximum is one. A NaN floor (from a NaN or infinite response) makes
+    every slot a candidate. Each candidate is observed with the same
+    operations as a full scan, so the winner and its amplitude are bitwise
+    those of observing every slot.
     """
     responses = np.asarray(responses)
     if responses.size == 0:
@@ -122,46 +123,38 @@ def select_codeword(
             raise ValueError(f"noise power must be nonnegative and finite, got {sigma2}")
     clean = responses.ravel()
     n = clean.size
-    amps = np.abs(clean)  # the noiseless observation, and the candidate filter
+    amps = np.abs(clean)  # the candidate filter
+    top = int(amps.argmax())
     if any(sigma2 > 0 for sigma2 in sigma2s):
         unit = complex_normal(rng, n)
-        noisy = np.empty(min(n, _NOISE_CHUNK), dtype=np.complex128)
-        seen = np.empty(noisy.size)
-        if n > _NOISE_CHUNK:
-            top = int(np.argmax(amps))
-            parts = unit.view(np.float64)
-            reach = math.sqrt(2.0) * max(float(parts.max()), -float(parts.min()))
+    else:
+        unit = np.zeros(n, dtype=np.complex128)
+    parts = unit.view(np.float64)
+    reach = math.sqrt(2.0) * max(float(parts.max()), -float(parts.min()))
+    noisy = np.empty(min(n, _NOISE_CHUNK), dtype=np.complex128)
+    seen = np.empty(noisy.size)
     picks = []
     for sigma2 in sigma2s:
-        if sigma2 == 0:
-            idx = int(np.argmax(amps))
-            picks.append((idx, float(amps[idx])))
-            continue
-        scale = np.sqrt(sigma2)
-        where = None  # candidate slots, or None for every slot
-        if n > _NOISE_CHUNK:
-            at_top = float(abs(clean[top] + unit[top] * scale))
-            spread = float(scale) * reach
-            floor = at_top - spread - 1e-9 * (at_top + spread)
-            if math.isfinite(floor):
-                where = np.flatnonzero(amps >= floor)
-        count = n if where is None else where.size
+        scale = math.sqrt(sigma2)
+        at_top = float(abs(clean[top] + unit[top] * scale))
+        spread = scale * reach
+        floor = at_top - spread - 1e-9 * (at_top + spread)
+        where = (~(amps < floor)).nonzero()[0]  # a NaN floor keeps every slot
         best = (-1, -math.inf)
-        for lo in range(0, count, _NOISE_CHUNK):
-            sel = slice(lo, lo + _NOISE_CHUNK) if where is None else where[lo : lo + _NOISE_CHUNK]
-            r = noisy[: min(_NOISE_CHUNK, count - lo)]
+        for lo in range(0, where.size, _NOISE_CHUNK):
+            sel = where[lo : lo + _NOISE_CHUNK]
+            r = noisy[: sel.size]
             np.multiply(unit[sel], scale, out=r)
             np.add(clean[sel], r, out=r)
             a = seen[: r.size]
             np.abs(r, out=a)
-            j = int(np.argmax(a))
+            j = int(a.argmax())
             amp = float(a[j])
             if amp > best[1] or amp != amp:
                 best = (lo + j, amp)
                 if amp != amp:  # the first NaN wins
                     break
-        pos, amp = best
-        picks.append((pos if where is None else int(where[pos]), amp))
+        picks.append((int(where[best[0]]), best[1]))
     return picks
 
 

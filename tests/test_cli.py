@@ -257,6 +257,12 @@ class TestCli:
     def test_info_requires_arguments(self, capsys):
         assert main(["info"]) == 2
 
+    def test_info_seed_without_config_exits_2(self, capsys):
+        assert main(["info", "--aperture-m", "1", "--wavelength-m", "0.01", "--seed", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["config error: info takes --seed only with --config"]
+
     def test_codebook_build_then_cache_hit(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -173,13 +173,18 @@ class TestSelectCodeword:
         elif case == "nonfinite":
             responses[size // 2] = np.inf
             responses[size - 1] = np.nan
+        elif case == "inf":  # an infinite floor without a NaN anywhere
+            responses[size // 3] = np.inf
+        elif case == "infnan":  # |inf + nan j| is inf, not NaN
+            responses[size // 3] = complex(np.inf, np.nan)
         return responses
 
+    CASES = ["random", "buried", "dominant", "ties", "nonfinite", "inf", "infnan"]
+    SIZES = [1, _NOISE_CHUNK - 1, _NOISE_CHUNK, _NOISE_CHUNK + 1, 2 * _NOISE_CHUNK + 5]
+
     @pytest.mark.parametrize("chunk", [_NOISE_CHUNK, 5])
-    @pytest.mark.parametrize(
-        "size", [1, _NOISE_CHUNK - 1, _NOISE_CHUNK, _NOISE_CHUNK + 1, 2 * _NOISE_CHUNK + 5]
-    )
-    @pytest.mark.parametrize("case", ["random", "buried", "dominant", "ties", "nonfinite"])
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("case", CASES)
     def test_observing_the_candidates_equals_the_full_scan(self, case, size, chunk, monkeypatch):
         # a 5-slot chunk puts chunk boundaries between candidates at every size
         monkeypatch.setattr(training, "_NOISE_CHUNK", chunk)
@@ -189,6 +194,20 @@ class TestSelectCodeword:
         assert got == self.full_scan(responses, self.SIGMA2S, size)
         if case == "ties":
             assert {idx for idx, _ in picks} == {int(np.argmax(np.abs(responses)))}
+
+    @pytest.mark.parametrize("chunk", [_NOISE_CHUNK, 5])
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_noiseless_scan_equals_the_full_scan(self, case, size, chunk, monkeypatch):
+        # sigma2 = 0 takes the same candidate scan as any other noise power
+        monkeypatch.setattr(training, "_NOISE_CHUNK", chunk)
+        responses = self.adversarial(case, size, seed=size + chunk)
+        rng = np.random.default_rng(size)
+        before = rng.bit_generator.state
+        picks = select_codeword(responses, [0.0, 0.0], rng)
+        got = [(idx, np.float64(amp).tobytes()) for idx, amp in picks]
+        assert got == self.full_scan(responses, [0.0, 0.0], size)
+        assert rng.bit_generator.state == before  # nothing drawn
 
 
 class TestRefineRanges:
