@@ -40,7 +40,7 @@ from .experiments import (
     sweep_snr,
 )
 from .geometry import rayleigh_distance
-from .training import exhaustive_training, hierarchical_training
+from .training import exhaustive_training, hierarchical_training_over
 
 CACHE_ENV = "XLRIS_CACHE"
 
@@ -119,7 +119,9 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(noise_ss)
 
     if args.scheme == SCHEME_HIERARCHICAL:
-        result = hierarchical_training(cfg.hierarchy, cfg.scene, cfg.sampling_step, ch, sigma2, rng)
+        [result] = hierarchical_training_over(
+            cfg.hierarchy, cfg.scene, cfg.sampling_step, ch, [sigma2], rng
+        )
     else:
         if args.scheme == SCHEME_EXHAUSTIVE:
             cb, _, _ = cached_near_field_codebook(

@@ -197,7 +197,10 @@ def hierarchical_training(
     rng: np.random.Generator,
     codebooks: dict[tuple[SampleGrid, SampleGrid], NearFieldCodebook] | None = None,
 ) -> TrainingResult:
-    """Coarse-to-fine search at one noise power; see `hierarchical_training_over`."""
+    """Coarse-to-fine search at one noise power; see `hierarchical_training_over`.
+
+    The library's one-sigma2 entry point; `bench/tracer.py` wraps this name.
+    """
     [result] = hierarchical_training_over(hcfg, scene, base_step, ch, [sigma2], rng, codebooks)
     return result
 
@@ -226,48 +229,42 @@ def hierarchical_training_over(
     state, which draws each level's unit noise after the levels before it.
     So level 1 observes once for every sigma2 (see `select_codeword`), and
     the sigma2 values that agree on every winner so far share the next
-    level's codebook and one draw, made from the generator state their
-    shared draws left. `rng` ends where one of those searches ends.
+    level's codebook, draw and stage trace, the draw made from the generator
+    state their shared draws left. `rng` ends where one of those searches ends.
     """
     if codebooks is None:
         codebooks = {}
-    traces: list[list[StageResult]] = [[] for _ in sigma2s]
     results: list[TrainingResult | None] = [None] * len(sigma2s)
-    # (g-side box, r-side box, members, generator state) of each group searching this level
-    groups = [(scene.box_g, scene.box_r, list(range(len(sigma2s))), rng.bit_generator.state)]
+    # (g-side box, r-side box, members, generator state, stages so far) of each group at this level
+    groups = [(scene.box_g, scene.box_r, range(len(sigma2s)), rng.bit_generator.state, ())]
     for level, step in enumerate(hcfg.steps(base_step), start=1):
         deeper = []
-        for box_g, box_r, members, state in groups:
+        for box_g, box_r, members, state, stages in groups:
             grids = (SampleGrid(box_g, step), SampleGrid(box_r, step))
             cb = codebooks.get(grids)
             if cb is None:
                 cb = codebooks[grids] = build_near_field_codebook(*grids, scene.dims)
             rng.bit_generator.state = state
             picks = select_codeword(cb.responses(ch.h_bar), [sigma2s[k] for k in members], rng)
-            by_winner: dict[int, list[int]] = {}
-            for k, (idx, _) in zip(members, picks):
-                traces[k].append(StageResult(level=level, codebook_size=cb.size, best_index=idx))
-                by_winner.setdefault(idx, []).append(k)
-            if level == hcfg.levels:
-                thetas = {idx: cb.vector(idx) for idx in by_winner}
-                for k, (idx, amp) in zip(members, picks):
-                    results[k] = TrainingResult(
-                        best_index=idx,
-                        best_amplitude=amp,
-                        slots_used=sum(stage.codebook_size for stage in traces[k]),
-                        theta=thetas[idx],
-                        per_stage=tuple(traces[k]),
-                    )
-                continue
+            by_winner: dict[int, list[tuple[int, float]]] = {}
+            for k, (idx, amp) in zip(members, picks):
+                by_winner.setdefault(idx, []).append((k, amp))
             state = rng.bit_generator.state
             for idx, winners in by_winner.items():
+                trace = (*stages, StageResult(level=level, codebook_size=cb.size, best_index=idx))
+                if level == hcfg.levels:
+                    theta = cb.vector(idx)
+                    slots = sum(stage.codebook_size for stage in trace)
+                    for k, amp in winners:
+                        results[k] = TrainingResult(idx, amp, slots, theta, per_stage=trace)
+                    continue
                 ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
                 try:
                     next_g = ref_g.clip(scene.box_g)
                     next_r = ref_r.clip(scene.box_r)
                 except ValueError as exc:
                     raise ValueError(f"level {level + 1} sampling box is empty: {exc}") from exc
-                deeper.append((next_g, next_r, winners, state))
+                deeper.append((next_g, next_r, [k for k, _ in winners], state, trace))
         groups = deeper
     return results
 

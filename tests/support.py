@@ -191,15 +191,20 @@ def reference_select(responses: np.ndarray, sigma2: float, rng) -> int:
 
 
 def reference_hierarchical(hcfg, scene, base_step: float, ch, sigma2: float, rng):
-    """The winning vector of a hierarchical search that builds every level afresh."""
+    """A hierarchical search that builds every level afresh.
+
+    Returns the winning vector and each level's (codebook size, winning index), level 1 first.
+    """
     box_g, box_r = scene.box_g, scene.box_r
+    stages = []
     for level, step in enumerate(hcfg.steps(base_step), start=1):
         cb = build_near_field_codebook(SampleGrid(box_g, step), SampleGrid(box_r, step), scene.dims)
         idx = reference_select(reference_responses(cb, ch.h_bar), sigma2, rng)
+        stages.append((cb.size, idx))
         if level < hcfg.levels:
             ref_g, ref_r = refine_ranges(cb.source_pair(idx), step)
             box_g, box_r = ref_g.clip(scene.box_g), ref_r.clip(scene.box_r)
-    return vector(cb, idx)
+    return vector(cb, idx), stages
 
 
 def reference_sweep_snr(cfg) -> ResultTable:
@@ -224,7 +229,7 @@ def reference_sweep_snr(cfg) -> ResultTable:
                     theta = perfect_csi_beamforming(ch)
                 elif scheme == SCHEME_HIERARCHICAL:
                     hcfg, base = cfg.hierarchy, cfg.sampling_step
-                    theta = reference_hierarchical(hcfg, scene, base, ch, sigma2, rng)
+                    theta, _ = reference_hierarchical(hcfg, scene, base, ch, sigma2, rng)
                 else:
                     cb = near_cb if scheme == SCHEME_EXHAUSTIVE else FarFieldCodebook(dims)
                     responses = reference_responses(cb, ch.h_bar)

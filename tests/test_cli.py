@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 import xlris
 from xlris import codebook
+from xlris.channel import sample_near_field_channel
 from xlris.cli import main
-from xlris.codebook import SampleGrid, cache_file_name
+from xlris.codebook import FarFieldCodebook, SampleGrid, build_near_field_codebook, cache_file_name
 from xlris.config import (
     ConfigError,
     builtin_config_path,
@@ -25,7 +27,8 @@ from xlris.config import (
     parse_config,
     resolve_config_path,
 )
-from xlris.training import HierarchicalConfig
+from xlris.experiments import achievable_rate, snr_db_to_sigma2
+from xlris.training import HierarchicalConfig, exhaustive_training, hierarchical_training
 
 TINY = {
     "array": {"n1": 8, "n2": 2, "spacing_wavelengths": 0.5},
@@ -294,6 +297,44 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["slots_used"] == sum(s["codebook_size"] for s in report["per_stage"])
         assert report["achievable_rate"] > 0
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0])
+    @pytest.mark.parametrize(
+        "scheme", ["far-field", "near-field-exhaustive", "near-field-hierarchical"]
+    )
+    def test_train_report_equals_the_library_search(self, tmp_path, capsys, scheme, snr_db):
+        path = write_config(tmp_path)
+        command = ["train", "--config", str(path), "--scheme", scheme, "--snr-db", str(snr_db)]
+        assert main(command) == 0
+        report = json.loads(capsys.readouterr().out)
+        # the CLI's seed plan: the channel stream, then the noise stream
+        cfg = parse_config(path)
+        channel_ss, noise_ss = np.random.SeedSequence(cfg.master_seed).spawn(2)
+        ch = sample_near_field_channel(cfg.scene, np.random.default_rng(channel_ss))
+        rng = np.random.default_rng(noise_ss)
+        sigma2 = snr_db_to_sigma2(snr_db)
+        if scheme == "near-field-hierarchical":
+            hcfg, step = cfg.hierarchy, cfg.sampling_step
+            result = hierarchical_training(hcfg, cfg.scene, step, ch, sigma2, rng)
+            assert report["per_stage"] == [dataclasses.asdict(s) for s in result.per_stage]
+        else:
+            if scheme == "near-field-exhaustive":
+                cb = build_near_field_codebook(*cfg.codebook_grids(), cfg.scene.dims)
+            else:
+                cb = FarFieldCodebook(cfg.scene.dims)
+            [result] = exhaustive_training(cb, ch, [sigma2], rng)
+            assert "per_stage" not in report
+        assert (
+            report["best_index"],
+            report["best_amplitude"],
+            report["slots_used"],
+            report["achievable_rate"],
+        ) == (
+            result.best_index,
+            result.best_amplitude,
+            result.slots_used,
+            achievable_rate(result.theta, ch, sigma2),
+        )
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -18,6 +18,7 @@ from xlris.geometry import ArrayDims, Box3, FieldError, cascaded_distances
 from xlris.training import (
     _NOISE_CHUNK,
     HierarchicalConfig,
+    StageResult,
     exhaustive_training,
     hierarchical_training,
     hierarchical_training_over,
@@ -26,7 +27,14 @@ from xlris.training import (
     select_codeword,
 )
 
-from support import box_contains, is_beam_of, near_field_channel, planar_channel, vector
+from support import (
+    box_contains,
+    is_beam_of,
+    near_field_channel,
+    planar_channel,
+    reference_hierarchical,
+    vector,
+)
 
 DIMS = ArrayDims(8, 2, 0.5)
 BOX = Box3((-40, 40), (4, 40), (-16, 16))
@@ -328,6 +336,27 @@ class TestHierarchical:
             hcfg, SCENE, self.BASE, ch, sigma2s[::-1], np.random.default_rng(seed), memo
         )
         assert backwards == results[::-1]
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [3, 47, 101, 5150])
+    def test_one_search_over_noise_powers_equals_the_afresh_reference(self, seed, levels):
+        # the reference rebuilds every level and draws its own noise at each noise power
+        hcfg = dataclasses.replace(self.HCFG, levels=levels)
+        ch = sample_near_field_channel(SCENE, np.random.default_rng(seed))
+        sigma2s = [0.0, 2.0, 0.5, 2.0, 0.0, 1e-3, 8.0, 30.0]
+        results = hierarchical_training_over(
+            hcfg, SCENE, self.BASE, ch, sigma2s, np.random.default_rng(seed)
+        )
+        assert len(results) == len(sigma2s)
+        for sigma2, res in zip(sigma2s, results):
+            rng = np.random.default_rng(seed)  # restarted for every noise power
+            theta, stages = reference_hierarchical(hcfg, SCENE, self.BASE, ch, sigma2, rng)
+            assert res.per_stage == tuple(
+                StageResult(level, size, idx) for level, (size, idx) in enumerate(stages, start=1)
+            )
+            assert res.best_index == stages[-1][1]
+            assert res.slots_used == sum(size for size, _ in stages)
+            assert res.theta.tobytes() == theta.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
