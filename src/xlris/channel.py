@@ -4,8 +4,9 @@ The base station side is collapsed into a unit effective transmitted
 symbol, so a channel realization is just the length-N cascaded vector seen
 by the reflecting array, scaled by the product of the two hop gains, and
 the SNR is 1/sigma2. Each realization carries the scatter-point pair that
-generated it. The per-slot training observation r = theta^T h_bar + n is
-`training.select_codeword`.
+generated it; its hop gains are scalar `complex_normal` draws. The per-slot
+training observation r = theta^T h_bar + n is `training.select_codeword`,
+which draws its unit noise itself, as one 2n-long normal draw.
 """
 
 from __future__ import annotations
@@ -59,22 +60,9 @@ class ChannelRealization:
         return cascaded_steering(self.pair[0], self.pair[1], self.dims)
 
 
-def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray | complex:
-    """Circularly-symmetric complex Gaussian draw(s) with unit variance.
-
-    An array draw is bitwise ``(re + 1j * im) / np.sqrt(2.0)``: numpy divides
-    a complex by a real as a multiply by its reciprocal, so filling both
-    halves of one buffer and scaling it in place skips two temporaries. Each
-    half is copied in before the next is drawn, so at most one real draw
-    lives beside the buffer.
-    """
-    if size is None:
-        return (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-    out = np.empty(size, dtype=np.complex128)
-    out.real = rng.standard_normal(size)
-    out.imag = rng.standard_normal(size)
-    out *= 1.0 / np.sqrt(2.0)
-    return out
+def complex_normal(rng: np.random.Generator) -> complex:
+    """One circularly-symmetric complex Gaussian draw with unit variance."""
+    return (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
 
 
 def _uniform_point(box: Box3, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, SceneConfig, complex_normal
+from .channel import ChannelRealization, SceneConfig
 from .codebook import NearFieldCodebook, SampleGrid, build_near_field_codebook
 from .geometry import Box3, FieldError
 
@@ -96,9 +96,11 @@ def select_codeword(
     At noise power sigma2, slot l observes r_l = responses[l] +
     sqrt(sigma2) * z_l, where responses[l] is the noiseless theta_l^T h_bar
     (the transmitted symbol is 1, so the SNR is 1/sigma2) and z is one unit
-    CN(0, 1) vector drawn from `rng` and shared by every sigma2 in
-    `sigma2s`, each finite and >= 0. So sigma2 = 0 observes the noiseless
-    responses, and nothing is drawn when every sigma2 is 0 (z is then zero).
+    CN(0, 1) vector shared by every sigma2 in `sigma2s`, each finite and >= 0.
+    z is drawn as one ``rng.standard_normal(2 * responses.size)``, real parts
+    then imaginary parts, and only the candidates' parts are scaled, by 1/sqrt(2)
+    and then by sigma. So sigma2 = 0 observes the noiseless responses, and
+    nothing is drawn when every sigma2 is 0 (z is then zero).
     Returns one (winning index, winning noisy amplitude) per sigma2, in
     order, so one call equals a call per sigma2 that each restart `rng` from
     the same state. Ties keep the earliest index, as np.argmax does (a NaN
@@ -125,18 +127,17 @@ def select_codeword(
     n = clean.size
     amps = np.abs(clean)  # the candidate filter
     top = int(amps.argmax())
-    if any(sigma2 > 0 for sigma2 in sigma2s):
-        unit = complex_normal(rng, n)
-    else:
-        unit = np.zeros(n, dtype=np.complex128)
-    parts = unit.view(np.float64)
-    reach = math.sqrt(2.0) * max(float(parts.max()), -float(parts.min()))
+    # sqrt(2) z: real parts, then imaginary parts; scaling by inv keeps their order
+    parts = rng.standard_normal(2 * n) if any(sigma2 > 0 for sigma2 in sigma2s) else np.zeros(2 * n)
+    inv = 1.0 / math.sqrt(2.0)
+    reach = math.sqrt(2.0) * max(float(parts.max()) * inv, -float(parts.min()) * inv)
+    unit_top = complex(parts[top], parts[n + top]) * inv
     noisy = np.empty(min(n, _NOISE_CHUNK), dtype=np.complex128)
     seen = np.empty(noisy.size)
     picks = []
     for sigma2 in sigma2s:
         scale = math.sqrt(sigma2)
-        at_top = float(abs(clean[top] + unit[top] * scale))
+        at_top = float(abs(clean[top] + unit_top * scale))
         spread = scale * reach
         floor = at_top - spread - 1e-9 * (at_top + spread)
         where = (~(amps < floor)).nonzero()[0]  # a NaN floor keeps every slot
@@ -144,7 +145,9 @@ def select_codeword(
         for lo in range(0, where.size, _NOISE_CHUNK):
             sel = where[lo : lo + _NOISE_CHUNK]
             r = noisy[: sel.size]
-            np.multiply(unit[sel], scale, out=r)
+            r.real, r.imag = parts[sel], parts[n + sel]
+            r *= inv
+            r *= scale
             np.add(clean[sel], r, out=r)
             a = seen[: r.size]
             np.abs(r, out=a)
@@ -168,11 +171,11 @@ def exhaustive_training(
 
     One unit noise draw serves every sigma2 (see `select_codeword`), so
     result k equals a call with ``[sigma2s[k]]`` from the same `rng` state.
+    Each distinct winner's vector is built once and shared by its results.
     """
-    return [
-        TrainingResult(best_index=idx, best_amplitude=amp, slots_used=cb.size, theta=cb.vector(idx))
-        for idx, amp in select_codeword(cb.responses(ch.h_bar), sigma2s, rng)
-    ]
+    picks = select_codeword(cb.responses(ch.h_bar), sigma2s, rng)
+    thetas = {idx: cb.vector(idx) for idx in {idx for idx, _ in picks}}
+    return [TrainingResult(idx, amp, cb.size, thetas[idx]) for idx, amp in picks]
 
 
 def refine_ranges(opt_pair: tuple[np.ndarray, np.ndarray], step: float) -> tuple[Box3, Box3]:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from xlris.channel import ChannelRealization, complex_normal, sample_near_field_channel
+from xlris.channel import ChannelRealization, sample_near_field_channel
 from xlris.codebook import (
     FarFieldCodebook,
     NearFieldCodebook,
@@ -34,6 +34,20 @@ from xlris.geometry import (
     phase_vector,
 )
 from xlris.training import perfect_csi_beamforming, refine_ranges
+
+
+def complex_normal(rng, size) -> np.ndarray:
+    """`size` circularly-symmetric unit-variance complex Gaussian draws.
+
+    Bitwise ``(re + 1j * im) / np.sqrt(2.0)`` of two `size`-long normal
+    draws, real parts first; `select_codeword` draws the same stream as
+    one 2 * size normal draw.
+    """
+    out = np.empty(size, dtype=np.complex128)
+    out.real = rng.standard_normal(size)
+    out.imag = rng.standard_normal(size)
+    out *= 1.0 / np.sqrt(2.0)
+    return out
 
 
 def element_position(n1_idx: int, n2_idx: int, dims: ArrayDims) -> np.ndarray:
@@ -180,6 +194,26 @@ def reference_responses(cb, h_bar: np.ndarray) -> np.ndarray:
     u_g = phase_vector(element_distances(cb.g_points, cb.dims))
     u_r = phase_vector(element_distances(cb.r_points, cb.dims))
     return ((u_g * h_bar[np.newaxis, :]) @ u_r.T)[cb.pairs[:, 0], cb.pairs[:, 1]]
+
+
+def blocked_responses(cb, h_bar: np.ndarray, rows: int) -> np.ndarray:
+    """`reference_responses` of an equal-grid codebook, its product computed by row blocks.
+
+    Block k covers rows [k * rows, (k + 1) * rows) and every column from its
+    first row on, each a product of its own; a last block of one row is
+    merged into the block before it. Entries left of a block's first column
+    stay NaN, so a pair below the diagonal would read NaN.
+    """
+    u = phase_vector(element_distances(cb.g_points, cb.dims))
+    uh = u * h_bar[np.newaxis, :]
+    s = len(u)
+    cross = np.full((s, s), np.nan, dtype=np.complex128)
+    bounds = list(range(0, s, rows)) + [s]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
+        cross[lo:hi, lo:] = uh[lo:hi] @ u[lo:].T
+    return cross[cb.pairs[:, 0], cb.pairs[:, 1]]
 
 
 def reference_select(responses: np.ndarray, sigma2: float, rng) -> int:

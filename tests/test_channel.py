@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
+from xlris import channel
+from xlris.channel import SceneConfig, sample_near_field_channel
 from xlris.codebook import FarFieldCodebook
 from xlris.geometry import (
     ArrayDims,
@@ -15,7 +16,7 @@ from xlris.geometry import (
 )
 from xlris.training import select_codeword
 
-from support import box_contains, far_field_steering
+from support import box_contains, complex_normal, far_field_steering
 
 DIMS = ArrayDims(8, 2, 0.5)
 BOX = Box3((-40, 40), (4, 40), (-16, 16))
@@ -114,6 +115,22 @@ class TestComplexNormal:
         got = complex_normal(np.random.default_rng(seed), size)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_scalar_draw_is_the_complex_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        re, im = rng.standard_normal(), rng.standard_normal()
+        assert channel.complex_normal(np.random.default_rng(seed)) == (re + 1j * im) / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("size", [0, 1, 7, 101_475])
+    def test_one_double_draw_is_the_two_part_stream(self, seed, size):
+        # select_codeword draws its real parts and then its imaginary parts at once
+        two, one = np.random.default_rng(seed), np.random.default_rng(seed)
+        re, im = two.standard_normal(size), two.standard_normal(size)
+        both = one.standard_normal(2 * size)
+        assert both.tobytes() == np.concatenate((re, im)).tobytes()
+        assert one.bit_generator.state == two.bit_generator.state
 
 
 class TestReceivedSignal:

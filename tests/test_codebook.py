@@ -21,6 +21,7 @@ from xlris.codebook import (
     CodebookFileError,
     FarFieldCodebook,
     MAX_GRID_POINTS,
+    NearFieldCodebook,
     SampleGrid,
     axis_count,
     axis_samples,
@@ -40,6 +41,7 @@ from xlris.geometry import (
 
 from support import (
     angles,
+    blocked_responses,
     far_field_steering,
     reference_keys,
     reference_reduced_profile,
@@ -53,6 +55,7 @@ DIMS = ArrayDims(8, 2, 0.5)
 DIMS4 = ArrayDims(2, 2, 0.5)
 # N = 64, so the dedup key packs a strict subset of each profile.
 DIMS64 = ArrayDims(16, 4, 0.5)
+DIMS128 = ArrayDims(16, 8, 0.5)
 # Multiples of 2**-10 below 2**10: sums of two of them, or of one and an
 # integer below 2**10, are exact in float64.
 DYADIC = st.integers(-(1 << 20) + 1, (1 << 20) - 1).map(lambda k: k / 1024.0)
@@ -898,6 +901,47 @@ class TestSteeringFactors:
         assert len(calls) == (1 if other is None else 2)
         want = reference_responses(cb, self.H)
         assert np.array_equal(first, want) and np.array_equal(second, want)
+
+    @staticmethod
+    def channel(dims):
+        rng = np.random.default_rng(dims.n)
+        return rng.standard_normal(dims.n) + 1j * rng.standard_normal(dims.n)
+
+    # Equal grids of S points: one block, one merged block, and sizes at and past a block edge.
+    TRIANGLE_SIZES = [1, 2, 127, 128, 129, 255, 256, 257]
+
+    @pytest.mark.parametrize("dims", [DIMS4, DIMS128], ids=["N4", "N128"])
+    @pytest.mark.parametrize("s", TRIANGLE_SIZES)
+    def test_equal_grids_compute_the_triangle_blocks_bitwise(self, s, dims):
+        grid = generic_line_grid(s)
+        cb = build_near_field_codebook(grid, grid, dims)
+        h = self.channel(dims)
+        got = cb.responses(h)
+        assert cb._steering_factors()[3]  # every pair has i <= j
+        want = blocked_responses(cb, h, codebook._TRIANGLE_ROWS)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims", [DIMS4, DIMS128], ids=["N4", "N128"])
+    @pytest.mark.parametrize("s", TRIANGLE_SIZES)
+    def test_triangle_blocks_are_the_full_product_within_rounding(self, s, dims):
+        grid = generic_line_grid(s)
+        cb = build_near_field_codebook(grid, grid, dims)
+        h = self.channel(dims)
+        # Each response sums N unit-modulus multiples of h, so any two summation
+        # orders differ by at most 4 N eps sum|h|, a relative 4 N eps of the largest.
+        bound = 4 * dims.n * np.finfo(np.float64).eps * np.abs(h).sum()
+        assert np.abs(cb.responses(h) - reference_responses(cb, h)).max() <= bound
+
+    def test_a_pair_below_the_diagonal_takes_the_full_product(self):
+        grid = generic_line_grid(257)
+        built = build_near_field_codebook(grid, grid, DIMS128)
+        # (200, 10) lies left of the first column of the block holding row 200
+        pairs = np.concatenate((built.pairs, [[200, 10]]))
+        cb = NearFieldCodebook(DIMS128, grid, grid, built.g_points, built.g_points, pairs)
+        h = self.channel(DIMS128)
+        got = cb.responses(h)
+        assert not cb._steering_factors()[3]
+        assert got.tobytes() == reference_responses(cb, h).tobytes()
 
     def test_flat_index_is_int64_over_int32_pairs(self):
         # Sg * Sr may pass the int32 range of the pairs, so the flat index may not.

@@ -128,14 +128,28 @@ class TestSweepSnr:
         spy(experiments, "build_near_field_codebook", lambda a, out: built.append(out))
         spy(training, "build_near_field_codebook", lambda a, out: stage2.append((a[:2], out)))
         spy(codebook, "phase_vector", lambda a, out: factor_shapes.append(np.shape(a[0])))
-        spy(training, "complex_normal", lambda a, out: draws.append(np.size(out)))
         stage1_grids = cfg.codebook_grids(cfg.hierarchy.step_multiplier * cfg.sampling_step)
         stage1_size = build_near_field_codebook(*stage1_grids, dims).size
-        spy(
-            training,
-            "select_codeword",
-            lambda a, out: stage1_picks.extend(out) if np.size(a[0]) == stage1_size else None,
-        )
+        real_select = training.select_codeword
+
+        class CountingRng:
+            """The generator `select_codeword` draws from, recording each unit noise draw's size."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                assert size % 2 == 0  # real parts, then imaginary parts
+                draws.append(size // 2)
+                return self.rng.standard_normal(size)
+
+        def select(responses, sigma2s, rng):
+            out = real_select(responses, sigma2s, CountingRng(rng))
+            if np.size(responses) == stage1_size:
+                stage1_picks.extend(out)
+            return out
+
+        monkeypatch.setattr(training, "select_codeword", select)
         sweep_snr(cfg)
 
         near_cb, stage1_cb = built

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlris import training
-from xlris.channel import SceneConfig, complex_normal, sample_near_field_channel
+from xlris.channel import SceneConfig, sample_near_field_channel
 from xlris.codebook import (
     FarFieldCodebook,
     NearFieldCodebook,
@@ -29,6 +29,7 @@ from xlris.training import (
 
 from support import (
     box_contains,
+    complex_normal,
     is_beam_of,
     near_field_channel,
     planar_channel,
@@ -122,6 +123,23 @@ class TestExhaustive:
                 alone.slots_used,
             )
             assert np.array_equal(res.theta, alone.theta)
+
+    @pytest.mark.parametrize("kind", ["near-field", "far-field"])
+    def test_one_vector_per_distinct_winner(self, kind, monkeypatch):
+        if kind == "near-field":
+            cb = build_near_field_codebook(GRID, GRID, DIMS)
+        else:
+            cb = FarFieldCodebook(DIMS)
+        ch = sample_near_field_channel(SCENE, np.random.default_rng(12))
+        built = []
+        real = cb.vector
+        monkeypatch.setattr(cb, "vector", lambda l: built.append(l) or real(l))
+        # noiseless twice, then powers loud enough to move the winner
+        results = exhaustive_training(cb, ch, [0.0, 1e4, 0.0, 1e4, 1e6], np.random.default_rng(3))
+        winners = [res.best_index for res in results]
+        assert sorted(built) == sorted(set(winners)) and len(built) < len(winners)
+        for res in results:
+            assert np.array_equal(res.theta, vector(cb, res.best_index))
 
 
 class TestSelectCodeword:
